@@ -56,9 +56,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--precision",
                         default=os.environ.get(PRECISION_ENV, "double"),
                         help="double or bigfloat:<digits>")
-        sp.add_argument("--parallelism", type=int, default=0,
-                        help="worker threads (0 = physical cores, 1 = "
-                             "deterministic reference path)")
         sp.add_argument("--output", "-o", help="output path (default stdout)")
 
     sp = sub.add_parser("eigs", help="certify the lowest eigenvalues")
@@ -77,6 +74,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--resolution", type=int, nargs=2, default=(40, 40),
                     metavar=("NX", "NY"))
     sp.add_argument("--N", type=int, default=150)
+    sp.add_argument("--parallelism", type=int, default=0,
+                    help="worker threads (0 = physical cores, 1 = "
+                         "deterministic reference path)")
 
     sp = sub.add_parser("certify", help="re-certify a stored candidate")
     common(sp)
@@ -186,7 +186,8 @@ def cmd_pseudospectrum(args) -> int:
     lines = ["re,im,gamma"]
     for iy in range(ny):
         for ix in range(nx):
-            lines.append(f"{res[ix]!r},{ims[iy]!r},{grid.values[iy, ix]!r}")
+            lines.append(f"{float(res[ix])!r},{float(ims[iy])!r},"
+                         f"{float(grid.values[iy, ix])!r}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 
@@ -265,7 +266,7 @@ def cmd_eigenfunction(args) -> int:
     samples = evaluate_eigenfunction(v, xs, DOUBLE)
     lines = ["x,re_psi,im_psi"]
     for x, val in zip(samples.xs, samples.values):
-        lines.append(f"{x!r},{val.real!r},{val.imag!r}")
+        lines.append(f"{float(x)!r},{float(val.real)!r},{float(val.imag)!r}")
     _write(args, "\n".join(lines) + "\n")
     return 0
 

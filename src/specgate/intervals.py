@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 from mpmath import iv as _iv
@@ -142,13 +142,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
-
-
-def interval_sum(items: Iterable[Interval]) -> Interval:
-    total = Interval.point(0.0)
-    for it in items:
-        total = total + it
-    return total
 
 
 @dataclass(frozen=True)

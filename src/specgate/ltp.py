@@ -52,10 +52,6 @@ class GapMembershipError(ValueError):
     """A shift is not certifiably inside the spectral gap it claims."""
 
 
-class BoundDomainError(ValueError):
-    """Bound formula evaluated outside its domain."""
-
-
 def _upper_out(x_iv, ctx: Optional[PrecisionContext]):
     """Upper endpoint of an iv quantity as float (nextafter-up) or mpf."""
     hi = iv_upper(x_iv)

@@ -16,7 +16,8 @@ Shipped operators:
   geometrically decaying hopping, exercising certified tail padding.
 
 Plugin operators load from JSON band descriptions with coefficient
-expressions in a small arithmetic grammar (see docs/plugins.md).
+expressions in a small arithmetic grammar (the EBNF comment above
+``_tokenize``).
 """
 
 from __future__ import annotations
@@ -504,7 +505,7 @@ BUILTIN_OPERATORS = {
 # plugin operators: JSON band descriptions with expression coefficients
 # ---------------------------------------------------------------------------
 #
-# Grammar (EBNF, documented in docs/plugins.md):
+# Grammar (EBNF):
 #
 #   expr    = term { ("+" | "-") term } ;
 #   term    = factor { ("*" | "/") factor } ;

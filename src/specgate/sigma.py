@@ -20,32 +20,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import mpmath
 import numpy as np
 from mpmath import mp
 
-from .operators import (MP_LIB, COMPLEX_SYMMETRIC, INTEGERS, NATURALS,
-                        OperatorSpec, StructureError)
+from .operators import MP_LIB, COMPLEX_SYMMETRIC, NATURALS, OperatorSpec
 from .precision import PrecisionContext
 from .truncation import RectTruncation, _block_geometry, rectangular
 
 DENSE_SVD_LIMIT = 400
 
 
-class SigmaError(RuntimeError):
-    """Both the iterative and the dense singular-value paths failed."""
-
-
 @dataclass(frozen=True)
 class SigmaResult:
-    """Smallest singular value with its right (and optionally left) vector."""
+    """Smallest singular value with its right singular vector."""
 
     sigma: object
     right_vector: object
-    left_vector: object = None
-    rel_err_est: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +50,102 @@ class SigmaResult:
 # leaves an upper-triangular R of bandwidth L+U; inverse iteration on
 # R^H R then refines the smallest singular direction.  The reported sigma
 # is ||T v|| for the final unit vector v, so it is always an upper bound
-# for sigma_min; rel_err_est tracks the iteration's stagnation level.
+# for sigma_min.
 #
-# Three concrete variants (real mpf, complex mpc, complex double) keep the
-# inner loops free of dispatch overhead; they share structure deliberately.
+# One routine serves three arithmetics (real mpf for the rotated cubic,
+# complex mpc, complex double) through the records below.  Zero tests use
+# each record's own typed zero: comparing mpf/mpc values against the int 0
+# is markedly slower.  Inverse iteration stops after MAXIT steps, or once
+# sigma changes by at most RTOL (relative) between steps.
 
-def banded_sigma_real(columns: Callable[[int], list], ncols: int, nrows: int,
-                      lower: int, upper: int, maxit: int = 14,
-                      rtol: float = 1e-8):
-    """Real big-float banded path; see module notes."""
-    L, U = lower, upper
-    bw = L + U
-    OFF = L
-    WID = L + bw + 1
+MAXIT = 14
+RTOL = 1e-8
+
+
+class _RealMPArith:
     zero = mpmath.mpf(0)
     one = mpmath.mpf(1)
+
+    @staticmethod
+    def num(x):
+        return x
+
+    @staticmethod
+    def conj(x):
+        return x
+
+    @staticmethod
+    def hypot(a, b):
+        return mp.hypot(a, b)
+
+    @staticmethod
+    def norm(xs):
+        return mpmath.sqrt(mp.fsum([t * t for t in xs]))
+
+
+class _ComplexMPArith:
+    zero = mpmath.mpc(0)
+    one = mpmath.mpc(1)
+
+    @staticmethod
+    def num(x):
+        return mpmath.mpc(x)
+
+    @staticmethod
+    def conj(x):
+        return mpmath.conj(x)
+
+    @staticmethod
+    def hypot(a, b):
+        return mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
+
+    @staticmethod
+    def norm(xs):
+        return mpmath.sqrt(mp.fsum([abs(t) ** 2 for t in xs]))
+
+
+class _ComplexDoubleArith:
+    zero = 0j
+    one = 1.0 + 0j
+
+    @staticmethod
+    def num(x):
+        return complex(x)
+
+    @staticmethod
+    def conj(x):
+        return x.conjugate()
+
+    @staticmethod
+    def hypot(a, b):
+        return math.hypot(abs(a), abs(b))
+
+    @staticmethod
+    def norm(xs):
+        return math.sqrt(math.fsum([abs(t) ** 2 for t in xs]))
+
+
+_REAL_MP = _RealMPArith()
+_COMPLEX_MP = _ComplexMPArith()
+_COMPLEX_DOUBLE = _ComplexDoubleArith()
+
+
+def banded_sigma(columns: Callable[[int], list], ncols: int, nrows: int,
+                 lower: int, upper: int, arith):
+    """(sigma, unit right vector) of a banded matrix; see the notes above.
+
+    sigma is None when inverse iteration breaks down at its first step.
+    """
+    zero, one, conj, hypot, norm = (arith.zero, arith.one, arith.conj,
+                                    arith.hypot, arith.norm)
+    L = lower
+    bw = lower + upper
+    OFF = L
+    WID = L + bw + 1
     R = [[zero] * WID for _ in range(nrows)]
     cols_cache = []
     for j in range(ncols):
-        pairs = columns(j)
+        pairs = [(i, arith.num(v)) for i, v in columns(j)]
         cols_cache.append(pairs)
         for i, v in pairs:
             if 0 <= i < nrows:
@@ -86,29 +156,29 @@ def banded_sigma_real(columns: Callable[[int], list], ncols: int, nrows: int,
             if b == zero:
                 continue
             a = R[j][OFF]
-            r = mp.hypot(a, b)
+            r = hypot(a, b)
             if r == zero:
                 continue
             c = a / r
             s = b / r
+            cc = conj(c)
+            sc = conj(s)
             for col in range(j, min(j + bw + 1, ncols)):
                 dj = col - j + OFF
                 di = col - i + OFF
                 x = R[j][dj]
                 y = R[i][di]
-                R[j][dj] = c * x + s * y
+                R[j][dj] = cc * x + sc * y
                 R[i][di] = -s * x + c * y
 
     def matvec_norm(w):
         out = [zero] * nrows
         for j in range(ncols):
             wj = w[j]
-            if wj == zero:
-                continue
             for i, v in cols_cache[j]:
                 if 0 <= i < nrows:
                     out[i] += v * wj
-        return mpmath.sqrt(mp.fsum([t * t for t in out]))
+        return norm(out)
 
     for j in range(ncols):
         if R[j][OFF] == zero:
@@ -121,220 +191,39 @@ def banded_sigma_real(columns: Callable[[int], list], ncols: int, nrows: int,
                     acc += R[i][col - i + OFF] * x[col]
                 piv = R[i][OFF]
                 x[i] = -acc / piv if piv != zero else zero
-            nx = mpmath.sqrt(mp.fsum([t * t for t in x]))
+            nx = norm(x)
             w = [t / nx for t in x]
-            return matvec_norm(w), w, 0.0
+            return matvec_norm(w), w
 
-    w = [one / mpmath.sqrt(mpmath.mpf(ncols))] * ncols
+    RH = [[conj(t) for t in row] for row in R]
+    w = [one / norm([one] * ncols)] * ncols
     sig_prev = None
-    rel = 1.0
-    for _ in range(maxit):
+    for _ in range(MAXIT):
         y = [zero] * ncols
         for i in range(ncols):
             acc = w[i]
             for j in range(max(0, i - bw), i):
-                rji = R[j][i - j + OFF]
+                rji = RH[j][i - j + OFF]
                 if rji != zero:
                     acc -= rji * y[j]
-            y[i] = acc / R[i][OFF]
+            y[i] = acc / RH[i][OFF]
         x = [zero] * ncols
         for i in range(ncols - 1, -1, -1):
             acc = y[i]
             for j in range(i + 1, min(i + bw + 1, ncols)):
                 acc -= R[i][j - i + OFF] * x[j]
             x[i] = acc / R[i][OFF]
-        nx = mpmath.sqrt(mp.fsum([t * t for t in x]))
+        nx = norm(x)
         if nx == zero:
             break
         w = [t / nx for t in x]
         sig = matvec_norm(w)
-        if sig_prev is not None and sig_prev != zero:
-            rel = abs(float((sig - sig_prev) / sig_prev))
-            if rel <= rtol:
-                sig_prev = sig
-                break
+        converged = sig_prev is not None and sig_prev != zero and \
+            abs(float((sig - sig_prev) / sig_prev)) <= RTOL
         sig_prev = sig
-    return sig_prev, w, max(rel, rtol)
-
-
-def banded_sigma_complex(columns: Callable[[int], list], ncols: int,
-                         nrows: int, lower: int, upper: int,
-                         maxit: int = 14, rtol: float = 1e-8):
-    """Complex big-float banded path."""
-    L, U = lower, upper
-    bw = L + U
-    OFF = L
-    WID = L + bw + 1
-    zero = mpmath.mpc(0)
-    R = [[zero] * WID for _ in range(nrows)]
-    cols_cache = []
-    for j in range(ncols):
-        pairs = [(i, mpmath.mpc(v)) for i, v in columns(j)]
-        cols_cache.append(pairs)
-        for i, v in pairs:
-            if 0 <= i < nrows:
-                R[i][j - i + OFF] = v
-    for j in range(ncols):
-        for i in range(min(j + L, nrows - 1), j, -1):
-            b = R[i][j - i + OFF]
-            if b == zero:
-                continue
-            a = R[j][OFF]
-            r = mpmath.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            if r == zero:
-                continue
-            c = a / r
-            s = b / r
-            for col in range(j, min(j + bw + 1, ncols)):
-                dj = col - j + OFF
-                di = col - i + OFF
-                x = R[j][dj]
-                y = R[i][di]
-                R[j][dj] = mpmath.conj(c) * x + mpmath.conj(s) * y
-                R[i][di] = -s * x + c * y
-
-    def matvec_norm(w):
-        out = [zero] * nrows
-        for j in range(ncols):
-            wj = w[j]
-            for i, v in cols_cache[j]:
-                if 0 <= i < nrows:
-                    out[i] += v * wj
-        return mpmath.sqrt(mp.fsum([abs(t) ** 2 for t in out]))
-
-    for j in range(ncols):
-        if R[j][OFF] == zero:
-            x = [zero] * ncols
-            x[j] = mpmath.mpc(1)
-            for i in range(j - 1, -1, -1):
-                acc = zero
-                for col in range(i + 1, min(i + bw + 1, ncols)):
-                    acc += R[i][col - i + OFF] * x[col]
-                piv = R[i][OFF]
-                x[i] = -acc / piv if piv != zero else zero
-            nx = mpmath.sqrt(mp.fsum([abs(t) ** 2 for t in x]))
-            w = [t / nx for t in x]
-            return matvec_norm(w), w, 0.0
-
-    w = [mpmath.mpc(1) / mpmath.sqrt(mpmath.mpf(ncols))] * ncols
-    sig_prev = None
-    rel = 1.0
-    for _ in range(maxit):
-        y = [zero] * ncols
-        for i in range(ncols):
-            acc = w[i]
-            for j in range(max(0, i - bw), i):
-                rji = R[j][i - j + OFF]
-                if rji != zero:
-                    acc -= mpmath.conj(rji) * y[j]
-            y[i] = acc / mpmath.conj(R[i][OFF])
-        x = [zero] * ncols
-        for i in range(ncols - 1, -1, -1):
-            acc = y[i]
-            for j in range(i + 1, min(i + bw + 1, ncols)):
-                acc -= R[i][j - i + OFF] * x[j]
-            x[i] = acc / R[i][OFF]
-        nx = mpmath.sqrt(mp.fsum([abs(t) ** 2 for t in x]))
-        if nx == zero:
+        if converged:
             break
-        w = [t / nx for t in x]
-        sig = matvec_norm(w)
-        if sig_prev is not None and sig_prev != zero:
-            rel = abs(float((sig - sig_prev) / sig_prev))
-            if rel <= rtol:
-                sig_prev = sig
-                break
-        sig_prev = sig
-    return sig_prev, w, max(rel, rtol)
-
-
-def banded_sigma_complex_double(columns, ncols, nrows, lower, upper,
-                                maxit=14, rtol=1e-8):
-    """Double-precision complex banded path (used past the dense-SVD limit)."""
-    L, U = lower, upper
-    bw = L + U
-    OFF = L
-    WID = L + bw + 1
-    R = [[0j] * WID for _ in range(nrows)]
-    cols_cache = []
-    for j in range(ncols):
-        pairs = [(i, complex(v)) for i, v in columns(j)]
-        cols_cache.append(pairs)
-        for i, v in pairs:
-            if 0 <= i < nrows:
-                R[i][j - i + OFF] = v
-    for j in range(ncols):
-        for i in range(min(j + L, nrows - 1), j, -1):
-            b = R[i][j - i + OFF]
-            if b == 0:
-                continue
-            a = R[j][OFF]
-            r = math.hypot(abs(a), abs(b))
-            if r == 0:
-                continue
-            c = a / r
-            s = b / r
-            for col in range(j, min(j + bw + 1, ncols)):
-                dj = col - j + OFF
-                di = col - i + OFF
-                x = R[j][dj]
-                y = R[i][di]
-                R[j][dj] = c.conjugate() * x + s.conjugate() * y
-                R[i][di] = -s * x + c * y
-
-    def matvec_norm(w):
-        out = [0j] * nrows
-        for j in range(ncols):
-            wj = w[j]
-            for i, v in cols_cache[j]:
-                if 0 <= i < nrows:
-                    out[i] += v * wj
-        return math.sqrt(math.fsum([abs(t) ** 2 for t in out]))
-
-    for j in range(ncols):
-        if R[j][OFF] == 0:
-            x = [0j] * ncols
-            x[j] = 1.0 + 0j
-            for i in range(j - 1, -1, -1):
-                acc = 0j
-                for col in range(i + 1, min(i + bw + 1, ncols)):
-                    acc += R[i][col - i + OFF] * x[col]
-                piv = R[i][OFF]
-                x[i] = -acc / piv if piv != 0 else 0j
-            nx = math.sqrt(math.fsum([abs(t) ** 2 for t in x]))
-            w = [t / nx for t in x]
-            return matvec_norm(w), w, 0.0
-
-    w = [(1.0 + 0j) / math.sqrt(ncols)] * ncols
-    sig_prev = None
-    rel = 1.0
-    for _ in range(maxit):
-        y = [0j] * ncols
-        for i in range(ncols):
-            acc = w[i]
-            for j in range(max(0, i - bw), i):
-                rji = R[j][i - j + OFF]
-                if rji != 0:
-                    acc -= rji.conjugate() * y[j]
-            y[i] = acc / R[i][OFF].conjugate()
-        x = [0j] * ncols
-        for i in range(ncols - 1, -1, -1):
-            acc = y[i]
-            for j in range(i + 1, min(i + bw + 1, ncols)):
-                acc -= R[i][j - i + OFF] * x[j]
-            x[i] = acc / R[i][OFF]
-        nx = math.sqrt(math.fsum([abs(t) ** 2 for t in x]))
-        if nx == 0:
-            break
-        w = [t / nx for t in x]
-        sig = matvec_norm(w)
-        if sig_prev is not None and sig_prev != 0:
-            rel = abs(sig - sig_prev) / sig_prev
-            if rel <= rtol:
-                sig_prev = sig
-                break
-        sig_prev = sig
-    return sig_prev, w, max(rel, rtol)
+    return sig_prev, w
 
 
 # ---------------------------------------------------------------------------
@@ -410,38 +299,28 @@ def _matrix_columns(T: RectTruncation):
 def smallest_singular(T: RectTruncation, ctx: PrecisionContext) -> SigmaResult:
     """Smallest singular value and right singular direction of T.matrix.
 
-    The certified pipeline never trusts this value; rel_err_est is an
-    unverified estimate (target 10 N u).  Degenerate smallest singular
-    values return an arbitrary unit vector of the minimizing space.
+    The certified pipeline never trusts this value.  Degenerate smallest
+    singular values return an arbitrary unit vector of the minimizing space.
     """
     rows, cols = T.shape
-    target = 10.0 * cols * ctx.unit_roundoff
     if ctx.is_double:
-        mat = np.asarray(T.matrix, dtype=complex)
-        if cols <= DENSE_SVD_LIMIT or T.k > 8:
-            _, s, vh = np.linalg.svd(mat)
-            v = vh[-1].conj()
-            u = mat @ v
-            nu = np.linalg.norm(u)
-            u = u / nu if nu > 0 else None
-            return SigmaResult(float(s[-1]), v, u, target)
-        sig, w, rel = banded_sigma_complex_double(
-            _matrix_columns(T), cols, rows, T.k, T.k)
-        if sig is None:
-            _, s, vh = np.linalg.svd(mat)
-            return SigmaResult(float(s[-1]), vh[-1].conj(), None, target)
-        return SigmaResult(sig, np.array(w, dtype=complex), None,
-                           max(rel, target))
+        if cols > DENSE_SVD_LIMIT and T.k <= 8:
+            sig, w = banded_sigma(_matrix_columns(T), cols, rows, T.k, T.k,
+                                  _COMPLEX_DOUBLE)
+            if sig is not None:
+                return SigmaResult(sig, np.array(w, dtype=complex))
+        _, s, vh = np.linalg.svd(np.asarray(T.matrix, dtype=complex))
+        return SigmaResult(float(s[-1]), vh[-1].conj())
     with ctx.workprec():
         if T.k <= 8 and T.tail_defect == 0.0:
-            sig, w, rel = banded_sigma_complex(
-                _matrix_columns(T), cols, rows, T.k, T.k)
+            sig, w = banded_sigma(_matrix_columns(T), cols, rows, T.k, T.k,
+                                  _COMPLEX_MP)
             if sig is not None:
-                return SigmaResult(sig, w, None, max(rel, target))
+                return SigmaResult(sig, w)
         mat = T.matrix if not isinstance(T.matrix, np.ndarray) else \
             mpmath.matrix(T.matrix.tolist())
-        sig, v, u = jacobi_smallest_singular(mat)
-        return SigmaResult(sig, v, u, target)
+        sig, v, _ = jacobi_smallest_singular(mat)
+        return SigmaResult(sig, v)
 
 
 _base_cache: dict = {}
@@ -489,39 +368,34 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     with ctx.workprec():
         zz = mpmath.mpc(z)
         if op.banded and op.index_domain == NATURALS:
-            nrows = N + op.lower_bandwidth
-            if "real_rotation" in op.hints and zz.imag == 0:
+            # the real rotated form at a real shift: real arithmetic, and the
+            # vector maps back by v[m] -> i^m v[m]
+            rotated = "real_rotation" in op.hints and zz.imag == 0
+            if rotated:
                 rot = op.hints["real_rotation"]
-                zr = zz.real
+                shift = zz.real
 
-                def columns(j):
-                    out = []
-                    for i, v in rot(j, MP_LIB):
-                        if i < 0:
-                            continue
-                        out.append((i, v - zr if i == j else v))
-                    return out
+                def pairs(j):
+                    return [(i, v) for i, v in rot(j, MP_LIB) if i >= 0]
+            else:
+                shift = zz
 
-                sig, w, _ = banded_sigma_real(columns, N, nrows,
-                                              op.lower_bandwidth,
-                                              op.upper_bandwidth)
-                if want_vector:
-                    units = (mpmath.mpc(1), mpmath.mpc(0, 1),
-                             mpmath.mpc(-1), mpmath.mpc(0, -1))
-                    return sig, [units[m % 4] * w[m] for m in range(N)]
-                return sig, None
+                def pairs(j):
+                    return [(i, op.entry(i, j, ctx)) for i in op.band_rows(j)]
 
             def columns(j):
-                out = []
-                for i in op.band_rows(j):
-                    val = op.entry(i, j, ctx)
-                    out.append((i, val - zz if i == j else val))
-                return out
+                return [(i, v - shift if i == j else v) for i, v in pairs(j)]
 
-            sig, w, _ = banded_sigma_complex(columns, N, nrows,
-                                             op.lower_bandwidth,
-                                             op.upper_bandwidth)
-            return sig, (w if want_vector else None)
+            sig, w = banded_sigma(columns, N, N + op.lower_bandwidth,
+                                  op.lower_bandwidth, op.upper_bandwidth,
+                                  _REAL_MP if rotated else _COMPLEX_MP)
+            if not want_vector:
+                return sig, None
+            if rotated:
+                units = (mpmath.mpc(1), mpmath.mpc(0, 1),
+                         mpmath.mpc(-1), mpmath.mpc(0, -1))
+                w = [units[m % 4] * w[m] for m in range(N)]
+            return sig, w
         T = rectangular(op, z, N, ctx, eps=eps)
         res = smallest_singular(T, ctx)
         return res.sigma, (res.right_vector if want_vector else None)

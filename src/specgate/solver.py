@@ -199,10 +199,7 @@ def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
             f"bracket ({a}, {b}) holds several deep minima near "
             f"{[float(ts[k]) for k in deep]}; split it",
             [float(ts[k]) for k in deep])
-    descents = sum(1 for k in range(1, SCAN_POINTS)
-                   if float(vs[k]) < float(vs[k - 1]))
-    unimodal = len(minima) <= 1 or (len(minima) == 0)
-    if not unimodal:
+    if len(minima) > 1:
         if len(deep) == 1 and _depth < 4:
             k = deep[0]
             sub = (float(ts[max(0, k - 1)]), float(ts[min(SCAN_POINTS - 1, k + 1)]))
@@ -250,22 +247,6 @@ def _bracket_for(model: LTPModel, n: int, prev_sup: Optional[float]):
     if prev_sup is not None:
         lo = max(lo, prev_sup + 1e-12)
     return lo, hi
-
-
-def _kappa_estimate(v) -> float:
-    """Float estimate of ||v||^2 / |v^T v| (complex-symmetric conditioning)."""
-    arr = np.asarray([complex(t) for t in v])
-    denom = abs(np.sum(arr * arr))
-    if denom == 0:
-        return math.inf
-    return float(np.sum(np.abs(arr) ** 2) / denom)
-
-
-def _mp_polish_vector(op, z, N, digits):
-    """Recompute the singular direction at z with big-float inverse iteration."""
-    ctxv = bigfloat(max(digits, 20))
-    sig, v = sigma_min(op, z, N, ctxv, want_vector=True)
-    return sig, v
 
 
 def _gap_scan(op, model, m_eff, lo, hi, N, digits_v, ctx):
@@ -415,7 +396,7 @@ def _locate_candidate(op, model, bracket, N, ctx, digits_v, eps_target,
             if zm - lo > 3 * tol and hi - zm > 3 * tol:
                 break
             half = half * 128  # minimum pinned at an edge: widen and retry
-        sig, v = _mp_polish_vector(op, zm, N, digits_v)
+        sig, v = sigma_min(op, zm, N, bigfloat(digits_v), want_vector=True)
         return zm, v, sig
 
 

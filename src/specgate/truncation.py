@@ -102,6 +102,13 @@ def _block_geometry(op: OperatorSpec, N: int, eps: Optional[float]):
     return rows, cols, 0, 0, m, defect
 
 
+def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):
+    """A zero matrix and the shift z in the context's arithmetic."""
+    if ctx.is_double:
+        return np.zeros((rows, cols), dtype=complex), z
+    return mpmath.zeros(rows, cols), mpmath.mpc(z)
+
+
 def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext,
                 eps: Optional[float] = None) -> RectTruncation:
     """Rectangular truncation of (H - z I) over the first N basis states.
@@ -113,25 +120,8 @@ def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext,
     if N < 1:
         raise ValueError("N must be >= 1")
     rows, cols, row0, col0, k, defect = _block_geometry(op, N, eps)
-    if ctx.is_double:
-        mat = np.zeros((rows, cols), dtype=complex)
-        for jc in range(cols):
-            j = col0 + jc
-            if op.banded:
-                for i in op.band_rows(j):
-                    ir = i - row0
-                    if 0 <= ir < rows:
-                        mat[ir, jc] = op.entry(i, j, ctx)
-            else:
-                for ir in range(rows):
-                    mat[ir, jc] = op.entry(row0 + ir, j, ctx)
-            jr = j - row0
-            if 0 <= jr < rows:
-                mat[jr, jc] -= z
-        return RectTruncation(mat, N, k, z, op.id, defect, row0, col0)
     with ctx.workprec():
-        zz = mpmath.mpc(z)
-        mat = mpmath.zeros(rows, cols)
+        mat, shift = _zeros(rows, cols, z, ctx)
         for jc in range(cols):
             j = col0 + jc
             if op.banded:
@@ -144,8 +134,8 @@ def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext,
                     mat[ir, jc] = op.entry(row0 + ir, j, ctx)
             jr = j - row0
             if 0 <= jr < rows:
-                mat[jr, jc] -= zz
-        return RectTruncation(mat, N, k, z, op.id, defect, row0, col0)
+                mat[jr, jc] -= shift
+    return RectTruncation(mat, N, k, z, op.id, defect, row0, col0)
 
 
 def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
@@ -153,25 +143,9 @@ def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
 
     Operators over the integers use the symmetric block {-N..N}.
     """
-    rows, cols, row0, col0, _, _ = _block_geometry(op, N, None)
-    size = cols
-    if ctx.is_double:
-        mat = np.zeros((size, size), dtype=complex)
-        for jc in range(size):
-            j = col0 + jc
-            if op.banded:
-                indices = op.band_rows(j)
-            else:
-                indices = range(col0, col0 + size)
-            for i in indices:
-                ic = i - col0
-                if 0 <= ic < size:
-                    mat[ic, jc] = op.entry(i, j, ctx)
-            mat[jc, jc] -= z
-        return mat
+    _, size, _, col0, _, _ = _block_geometry(op, N, None)
     with ctx.workprec():
-        mat = mpmath.zeros(size, size)
-        zz = mpmath.mpc(z)
+        mat, shift = _zeros(size, size, z, ctx)
         for jc in range(size):
             j = col0 + jc
             indices = op.band_rows(j) if op.banded else range(col0, col0 + size)
@@ -179,8 +153,8 @@ def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
                 ic = i - col0
                 if 0 <= ic < size:
                     mat[ic, jc] = op.entry(i, j, ctx)
-            mat[jc, jc] -= zz
-        return mat
+            mat[jc, jc] -= shift
+    return mat
 
 
 def normal_truncation(op: OperatorSpec, z: complex, N: int, cutoff: int,
@@ -215,30 +189,21 @@ def normal_truncation(op: OperatorSpec, z: complex, N: int, cutoff: int,
 
     cols = [column(col0 + jc) for jc in range(size)]
     if ctx.is_double:
-        mat = np.zeros((size, size), dtype=complex)
-        for a in range(size):
-            ca = cols[a]
-            for b in range(a, size):
-                cb = cols[b]
-                acc = 0.0 + 0.0j
-                for i, va in ca.items():
-                    vb = cb.get(i)
-                    if vb is not None:
-                        acc += np.conjugate(va) * vb
-                mat[a, b] = acc
-                mat[b, a] = np.conjugate(acc)
-        return 0.5 * (mat + mat.conj().T)
+        conj, num = np.conjugate, complex
+    else:
+        conj, num = mpmath.conj, mpmath.mpc
     with ctx.workprec():
-        mat = mpmath.zeros(size, size)
+        cols = [{i: num(v) for i, v in col.items()} for col in cols]
+        mat, _ = _zeros(size, size, 0, ctx)
         for a in range(size):
             ca = cols[a]
             for b in range(a, size):
                 cb = cols[b]
-                acc = mpmath.mpc(0)
+                acc = num(0)
                 for i, va in ca.items():
                     vb = cb.get(i)
                     if vb is not None:
-                        acc += mpmath.conj(mpmath.mpc(va)) * mpmath.mpc(vb)
+                        acc += conj(va) * vb
                 mat[a, b] = acc
-                mat[b, a] = mpmath.conj(acc)
-        return mat
+                mat[b, a] = conj(acc)
+    return 0.5 * (mat + mat.conj().T) if ctx.is_double else mat

@@ -423,12 +423,15 @@ def eigenvector_error_bound(enclosure: Enclosure, residual_upper,
                             neighbor_data, model: Optional[LTPModel] = None):
     """Upper bound on the sine of the angle to the true eigenspace.
 
-    Splitting v along the certified eigenvalue's spectral projection, the
-    complement part is controlled by a two-pole bound with the certified
-    eigenvalue's own pole removed (neighboring enclosures supply certified
-    pole distances); the projection part contributes at most
-    radius * kappa_bound(n).  See docs/bounds.md for the derivation; the
-    choice is deliberately conservative.
+    For the enclosure (center c_n, radius r_n, index n) and residual upper
+    bound eps, the returned value is the upper endpoint of
+
+        (c(n+1) + sum_k kappa(k) / d_k) * (eps + r_n * kappa(n)),
+
+    evaluated in ``mpmath.iv``.  c and kappa are the model's ``c_iv`` and
+    ``kappa_iv``; k runs over the supplied neighbors n-1 and n+1 (n+1 is
+    required), and d_k = |c_k - c_n| - r_k - r_n is their certified separation, which
+    must be positive.
     """
     from .ltp import model_for_operator
     if model is None:

@@ -147,9 +147,38 @@ def test_jacobi_svd_matches_lapack():
         assert rn == pytest.approx(float(sig), rel=1e-8)
 
 
+def _check_against_lapack(op, z, N, ctx, rel):
+    sig, v = sigma_min(op, z, N, ctx, want_vector=True)
+    T = rectangular(op, complex(z), N, DOUBLE)
+    s_ref = np.linalg.svd(np.asarray(T.matrix), compute_uv=False)[-1]
+    assert float(sig) == pytest.approx(s_ref, rel=rel)
+    vd = np.array([complex(t) for t in v])
+    assert np.linalg.norm(vd) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(T.matrix @ vd) == pytest.approx(float(sig), rel=1e-6)
+
+
 def test_smallest_singular_banded_double_path(cubic):
     # past the dense limit the banded inverse-iteration path engages
     T = rectangular(cubic, 2.0, 450, DOUBLE)
     res = smallest_singular(T, DOUBLE)
     s_ref = np.linalg.svd(np.asarray(T.matrix), compute_uv=False)[-1]
     assert res.sigma == pytest.approx(s_ref, rel=1e-6)
+    # the vector request sends sigma_min down the same banded path
+    _check_against_lapack(cubic, 2.0, 450, DOUBLE, rel=1e-6)
+
+
+@pytest.mark.parametrize("z", [2.0, 3.0 + 0.25j],
+                         ids=["real-mpf", "complex-mpc"])
+def test_banded_sigma_bigfloat_matches_lapack(cubic, z):
+    # a real shift takes the real rotated form, a complex one complex mpc
+    _check_against_lapack(cubic, z, 60, bigfloat(30), rel=1e-9)
+
+
+@pytest.mark.parametrize("ctx, N", [(bigfloat(25), 10), (DOUBLE, 450)],
+                         ids=["complex-mpc", "complex-double"])
+def test_kernel_shortcut_complex_arithmetic(harmonic, ctx, N):
+    # a complex truncation with an exact zero pivot (shift 5 = entry (2, 2))
+    res = smallest_singular(rectangular(harmonic, 5.0, N, ctx), ctx)
+    assert float(res.sigma) < 1e-20
+    mags = [abs(complex(t)) for t in res.right_vector]
+    assert mags[2] == pytest.approx(1.0, abs=1e-12)

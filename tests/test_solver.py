@@ -80,8 +80,15 @@ def test_bootstrap_harmonic_oracle(harmonic):
         assert float(e.radius) < 1.0
 
 
-def test_bootstrap_cubic_double(cubic):
-    encs = bootstrap_certify(cubic, cubic_ltp_model(), 3, DOUBLE)
+@pytest.fixture(scope="module")
+def cubic_encs(cubic):
+    """bootstrap_certify(cubic, 3) at double precision, shared by the tests
+    below (each call takes about 15 s)."""
+    return bootstrap_certify(cubic, cubic_ltp_model(), 3, DOUBLE)
+
+
+def test_bootstrap_cubic_double(cubic_encs):
+    encs = cubic_encs
     with mp.workdps(40):
         for e, ref in zip(encs, CUBIC_EIGENVALUES):
             assert float(e.radius) <= 1e-8
@@ -90,8 +97,8 @@ def test_bootstrap_cubic_double(cubic):
     assert encs[0].residual_upper < 1e-8
 
 
-def test_bootstrap_enclosures_are_ordered(cubic):
-    encs = bootstrap_certify(cubic, cubic_ltp_model(), 3, DOUBLE)
+def test_bootstrap_enclosures_are_ordered(cubic_encs):
+    encs = cubic_encs
     centers = [float(e.center) for e in encs]
     assert centers == sorted(centers)
     for a, b in zip(encs, encs[1:]):

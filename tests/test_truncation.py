@@ -147,3 +147,24 @@ def test_bigfloat_rectangular_matches_double(cubic):
     for i in range(11):
         for j in range(8):
             assert abs(complex(T.matrix[i, j]) - Td.matrix[i, j]) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["cubic", "lattice"])
+def test_bigfloat_square_matches_double(name, cubic, lattice):
+    op = {"cubic": cubic, "lattice": lattice}[name]
+    z = 1.5 + 0.5j
+    S = square(op, z, 8, bigfloat(30))
+    Sd = np.asarray(square(op, z, 8, DOUBLE))
+    assert (S.rows, S.cols) == Sd.shape
+    for i in range(S.rows):
+        for j in range(S.cols):
+            assert abs(complex(S[i, j]) - Sd[i, j]) < 1e-14
+
+
+def test_bigfloat_normal_matches_double(cubic):
+    z = 2.0 - 0.5j
+    M = normal_truncation(cubic, z, 10, 3, bigfloat(30))
+    Md = normal_truncation(cubic, z, 10, 3, DOUBLE)
+    for i in range(10):
+        for j in range(10):
+            assert abs(complex(M[i, j]) - Md[i, j]) < 1e-12
