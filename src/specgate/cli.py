@@ -26,7 +26,7 @@ from .sigma import right_vector
 from .solver import (GapScanError, MultiMinimumError, bootstrap_certify,
                      condition_number, evaluate_eigenfunction,
                      pseudospectrum_grid)
-from .truncation import TailError, tail_padding
+from .truncation import TailError
 from .verify import (CertificationError, certify_eigenvalue, dump_report,
                      enclosures_to_report)
 

@@ -26,13 +26,13 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import mpmath
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import CIBox, Interval, MPBox, _down, _up
+from .intervals import CIBox, Interval, MPBox, _down, _up, iv_lower, iv_upper
 from .precision import PrecisionContext
 
 NATURALS = "naturals"
@@ -87,6 +87,7 @@ class _BoxDoubleLib:
     """Interval arithmetic over doubles (outward one-ulp rounding)."""
 
     kind = "box-double"
+    point = staticmethod(CIBox.point)
 
     @staticmethod
     def num(x):
@@ -106,6 +107,14 @@ class _BoxDoubleLib:
         return Interval(_down(_down(s)), _up(_up(s)))
 
     @staticmethod
+    def square(x):
+        return x.square()
+
+    @staticmethod
+    def lower(x):
+        return x.lo
+
+    @staticmethod
     def upper(x):
         return x.hi
 
@@ -118,6 +127,7 @@ class _BoxMPLib:
     """
 
     kind = "box-mp"
+    point = staticmethod(MPBox.point)
 
     @staticmethod
     def num(x):
@@ -132,8 +142,15 @@ class _BoxMPLib:
         return _iv.sin(x)
 
     @staticmethod
+    def square(x):
+        return x * x
+
+    @staticmethod
+    def lower(x):
+        return iv_lower(x)
+
+    @staticmethod
     def upper(x):
-        from .intervals import iv_upper
         return iv_upper(x)
 
 
@@ -169,6 +186,13 @@ class OperatorSpec:
     context; ``entry_box(i, j, lib)`` returns a rigorous enclosure of the
     same element in the interval arithmetic selected by ``lib``.  Entry
     evaluation is pure, so specs are safe to share across threads.
+
+    ``hints`` holds optional operator-specific fast paths by name; the one
+    read today is ``mp_residual_rows`` (the lattice's big-float residual
+    rows, see :func:`specgate.verify.verified_residual`).  Structure the
+    entries reveal is derived, not declared: a banded spec whose band is
+    real after the rotation W = diag(i^m) runs its real-shift big-float
+    sigma and residuals in real arithmetic (``truncation._band``).
     """
 
     id: str
@@ -265,75 +289,43 @@ def apply_column(op: OperatorSpec, col: int, ctx: PrecisionContext,
 # offsets) is fixed by the Gauss-Hermite quadrature oracle in the test
 # suite; see the build notes for the competing printed variant it rules out.
 
-def _cubic_offset_values(m: int, lib) -> list[tuple[int, object, bool]]:
-    """(offset, magnitude, is_imag) triples for column m; magnitudes in lib
-    arithmetic.  Vanishing factors are skipped rather than evaluated."""
+def _cubic_coefficient(m: int, off: int, lib):
+    """(magnitude, is_imag) of the entry at row m + off of column m, for
+    |off| <= 3 and m + off >= 0; the magnitude in lib arithmetic."""
     two = lib.num(2)
+    if off == 0:
+        return lib.num(2 * m + 1) / two, False
+    # the integer under the square root: m(m-1).. below, (m+1)(m+2).. above
+    p = math.prod(range(m + off + 1, m + 1)) if off < 0 else \
+        math.prod(range(m + 1, m + off + 1))
     s2 = lib.sqrt(two)
+    if off in (-3, 3):
+        return lib.sqrt(lib.num(p)) / (two * s2), True
+    if off in (-2, 2):
+        return -(lib.sqrt(lib.num(p)) / two), False
     half_2m1 = lib.num(2 * m + 1) / two
-    out = []
-    if m >= 3:
-        out.append((-3, lib.sqrt(lib.num(m * (m - 1) * (m - 2))) / (two * s2), True))
-    if m >= 2:
-        out.append((-2, -(lib.sqrt(lib.num(m * (m - 1))) / two), False))
-    if m >= 1:
-        c = lib.num(m - 1) * lib.sqrt(lib.num(m)) / (two * s2) \
-            + half_2m1 * lib.sqrt(lib.num(m) / two)
-        out.append((-1, c, True))
-    out.append((0, half_2m1, False))
-    cp = lib.num(m + 2) * lib.sqrt(lib.num(m + 1)) / (two * s2) \
-        + half_2m1 * lib.sqrt(lib.num(m + 1) / two)
-    out.append((1, cp, True))
-    out.append((2, -(lib.sqrt(lib.num((m + 1) * (m + 2))) / two), False))
-    out.append((3, lib.sqrt(lib.num((m + 1) * (m + 2) * (m + 3))) / (two * s2), True))
-    return out
+    a = m - 1 if off < 0 else m + 2
+    return lib.num(a) * lib.sqrt(lib.num(p)) / (two * s2) \
+        + half_2m1 * lib.sqrt(lib.num(p) / two), True
 
 
 def _cubic_entry(i: int, j: int, ctx: PrecisionContext):
     if i < 0 or j < 0 or abs(i - j) > 3:
         return mpmath.mpc(0) if not ctx.is_double else 0j
-    lib = _lib_for_ctx(ctx)
     with ctx.workprec():
-        for off, mag, is_imag in _cubic_offset_values(j, lib):
-            if off == i - j:
-                if ctx.is_double:
-                    return complex(0.0, mag) if is_imag else complex(mag, 0.0)
-                return mpmath.mpc(0, mag) if is_imag else mpmath.mpc(mag, 0)
-    return mpmath.mpc(0) if not ctx.is_double else 0j
+        mag, is_imag = _cubic_coefficient(j, i - j, _lib_for_ctx(ctx))
+        parts = (0, mag) if is_imag else (mag, 0)
+        return complex(*parts) if ctx.is_double else mpmath.mpc(*parts)
 
 
 def _cubic_entry_box(i: int, j: int, lib):
     zero = lib.num(0)
     if i < 0 or j < 0 or abs(i - j) > 3:
         return _box_complex(lib, zero, zero)
-    for off, mag, is_imag in _cubic_offset_values(j, lib):
-        if off == i - j:
-            if is_imag:
-                return _box_complex(lib, zero, mag)
-            return _box_complex(lib, mag, zero)
-    return _box_complex(lib, zero, zero)
-
-
-def cubic_real_columns(m: int, lib) -> list[tuple[int, object]]:
-    """Column m of the real rotated form of the cubic-oscillator matrix.
-
-    Conjugating by the unitary diagonal W = diag(i^m) turns the matrix into
-    a real banded one (even offsets stay real, odd offsets lose their i and
-    pick up signs); singular values are unchanged and real arithmetic is
-    several times cheaper at high precision.  Rows are (m + offset, value),
-    diagonal unshifted.  A right singular vector v of the rotated matrix
-    maps back via v_complex[m] = i^m * v[m].
-    """
-    out = []
-    for off, mag, is_imag in _cubic_offset_values(m, lib):
-        if off in (-2, 2):
-            val = -mag            # i^{-off} = -1
-        elif off == -1 or off == 3:
-            val = -mag            # i^{c-r} * i = -1
-        else:                     # off in (-3, 0, 1): factor +1
-            val = mag
-        out.append((m + off, val))
-    return out
+    mag, is_imag = _cubic_coefficient(j, i - j, lib)
+    if is_imag:
+        return _box_complex(lib, zero, mag)
+    return _box_complex(lib, mag, zero)
 
 
 def hermite_cubic_operator() -> OperatorSpec:
@@ -347,7 +339,6 @@ def hermite_cubic_operator() -> OperatorSpec:
         tail_bound=None,
         symmetry_flags=frozenset({COMPLEX_SYMMETRIC, PT_SYMMETRIC, REAL_SPECTRUM}),
         entry_box=_cubic_entry_box,
-        hints={"real_rotation": cubic_real_columns},
     )
 
 
@@ -366,10 +357,6 @@ def _harmonic_entry_box(i: int, j: int, lib):
     return _box_complex(lib, val, lib.num(0))
 
 
-def _harmonic_real_columns(m: int, lib):
-    return [(m, lib.num(2 * m + 1))]
-
-
 def harmonic_oscillator_operator() -> OperatorSpec:
     """Diagonal operator with spectrum exactly {1, 3, 5, ...}; the test oracle."""
     return OperatorSpec(
@@ -381,7 +368,6 @@ def harmonic_oscillator_operator() -> OperatorSpec:
         tail_bound=None,
         symmetry_flags=frozenset({COMPLEX_SYMMETRIC, REAL_SPECTRUM}),
         entry_box=_harmonic_entry_box,
-        hints={"real_rotation": _harmonic_real_columns},
     )
 
 

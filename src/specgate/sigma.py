@@ -6,29 +6,29 @@ verification stage.  Nothing here is trusted by the certification pipeline -
 every certified quantity is re-derived from a residual in interval
 arithmetic - so the methods are free to be fast:
 
-* machine doubles: LAPACK SVD for moderate sizes, a banded Givens-QR with
-  inverse iteration on the normal equations beyond that;
-* big floats: the banded QR path (precision-agnostic, linear in N for fixed
-  bandwidth), with a one-sided Jacobi SVD as the dense fallback.
+* banded specs: a banded Givens-QR with inverse iteration over the cached
+  band (``truncation._band``), for every big-float sigma and for doubles
+  beyond ``DENSE_SVD_LIMIT`` columns;
+* otherwise LAPACK SVD in doubles, and a one-sided Jacobi SVD in big floats.
 
-For the cubic oscillator at real shifts, columns come from the real rotated
-form (see ``operators.cubic_real_columns``), which quarters the big-float
-cost.
+At a real big-float shift an operator whose rotated band is real (the
+cubic and harmonic oscillators among them) runs in real arithmetic, which
+quarters the cost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath
 import numpy as np
 from mpmath import mp
 
-from .operators import MP_LIB, COMPLEX_SYMMETRIC, NATURALS, OperatorSpec
-from .precision import PrecisionContext
-from .truncation import RectTruncation, _block_geometry, rectangular
+from .operators import COMPLEX_SYMMETRIC, OperatorSpec
+from .precision import DOUBLE, PrecisionContext
+from .truncation import (RectTruncation, _band, _block_geometry, _cached,
+                         _rotate, rectangular)
 
 DENSE_SVD_LIMIT = 400
 
@@ -45,7 +45,7 @@ class SigmaResult:
 # banded Givens QR + inverse iteration
 # ---------------------------------------------------------------------------
 #
-# Columns are supplied as (row, value) pairs in array coordinates with the
+# Columns are lists of (row, value) pairs in array coordinates with the
 # shift already applied.  Eliminating the sub-band by Givens rotations
 # leaves an upper-triangular R of bandwidth L+U; inverse iteration on
 # R^H R then refines the smallest singular direction.  The reported sigma
@@ -67,10 +67,6 @@ class _RealMPArith:
     one = mpmath.mpf(1)
 
     @staticmethod
-    def num(x):
-        return x
-
-    @staticmethod
     def conj(x):
         return x
 
@@ -86,10 +82,6 @@ class _RealMPArith:
 class _ComplexMPArith:
     zero = mpmath.mpc(0)
     one = mpmath.mpc(1)
-
-    @staticmethod
-    def num(x):
-        return mpmath.mpc(x)
 
     @staticmethod
     def conj(x):
@@ -109,10 +101,6 @@ class _ComplexDoubleArith:
     one = 1.0 + 0j
 
     @staticmethod
-    def num(x):
-        return complex(x)
-
-    @staticmethod
     def conj(x):
         return x.conjugate()
 
@@ -130,26 +118,22 @@ _COMPLEX_MP = _ComplexMPArith()
 _COMPLEX_DOUBLE = _ComplexDoubleArith()
 
 
-def banded_sigma(columns: Callable[[int], list], ncols: int, nrows: int,
-                 lower: int, upper: int, arith):
+def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
     """(sigma, unit right vector) of a banded matrix; see the notes above.
 
     sigma is None when inverse iteration breaks down at its first step.
     """
     zero, one, conj, hypot, norm = (arith.zero, arith.one, arith.conj,
                                     arith.hypot, arith.norm)
+    ncols = len(columns)
     L = lower
     bw = lower + upper
     OFF = L
     WID = L + bw + 1
     R = [[zero] * WID for _ in range(nrows)]
-    cols_cache = []
-    for j in range(ncols):
-        pairs = [(i, arith.num(v)) for i, v in columns(j)]
-        cols_cache.append(pairs)
+    for j, pairs in enumerate(columns):
         for i, v in pairs:
-            if 0 <= i < nrows:
-                R[i][j - i + OFF] = v
+            R[i][j - i + OFF] = v
     for j in range(ncols):
         for i in range(min(j + L, nrows - 1), j, -1):
             b = R[i][j - i + OFF]
@@ -173,11 +157,9 @@ def banded_sigma(columns: Callable[[int], list], ncols: int, nrows: int,
 
     def matvec_norm(w):
         out = [zero] * nrows
-        for j in range(ncols):
-            wj = w[j]
-            for i, v in cols_cache[j]:
-                if 0 <= i < nrows:
-                    out[i] += v * wj
+        for wj, pairs in zip(w, columns):
+            for i, v in pairs:
+                out[i] += v * wj
         return norm(out)
 
     for j in range(ncols):
@@ -282,72 +264,60 @@ def jacobi_smallest_singular(A, max_sweeps: int = 30):
 # dispatch over truncations and operators
 # ---------------------------------------------------------------------------
 
-def _matrix_columns(T: RectTruncation):
-    """(row, value) pairs per column of a materialized banded truncation."""
-    rows, cols = T.shape
-    mat = T.matrix
-    pad = T.k + 4
-
-    def columns(j):
-        lo = max(0, j - pad)
-        hi = min(rows, j + pad + 1)
-        return [(i, mat[i, j]) for i in range(lo, hi) if mat[i, j] != 0]
-
-    return columns
-
-
 def smallest_singular(T: RectTruncation, ctx: PrecisionContext) -> SigmaResult:
     """Smallest singular value and right singular direction of T.matrix.
 
-    The certified pipeline never trusts this value.  Degenerate smallest
+    Dense: LAPACK SVD in doubles, one-sided Jacobi in big floats.  The
+    certified pipeline never trusts this value.  Degenerate smallest
     singular values return an arbitrary unit vector of the minimizing space.
     """
-    rows, cols = T.shape
     if ctx.is_double:
-        if cols > DENSE_SVD_LIMIT and T.k <= 8:
-            sig, w = banded_sigma(_matrix_columns(T), cols, rows, T.k, T.k,
-                                  _COMPLEX_DOUBLE)
-            if sig is not None:
-                return SigmaResult(sig, np.array(w, dtype=complex))
         _, s, vh = np.linalg.svd(np.asarray(T.matrix, dtype=complex))
         return SigmaResult(float(s[-1]), vh[-1].conj())
     with ctx.workprec():
-        if T.k <= 8 and T.tail_defect == 0.0:
-            sig, w = banded_sigma(_matrix_columns(T), cols, rows, T.k, T.k,
-                                  _COMPLEX_MP)
-            if sig is not None:
-                return SigmaResult(sig, w)
         mat = T.matrix if not isinstance(T.matrix, np.ndarray) else \
             mpmath.matrix(T.matrix.tolist())
         sig, v, _ = jacobi_smallest_singular(mat)
         return SigmaResult(sig, v)
 
 
-_base_cache: dict = {}
-
-
-def _cached_base(op: OperatorSpec, N: int, eps) -> RectTruncation:
-    """Unshifted double-precision truncation, cached per (op, N, eps)."""
-    from .precision import DOUBLE
-    key = (op.id, N, eps, op.index_domain)
-    hit = _base_cache.get(key)
-    if hit is not None and hit[0] is op:
-        return hit[1]
-    T0 = rectangular(op, 0.0, N, DOUBLE, eps=eps)
-    if len(_base_cache) > 64:
-        _base_cache.clear()
-    _base_cache[key] = (op, T0)
-    return T0
-
-
 def _shifted_double(op: OperatorSpec, z: complex, N: int, eps) -> RectTruncation:
-    T0 = _cached_base(op, N, eps)
+    """Double truncation at z from the cached unshifted one."""
+    T0 = _cached(op, ("dense", N, eps),
+                 lambda: rectangular(op, 0.0, N, DOUBLE, eps=eps))
     mat = T0.matrix.copy()
     n = T0.shape[1]
     diag = np.arange(n)
     mat[diag + (T0.col_start - T0.row_start), diag] -= z
     return RectTruncation(mat, T0.N, T0.k, z, T0.op_id, T0.tail_defect,
                           T0.row_start, T0.col_start)
+
+
+def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
+    """banded_sigma over the cached band of a banded spec.
+
+    A real big-float shift uses the real rotated band when the operator has
+    one; its vector maps back by v[m] = i^m w[m].
+    """
+    rows, _, row0, col0, _, _ = _block_geometry(op, N, None)
+    d = col0 - row0  # array row of column jc's diagonal entry is jc + d
+    band = None
+    if not ctx.is_double and z.imag == 0:
+        band = _band(op, N, ctx, rotated=True)
+    rotated = band is not None
+    if rotated:
+        shift, arith = z.real, _REAL_MP
+    else:
+        band = _band(op, N, ctx)
+        shift = z
+        arith = _COMPLEX_DOUBLE if ctx.is_double else _COMPLEX_MP
+    columns = [[(i, v - shift if i == jc + d else v) for i, v in col]
+               for jc, col in enumerate(band)]
+    sig, w = banded_sigma(columns, rows, op.lower_bandwidth + d,
+                          op.upper_bandwidth - d, arith)
+    if rotated:
+        w = [mpmath.mpc(*_rotate(t, 0, col0 + m)) for m, t in enumerate(w)]
+    return sig, w
 
 
 def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
@@ -358,47 +328,27 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     original basis, indexed from the truncation's first column.
     """
     if ctx.is_double:
-        T = _shifted_double(op, complex(z), N, eps)
-        if not want_vector and (T.shape[1] <= DENSE_SVD_LIMIT or T.k > 8):
+        z = complex(z)
+        if op.banded and _block_geometry(op, N, None)[1] > DENSE_SVD_LIMIT:
+            sig, w = _banded_sigma_min(op, z, N, ctx)
+            if sig is not None:
+                return sig, (np.array(w, dtype=complex) if want_vector
+                             else None)
+        T = _shifted_double(op, z, N, eps)
+        if not want_vector:
             s = np.linalg.svd(np.asarray(T.matrix, dtype=complex),
                               compute_uv=False)
             return float(s[-1]), None
-        res = smallest_singular(T, ctx)
-        return res.sigma, (res.right_vector if want_vector else None)
-    with ctx.workprec():
-        zz = mpmath.mpc(z)
-        if op.banded and op.index_domain == NATURALS:
-            # the real rotated form at a real shift: real arithmetic, and the
-            # vector maps back by v[m] -> i^m v[m]
-            rotated = "real_rotation" in op.hints and zz.imag == 0
-            if rotated:
-                rot = op.hints["real_rotation"]
-                shift = zz.real
-
-                def pairs(j):
-                    return [(i, v) for i, v in rot(j, MP_LIB) if i >= 0]
-            else:
-                shift = zz
-
-                def pairs(j):
-                    return [(i, op.entry(i, j, ctx)) for i in op.band_rows(j)]
-
-            def columns(j):
-                return [(i, v - shift if i == j else v) for i, v in pairs(j)]
-
-            sig, w = banded_sigma(columns, N, N + op.lower_bandwidth,
-                                  op.lower_bandwidth, op.upper_bandwidth,
-                                  _REAL_MP if rotated else _COMPLEX_MP)
-            if not want_vector:
-                return sig, None
-            if rotated:
-                units = (mpmath.mpc(1), mpmath.mpc(0, 1),
-                         mpmath.mpc(-1), mpmath.mpc(0, -1))
-                w = [units[m % 4] * w[m] for m in range(N)]
-            return sig, w
-        T = rectangular(op, z, N, ctx, eps=eps)
-        res = smallest_singular(T, ctx)
-        return res.sigma, (res.right_vector if want_vector else None)
+    else:
+        with ctx.workprec():
+            z = mpmath.mpc(z)
+            if op.banded:
+                sig, w = _banded_sigma_min(op, z, N, ctx)
+                if sig is not None:
+                    return sig, (w if want_vector else None)
+            T = rectangular(op, z, N, ctx, eps=eps)
+    res = smallest_singular(T, ctx)
+    return res.sigma, (res.right_vector if want_vector else None)
 
 
 def gamma(op: OperatorSpec, z, N: int, ctx: PrecisionContext, eps=None):

@@ -24,7 +24,6 @@ separation of the certified disks is enforced.
 
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,10 +33,8 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from . import sigma as sigma_mod
 from .ltp import LTPModel, dist_bound, model_for_operator
-from .operators import (MP_LIB, COMPLEX_SYMMETRIC, INTEGERS, NATURALS,
-                        OperatorSpec, REAL_SPECTRUM)
+from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
 from .sigma import gamma, right_vector, sigma_min
 from .truncation import square as square_truncation

@@ -12,14 +12,15 @@ is below a requested epsilon.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import mpmath
 import numpy as np
 
-from .operators import INTEGERS, NATURALS, OperatorSpec, StructureError
+from .intervals import MPIntervalScope
+from .operators import (INTEGERS, NATURALS, OperatorSpec, StructureError,
+                        _box_lib_for_ctx)
 from .precision import PrecisionContext
 
 PAD_LIMIT = 20000
@@ -100,6 +101,85 @@ def _block_geometry(op: OperatorSpec, N: int, eps: Optional[float]):
         return rows, cols, -(N + m), -N, rows - cols, defect
     rows, cols = N + m, N
     return rows, cols, 0, 0, m, defect
+
+
+#: Unshifted truncations and bands, per operator object.  A band at N = 200
+#: and 30 digits takes 0.2-0.8 MB, so the cache holds at most CACHE_LIMIT
+#: entries and is emptied when a new one would exceed that; callers use at
+#: most two at a time (the gap scan alternates a double truncation with an
+#: interval band).
+_base_cache: dict = {}
+CACHE_LIMIT = 3
+
+
+def _cached(op: OperatorSpec, key: tuple, build):
+    """build(), memoized in _base_cache per (op, *key)."""
+    key = (id(op),) + key
+    hit = _base_cache.get(key)
+    if hit is not None and hit[0] is op:
+        return hit[1]
+    value = build()
+    if len(_base_cache) >= CACHE_LIMIT:
+        _base_cache.clear()
+    _base_cache[key] = (op, value)
+    return value
+
+
+def _rotate(re, im, k: int):
+    """Components of i^k (re + i im), exactly: swaps and negations only."""
+    k %= 4
+    if k == 0:
+        return re, im
+    if k == 1:
+        return -im, re
+    if k == 2:
+        return -re, -im
+    return im, -re
+
+
+def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
+          rotated: bool = False):
+    """Unshifted band of a banded spec's rectangular truncation.
+
+    One list of (array row, value) pairs per column.  Values come from ``op.entry`` in the context's arithmetic,
+    or with ``box`` from ``op.entry_box`` in its interval arithmetic.
+    ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
+    the values i^(c-r) H[r, c] as reals (or real intervals), or None as
+    soon as one of them is not exactly real.  Cached per (op, N,
+    arithmetic, digits, rotated).
+    """
+    def build():
+        _, cols, row0, col0, _, _ = _block_geometry(op, N, None)
+        if box:
+            lib = _box_lib_for_ctx(ctx)
+            zero = lib.num(0)
+            scope = ctx.workprec() if ctx.is_double else \
+                MPIntervalScope(ctx.digits)
+        else:
+            num = complex if ctx.is_double else mpmath.mpc
+            zero = 0
+            scope = ctx.workprec()
+        out = []
+        with scope:
+            for j in range(col0, col0 + cols):
+                col = []
+                for i in op.band_rows(j):
+                    if box:
+                        v = op.entry_box(i, j, lib)
+                        parts = v.re, v.im
+                    else:
+                        v = num(op.entry(i, j, ctx))
+                        parts = v.real, v.imag
+                    if rotated:
+                        v, im = _rotate(*parts, j - i)
+                        if not im == zero:
+                            return None
+                    col.append((i - row0, v))
+                out.append(col)
+        return out
+
+    kind = ("box-" if box else "") + ("double" if ctx.is_double else "mp")
+    return _cached(op, ("band", N, kind, ctx.digits, rotated), build)
 
 
 def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):

@@ -22,13 +22,13 @@ import numpy as np
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import (CIBox, Interval, MPBox, MPIntervalScope, iv_lower,
-                        iv_upper, norm2)
+from .intervals import (Interval, MPIntervalScope, iv_lower, iv_upper,
+                        mp_norm2, norm2)
 from .ltp import (GapMembershipError, LTPModel, dist_bound)
-from .operators import (BOX_DOUBLE_LIB, BOX_MP_LIB, INTEGERS, NATURALS,
-                        OperatorSpec, StructureError)
-from .precision import DOUBLE, PrecisionContext
-from .truncation import tail_padding
+from .operators import (INTEGERS, OperatorSpec, StructureError,
+                        _box_lib_for_ctx)
+from .precision import PrecisionContext
+from .truncation import _band, _block_geometry, _rotate, tail_padding
 
 
 class CertificationError(RuntimeError):
@@ -53,46 +53,15 @@ def _as_complex_list(v):
     return list(v)
 
 
-def _residual_rows_banded_boxes(op, z, vals, lib, box_point):
-    """Interval rows of (H - z) v for a banded spec over the naturals."""
-    L, U = op.lower_bandwidth, op.upper_bandwidth
-    n = len(vals)
-    zbox = box_point(z)
-    vbox = [box_point(t) for t in vals]
-    rows = []
-    for i in range(n + L):
-        acc = None
-        for j in range(max(0, i - L), min(n, i + U + 1)):
-            term = op.entry_box(i, j, lib) * vbox[j]
-            acc = term if acc is None else acc + term
-        if i < n:
-            shift = zbox * vbox[i]
-            acc = acc - shift if acc is not None else -shift
-        if acc is not None:
-            rows.append(acc)
-    return rows, vbox
-
-
-def _real_rotated_parts(v):
-    """Split v into rotated real/imag parts; exact (multiplies by unit i powers).
-
-    Returns (a, b) with v[m] = i^m (a[m] + i b[m]) as python floats or mpf.
-    """
-    a, b = [], []
-    for m, t in enumerate(v):
-        if isinstance(t, (int, float)):
-            t = complex(t)
-        re, im = (t.real, t.imag)
-        r = m % 4
-        if r == 0:
-            a.append(re), b.append(im)
-        elif r == 1:
-            a.append(im), b.append(-re)
-        elif r == 2:
-            a.append(-re), b.append(-im)
-        else:
-            a.append(-im), b.append(re)
-    return a, b
+def _half_width(op, ncols: int, col_start: int) -> int:
+    """N of the truncation a vector of ncols entries spans."""
+    if op.index_domain != INTEGERS:
+        return ncols
+    n_half = (ncols - 1) // 2
+    if ncols != 2 * n_half + 1 or col_start != -n_half:
+        raise ValueError("integer-domain vectors must cover a symmetric "
+                         f"block; got col_start={col_start} for {ncols} entries")
+    return n_half
 
 
 def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext,
@@ -100,10 +69,11 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext,
     """Rigorous enclosure of ||(H - z) v|| / ||v||.
 
     The upper endpoint rigorously bounds the inverse resolvent norm at z.
-    Banded specs are evaluated exactly; long-range specs evaluate the rows
-    of the padded block and fold the certified tail bound in additively.
-    ``col_start`` is the operator index of v[0] (negative for symmetric
-    blocks over the integers); ``pad`` overrides the default tail padding.
+    Banded specs are evaluated exactly over their band; long-range specs
+    evaluate the rows of the padded block and fold the certified tail bound
+    in additively.  ``col_start`` is the operator index of v[0] (negative
+    for symmetric blocks over the integers); ``pad`` overrides the default
+    tail padding.
     """
     if op.entry_box is None:
         raise StructureError(f"{op.id}: entries are not enclosable")
@@ -111,154 +81,105 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext,
     if not vals or all(t == 0 for t in vals):
         raise ValueError("v must be nonzero")
 
-    if ctx.is_double:
-        return _verified_residual_double(op, z, vals, col_start, pad)
     # scope both the mpf working precision (exact conversions of z and v)
     # and the interval precision (directed rounding of the evaluation)
     with mp.workdps(ctx.digits + 5), MPIntervalScope(ctx.digits):
-        return _verified_residual_mp(op, z, vals, col_start, pad, ctx)
+        z = complex(z) if ctx.is_double else mpmath.mpc(z)
+        if op.banded:
+            return _verified_residual_banded(op, z, vals, col_start, ctx)
+        return _verified_residual_longrange(op, z, vals, col_start, pad, ctx)
 
 
-def _verified_residual_double(op, z, vals, col_start, pad):
-    zc = complex(z)
-    if op.banded and op.index_domain == NATURALS:
-        if "real_rotation" in op.hints and zc.imag == 0.0:
-            num2, den2 = _rotated_norms_double(op, zc.real, vals)
-            ratio = (num2 / den2).sqrt()
-            return Bound(ratio.lo, ratio.hi)
-        rows, vbox = _residual_rows_banded_boxes(
-            op, zc, vals, BOX_DOUBLE_LIB, CIBox.point)
-        ratio = norm2(rows) / norm2(vbox)
-        return Bound(ratio.lo, ratio.hi)
-    return _verified_residual_longrange(op, zc, vals, col_start, pad,
-                                        double=True)
+def _verified_residual_banded(op, z, vals, col_start, ctx):
+    """The banded residual over the cached interval band; no tail term.
+
+    At a real shift, an operator whose rotated band is real is evaluated in
+    real intervals on the rotated parts a, b of v, v[m] = i^m (a[m] + i b[m]):
+    the rotation is unitary, so ||(H - z) v||^2 = ||(R - z) a||^2 +
+    ||(R - z) b||^2 and ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs
+    in complex boxes.
+    """
+    lib = _box_lib_for_ctx(ctx)
+    N = _half_width(op, len(vals), col_start)
+    nrows, _, row0, col0, _, _ = _block_geometry(op, N, None)
+    band = None
+    if z.imag == 0:
+        band = _band(op, N, ctx, box=True, rotated=True)
+    if band is not None:
+        ab = [_rotate(t.real, t.imag, -(col0 + jc)) for jc, t in enumerate(vals)]
+        parts = ([a for a, _ in ab], [b for _, b in ab])
+        point, shift = lib.num, lib.num(z.real)
+
+        def reals(x):
+            return (x,)
+    else:
+        band = _band(op, N, ctx, box=True)
+        parts = (vals,)
+        point, shift = lib.point, lib.point(z)
+
+        def reals(x):
+            return x.re, x.im
+    num2 = den2 = lib.num(0)
+    for part in parts:
+        for row in _band_rows(band, col0 - row0, nrows, shift, part, point):
+            for x in reals(row):
+                num2 = num2 + lib.square(x)
+        for t in part:
+            for x in reals(point(t)):
+                den2 = den2 + lib.square(x)
+    ratio = lib.sqrt(num2 / den2)
+    return Bound(lib.lower(ratio), lib.upper(ratio))
 
 
-def _rotated_norms_double(op, zre, vals):
-    """Squared rotated residual and vector norms as double Intervals."""
-    rot = op.hints["real_rotation"]
-    a, b = _real_rotated_parts(vals)
-    n = len(vals)
-    L = op.lower_bandwidth
-    za = Interval.point(zre)
-    num2 = Interval.point(0.0)
-    for part in (a, b):
-        if all(t == 0 for t in part):
+def _band_rows(band, d, nrows, shift, part, point):
+    """Interval rows of (A - shift) p for the band of A, in row order.
+
+    The diagonal of column jc sits at array row jc + d.  Exact zeros of p
+    contribute nothing and are skipped; rows nothing reaches are left out.
+    """
+    rows = [None] * nrows
+    for jc, (t, col) in enumerate(zip(part, band)):
+        if t == 0:
             continue
-        rows = [Interval.point(0.0) for _ in range(n + L)]
-        pbox = [Interval.point(t) for t in part]
-        for j in range(n):
-            pj = pbox[j]
-            if pj.lo == 0.0 and pj.hi == 0.0:
-                continue
-            for i, coeff in rot(j, BOX_DOUBLE_LIB):
-                if i < 0:
-                    continue
-                term = coeff * pj
-                if i == j:
-                    term = term - za * pj
-                rows[i] = rows[i] + term
-        for r in rows:
-            num2 = num2 + r.square()
-    den2 = Interval.point(0.0)
-    for t in list(a) + list(b):
-        den2 = den2 + Interval.point(t).square()
-    return num2, den2
+        pj = point(t)
+        for ir, coeff in col:
+            term = coeff * pj
+            if ir == jc + d:
+                term = term - shift * pj
+            rows[ir] = term if rows[ir] is None else rows[ir] + term
+    return [r for r in rows if r is not None]
 
 
-def _verified_residual_mp(op, z, vals, col_start, pad, ctx):
-    zz = mpmath.mpc(z)
-    if op.banded and op.index_domain == NATURALS:
-        if "real_rotation" in op.hints and zz.imag == 0:
-            num2, den2 = _rotated_norms_mp(op, zz.real, vals)
-            ratio = _iv.sqrt(num2 / den2)
-            return Bound(iv_lower(ratio), iv_upper(ratio))
-        rows, vbox = _residual_rows_banded_boxes(
-            op, zz, vals, BOX_MP_LIB, MPBox.point)
-        from .intervals import mp_norm2
-        ratio = mp_norm2(rows) / mp_norm2(vbox)
-        return Bound(iv_lower(ratio), iv_upper(ratio))
-    return _verified_residual_longrange(op, zz, vals, col_start, pad,
-                                        double=False)
-
-
-def _rotated_norms_mp(op, zre, vals):
-    rot = op.hints["real_rotation"]
-    a, b = _real_rotated_parts(vals)
-    n = len(vals)
-    L = op.lower_bandwidth
-    za = _iv.mpf(zre)
-    zero = _iv.mpf(0)
-    num2 = zero
-    for part in (a, b):
-        if all(t == 0 for t in part):
-            continue
-        rows = [zero] * (n + L)
-        pbox = [_iv.mpf(t) for t in part]
-        for j in range(n):
-            pj = pbox[j]
-            for i, coeff in rot(j, BOX_MP_LIB):
-                if i < 0:
-                    continue
-                term = coeff * pj
-                if i == j:
-                    term = term - za * pj
-                rows[i] = rows[i] + term
-        for r in rows:
-            num2 = num2 + r * r
-    den2 = zero
-    for t in list(a) + list(b):
-        tt = _iv.mpf(t)
-        den2 = den2 + tt * tt
-    return num2, den2
-
-
-def _verified_residual_longrange(op, z, vals, col_start, pad, double):
+def _verified_residual_longrange(op, z, vals, col_start, pad, ctx):
     if op.tail_bound is None:
         raise StructureError(f"{op.id}: unbounded bands and no tail bound")
     ncols = len(vals)
-    if op.index_domain == INTEGERS:
-        n_half = (ncols - 1) // 2
-        if col_start != -n_half:
-            raise ValueError("integer-domain vectors must cover a symmetric "
-                             f"block; got col_start={col_start} for {ncols} entries")
-    else:
-        n_half = ncols
+    n_half = _half_width(op, ncols, col_start)
     if pad is None:
         pad = tail_padding(op, n_half, 2.0 ** -n_half)
     tail_val = op.tail_bound(n_half, pad) * (1.0 + 1e-12)
-
-    row_lo = col_start - pad
-    row_hi = col_start + ncols - 1 + pad
-    if not double and "mp_residual_rows" in op.hints:
+    lib = _box_lib_for_ctx(ctx)
+    norm = norm2 if ctx.is_double else mp_norm2
+    if not ctx.is_double and "mp_residual_rows" in op.hints:
         rows, vnorm2 = op.hints["mp_residual_rows"](z, vals, col_start, pad)
-        from .intervals import mp_norm2
-        ratio = mp_norm2(rows) / _iv.sqrt(vnorm2) + _iv.mpf([0, tail_val])
-        return Bound(iv_lower(ratio), iv_upper(ratio))
-    if double:
-        lib, point = BOX_DOUBLE_LIB, CIBox.point
+        vnorm = _iv.sqrt(vnorm2)
     else:
-        lib, point = BOX_MP_LIB, MPBox.point
-    zbox = point(z)
-    vbox = [point(t) for t in vals]
-    rows = []
-    for i in range(row_lo, row_hi + 1):
-        acc = None
-        for jc in range(ncols):
-            j = col_start + jc
-            term = op.entry_box(i, j, lib) * vbox[jc]
-            acc = term if acc is None else acc + term
-        if col_start <= i < col_start + ncols:
-            acc = acc - zbox * vbox[i - col_start]
-        rows.append(acc)
-    if double:
-        vnorm = norm2(vbox)
-        ratio = norm2(rows) / vnorm + Interval(0.0, tail_val)
-        return Bound(ratio.lo, ratio.hi)
-    from .intervals import mp_norm2
-    vnorm = mp_norm2(vbox)
-    ratio = mp_norm2(rows) / vnorm + _iv.mpf([0, tail_val])
-    return Bound(iv_lower(ratio), iv_upper(ratio))
+        zbox = lib.point(z)
+        vbox = [lib.point(t) for t in vals]
+        rows = []
+        for i in range(col_start - pad, col_start + ncols + pad):
+            acc = None
+            for jc in range(ncols):
+                term = op.entry_box(i, col_start + jc, lib) * vbox[jc]
+                acc = term if acc is None else acc + term
+            if col_start <= i < col_start + ncols:
+                acc = acc - zbox * vbox[i - col_start]
+            rows.append(acc)
+        vnorm = norm(vbox)
+    tail = Interval(0.0, tail_val) if ctx.is_double else \
+        _iv.mpf([0, tail_val])
+    ratio = norm(rows) / vnorm + tail
+    return Bound(lib.lower(ratio), lib.upper(ratio))
 
 
 # ---------------------------------------------------------------------------

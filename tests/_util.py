@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from specgate import verify
+from specgate.operators import load_plugin_operator
+
 #: 30+ digit reference eigenvalues of the imaginary cubic oscillator
 #: (regression constants; the certification pipeline reproduces them at
 #: tighter tolerance than they are printed).
@@ -73,3 +76,21 @@ def fit_slope(xs, ys) -> float:
     xm = xs.mean()
     ym = ys.mean()
     return float(((xs - xm) * (ys - ym)).sum() / ((xs - xm) ** 2).sum())
+
+
+def box_route_residual(monkeypatch, op, z, v, ctx):
+    """verified_residual with the real rotated band withheld, so that a real
+    shift, too, runs through complex boxes."""
+    band = verify._band
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_band", lambda op, N, ctx, box=False,
+                      rotated=False: None if rotated else band(op, N, ctx, box))
+        return verify.verified_residual(op, z, v, ctx)
+
+
+def band_plugin(bands, domain="naturals"):
+    """A plugin from {offset: coefficient expression}."""
+    return load_plugin_operator({
+        "id": "bands" + repr(sorted(bands.items())), "domain": domain,
+        "bands": [{"offset": off, "coefficient": expr}
+                  for off, expr in bands.items()]})

@@ -1,4 +1,10 @@
-"""Command-line front end: exit codes and the pseudospectrum CSV."""
+"""Command-line front end: exit codes, the report schema and the
+pseudospectrum CSV."""
+
+import json
+from importlib.resources import files
+
+import jsonschema
 
 from specgate.cli import main
 
@@ -31,3 +37,33 @@ def test_unknown_operator_exits_1(capsys):
 def test_parallelism_is_a_pseudospectrum_option(capsys):
     assert main(["operators", "--parallelism", "2"]) == 1
     assert "--parallelism" in capsys.readouterr().err
+
+
+def test_eigs_exits_0_with_a_schema_valid_report(tmp_path):
+    out = tmp_path / "harmonic.json"
+    assert main(["eigs", "--op", "harmonic", "--n", "2",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    schema = json.loads(files("specgate").joinpath(
+        "schemas/enclosure.schema.json").read_text())
+    jsonschema.validate(report, schema)
+    assert [e["n"] for e in report["enclosures"]] == [1, 2]
+
+
+def test_plugin_eigs_without_model_exits_1(tmp_path, capsys):
+    plugin = tmp_path / "plugin.json"
+    plugin.write_text(json.dumps({
+        "id": "diag", "bands": [{"offset": 0, "coefficient": "2*n + 1"}]}))
+    assert main(["eigs", "--plugin", str(plugin)]) == 1
+    assert "--model" in capsys.readouterr().err
+
+
+def test_certify_junk_candidate_exits_2(tmp_path, capsys):
+    # e_7 is far from an eigenvector at z = 4.1: the residual is too large
+    # for a finite enclosure at strip 5
+    vector = [["0", "0"]] * 30
+    vector[7] = ["1", "0"]
+    cand = tmp_path / "junk.json"
+    cand.write_text(json.dumps({"z": "4.1", "m": 5, "vector": vector}))
+    assert main(["certify", "--op", "cubic", "--candidate", str(cand)]) == 2
+    assert "too large" in capsys.readouterr().err

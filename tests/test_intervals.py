@@ -1,13 +1,16 @@
 """Interval arithmetic: containment contract and outward rounding."""
 
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgate.intervals import CIBox, Interval, IntervalError, norm2
+from specgate.operators import BOX_DOUBLE_LIB, _eval_box
 
 
 def test_add_example():
@@ -116,6 +119,32 @@ def test_exp_contains():
     for v in (-3.0, 0.0, 1.0, 10.0):
         r = Interval.point(v).exp()
         assert r.lo <= math.exp(v) <= r.hi
+
+
+def _libm_arguments(limit):
+    """Integers in [-limit, limit] (the lattice diagonal takes sin(j)) and
+    random doubles across the same range, both signs, and a few tiny ones."""
+    rng = random.Random(20251122)
+    xs = [float(j) for j in range(-limit, limit + 1)]
+    xs += [rng.uniform(-limit, limit) for _ in range(400)]
+    xs += [s * 10.0 ** -e for s in (1, -1) for e in (1, 5, 12)]
+    return xs
+
+
+@pytest.mark.parametrize("name", ["exp", "sin", "cos"])
+def test_libm_enclosures_contain_50_digit_values(name):
+    # the double-interval exp, sin and cos rest on libm accuracy; every
+    # enclosure must contain the value mpmath computes at 50 digits
+    enclose = {
+        "exp": lambda x: Interval.point(x).exp(),
+        "sin": lambda x: BOX_DOUBLE_LIB.sin(Interval.point(x)),
+        "cos": lambda x: _eval_box(("cos", ("lit", x)), 0, BOX_DOUBLE_LIB).re,
+    }[name]
+    with mpmath.workdps(50):
+        for x in _libm_arguments(200):
+            r = enclose(x)
+            ref = getattr(mpmath, name)(mpmath.mpf(x))
+            assert mpmath.mpf(r.lo) <= ref <= mpmath.mpf(r.hi), (name, x)
 
 
 def test_cibox_mult_contains():

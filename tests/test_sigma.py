@@ -12,7 +12,10 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator)
 from specgate.sigma import (gamma, jacobi_smallest_singular, left_null_vector,
                             right_vector, sigma_min, smallest_singular)
-from specgate.truncation import RectTruncation, rectangular
+from specgate.truncation import RectTruncation, _band, rectangular
+from specgate.verify import verified_residual
+
+from _util import band_plugin, box_route_residual
 
 LAMBDA_1 = "1.156267071988113293799219177999"
 LAMBDA_5 = 15.291553750392532
@@ -158,12 +161,12 @@ def _check_against_lapack(op, z, N, ctx, rel):
 
 
 def test_smallest_singular_banded_double_path(cubic):
-    # past the dense limit the banded inverse-iteration path engages
+    # past the dense limit sigma_min runs the banded QR in complex doubles
     T = rectangular(cubic, 2.0, 450, DOUBLE)
-    res = smallest_singular(T, DOUBLE)
     s_ref = np.linalg.svd(np.asarray(T.matrix), compute_uv=False)[-1]
-    assert res.sigma == pytest.approx(s_ref, rel=1e-6)
-    # the vector request sends sigma_min down the same banded path
+    sig, _ = sigma_min(cubic, 2.0, 450, DOUBLE)
+    assert sig == pytest.approx(s_ref, rel=1e-6)
+    # the vector request takes the same banded path
     _check_against_lapack(cubic, 2.0, 450, DOUBLE, rel=1e-6)
 
 
@@ -174,11 +177,37 @@ def test_banded_sigma_bigfloat_matches_lapack(cubic, z):
     _check_against_lapack(cubic, z, 60, bigfloat(30), rel=1e-9)
 
 
-@pytest.mark.parametrize("ctx, N", [(bigfloat(25), 10), (DOUBLE, 450)],
-                         ids=["complex-mpc", "complex-double"])
-def test_kernel_shortcut_complex_arithmetic(harmonic, ctx, N):
-    # a complex truncation with an exact zero pivot (shift 5 = entry (2, 2))
-    res = smallest_singular(rectangular(harmonic, 5.0, N, ctx), ctx)
-    assert float(res.sigma) < 1e-20
-    mags = [abs(complex(t)) for t in res.right_vector]
+@pytest.mark.parametrize("bands, ctx, N", [
+    ({0: "n + i"}, bigfloat(25), 10), ({0: "2*n + 1"}, DOUBLE, 450)],
+    ids=["complex-mpc", "complex-double"])
+def test_kernel_shortcut_complex_arithmetic(bands, ctx, N):
+    # a complex truncation with an exact zero pivot: entry (2, 2) is 2 + i
+    # at shift 2 + i (no real rotated band: complex mpc), 5 at shift 5
+    op = band_plugin(bands)
+    z = complex(op.entry(2, 2, DOUBLE))
+    if not ctx.is_double:
+        assert _band(op, N, ctx, rotated=True) is None
+    sig, v = sigma_min(op, z, N, ctx, want_vector=True)
+    assert float(sig) < 1e-20
+    mags = [abs(complex(t)) for t in v]
     assert mags[2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bands, real_band", [
+    ({-1: "i", 0: "n", 1: "i"}, True),
+    ({-1: "1/2", 0: "n + i/10", 1: "1/2"}, False)],
+    ids=["real-rotated-band", "complex-band"])
+def test_derived_rotation_on_plugins(bands, real_band, monkeypatch):
+    # whether the rotated band is real is read off the entries; both
+    # routes of sigma and of the residual agree with their references
+    op = band_plugin(bands)
+    ctx, N, z = bigfloat(30), 40, 2.3
+    assert (_band(op, N, ctx, rotated=True) is not None) == real_band
+    assert (_band(op, N, ctx, box=True, rotated=True) is not None) == real_band
+    _check_against_lapack(op, z, N, ctx, rel=1e-9)
+    v = right_vector(op, z, N, ctx)
+    for rctx in (DOUBLE, bigfloat(25)):
+        fast = verified_residual(op, z, v, rctx)
+        boxy = box_route_residual(monkeypatch, op, z, v, rctx)
+        assert fast.lo <= boxy.hi and boxy.lo <= fast.hi
+        assert abs(float(fast.hi) - float(boxy.hi)) < 1e-12 * float(fast.hi)

@@ -10,14 +10,16 @@ from mpmath import mp
 from specgate import DOUBLE, bigfloat
 from specgate.ltp import cubic_ltp_model, harmonic_ltp_model
 from specgate.operators import (harmonic_oscillator_operator,
-                                hermite_cubic_operator)
+                                hermite_cubic_operator,
+                                lattice_longrange_operator)
 from specgate.sigma import gamma, right_vector
 from specgate.solver import (MultiMinimumError, bootstrap_certify,
                              condition_number, evaluate_eigenfunction,
                              locate_minimum, pseudospectrum_grid,
                              square_spectrum_demo, subspace_angle)
 
-from _util import CUBIC_EIGENVALUES, fit_slope, sigma_noise_allowance
+from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES,
+                   LATTICE_PRINT_SLACK, fit_slope, sigma_noise_allowance)
 
 LAMBDA_1 = float(mpmath.mpf(CUBIC_EIGENVALUES[0]))
 LAMBDA_5 = float(mpmath.mpf(CUBIC_EIGENVALUES[4]))
@@ -108,6 +110,16 @@ def test_bootstrap_enclosures_are_ordered(cubic_encs):
 
 
 # -- grids ------------------------------------------------------------------
+
+def test_bootstrap_lattice_meets_reference_values():
+    # the complex-spectrum pipeline: each of the first three printed
+    # eigenvalues meets exactly one certified disk
+    encs = bootstrap_certify(lattice_longrange_operator(), None, 3)
+    assert len(encs) == 3
+    for ref in LATTICE_EIGENVALUES[:3]:
+        hits = [e for e in encs if e.intersects(ref, LATTICE_PRINT_SLACK)]
+        assert len(hits) == 1, ref
+
 
 def test_grid_minimum_near_harmonic_eigenvalue(harmonic):
     g = pseudospectrum_grid(harmonic, (0.0, 4.0, -1.0, 1.0), (17, 9), 20,

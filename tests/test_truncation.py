@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,8 @@ from specgate import DOUBLE, bigfloat
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
-from specgate.truncation import (TailError, normal_truncation, rectangular,
-                                 square, tail_padding)
+from specgate.truncation import (TailError, _band, normal_truncation,
+                                 rectangular, square, tail_padding)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +169,21 @@ def test_bigfloat_normal_matches_double(cubic):
     for i in range(10):
         for j in range(10):
             assert abs(complex(M[i, j]) - Md[i, j]) < 1e-12
+
+
+def test_band_holds_entries_at_each_precision():
+    # one operator, one N, three arithmetics in a row: each cached band
+    # holds op.entry at its own precision, and the rotated band the exact
+    # real values i^(c-r) H[r, c]
+    op = hermite_cubic_operator()
+    N = 12
+    for ctx in (DOUBLE, bigfloat(20), bigfloat(50)):
+        band = _band(op, N, ctx)
+        rot = _band(op, N, ctx, rotated=True)
+        unit = 1j if ctx.is_double else mpmath.mpc(0, 1)
+        with ctx.workprec():
+            for j, (col, rcol) in enumerate(zip(band, rot)):
+                assert [i for i, _ in col] == list(op.band_rows(j))
+                for (i, v), (_, r) in zip(col, rcol):
+                    assert v == op.entry(i, j, ctx)
+                    assert unit ** (j - i) * v == r

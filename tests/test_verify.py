@@ -15,11 +15,12 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import right_vector, sigma_min
+from specgate.truncation import _band
 from specgate.verify import (CertificationError, Enclosure,
                              certify_eigenvalue, eigenvector_error_bound,
                              enclosures_to_report, verified_residual)
 
-from _util import CUBIC_EIGENVALUES
+from _util import CUBIC_EIGENVALUES, band_plugin, box_route_residual
 
 LAMBDA_1 = CUBIC_EIGENVALUES[0]
 
@@ -69,14 +70,37 @@ def test_residual_zero_vector_rejected(cubic):
         verified_residual(cubic, 1.0, np.zeros(5, dtype=complex), DOUBLE)
 
 
-def test_residual_rotated_vs_box_paths_agree(cubic):
-    # the fast real-rotated path and the generic box path enclose the same
-    # quantity; a complex shift forces the box path
+def test_residual_rotated_vs_box_paths_agree(cubic, monkeypatch):
+    # the real-rotated route and the complex-box route enclose the same
+    # quantity on the same (z, v), in both interval backends
     z = 3.0
     v = right_vector(cubic, z, 30, DOUBLE)
-    fast = verified_residual(cubic, z, v, DOUBLE)
-    boxy = verified_residual(cubic, complex(z, 0.0), v, bigfloat(25))
-    assert abs(float(fast.hi) - float(boxy.hi)) < 1e-12 * max(1.0, float(fast.hi))
+    for ctx in (DOUBLE, bigfloat(25)):
+        assert _band(cubic, 30, ctx, box=True, rotated=True) is not None
+        fast = verified_residual(cubic, z, v, ctx)
+        boxy = box_route_residual(monkeypatch, cubic, z, v, ctx)
+        assert abs(float(fast.hi) - float(boxy.hi)) < \
+            1e-12 * max(1.0, float(fast.hi))
+
+
+@pytest.mark.parametrize("off_diagonal", ["i", "1"],
+                         ids=["real-rotated-band", "complex-band"])
+@pytest.mark.parametrize("z", [0.7, 0.7 + 0.3j], ids=["real", "complex"])
+def test_integer_domain_banded_residual_brackets_sigma(off_diagonal, z):
+    # a tridiagonal plugin over the integers is verified over its band,
+    # exactly and with no tail term
+    op = band_plugin({-1: off_diagonal, 0: "n*n/10", 1: off_diagonal},
+                     domain="integers")
+    N = 8
+    sig, v = sigma_min(op, z, N, bigfloat(40), want_vector=True)
+    assert len(v) == 2 * N + 1
+    b = verified_residual(op, z, v, bigfloat(25), col_start=-N)
+    assert b.lo <= sig <= b.hi
+    # a vector must cover a symmetric block {-N..N}
+    with pytest.raises(ValueError):
+        verified_residual(op, z, v, bigfloat(25))
+    with pytest.raises(ValueError):
+        verified_residual(op, z, v[:-1], bigfloat(25), col_start=1 - N)
 
 
 def test_residual_mp_matches_sigma(cubic):
