@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -29,9 +28,6 @@ from .solver import (GapScanError, MultiMinimumError, bootstrap_certify,
 from .truncation import TailError
 from .verify import (CertificationError, certify_eigenvalue, dump_report,
                      enclosures_to_report)
-
-PRECISION_ENV = "SPECGATE_PRECISION"
-
 
 class UsageError(Exception):
     pass
@@ -53,8 +49,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--plugin", help="JSON plugin operator description")
         sp.add_argument("--model", help="JSON inversion-constant model "
                                         "(required for plugin certification)")
-        sp.add_argument("--precision",
-                        default=os.environ.get(PRECISION_ENV, "double"),
+        sp.add_argument("--precision", default="double",
                         help="double or bigfloat:<digits>")
         sp.add_argument("--output", "-o", help="output path (default stdout)")
 
@@ -81,7 +76,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("certify", help="re-certify a stored candidate")
     common(sp)
     sp.add_argument("--candidate", required=True,
-                    help="candidate JSON: {z, m, vector?, N?, col_start?, pad?}")
+                    help="candidate JSON: {z, m, vector?, N?}")
     sp.add_argument("--N", type=int, default=None,
                     help="truncation size when the vector must be recomputed")
 
@@ -215,8 +210,6 @@ def cmd_certify(args) -> int:
     for entry in entries:
         z = _parse_candidate_z(entry["z"], digits)
         m = int(entry.get("m", 2))
-        col_start = int(entry.get("col_start", 0))
-        pad = entry.get("pad")
         if entry.get("vector"):
             with mp.workdps(digits + 10):
                 v = [mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
@@ -225,9 +218,7 @@ def cmd_certify(args) -> int:
             N = args.N or int(entry.get("N", 200))
             v = right_vector(op, z, N, ctx)
         encs.append(certify_eigenvalue(op, model, z, v, m, ctx,
-                                       index_n=entry.get("n", m - 1),
-                                       col_start=col_start,
-                                       pad=pad if pad is None else int(pad)))
+                                       index_n=entry.get("n", m - 1)))
     report = enclosures_to_report(encs, op.id, ctx.describe(),
                                   timestamp=_timestamp())
     _write(args, dump_report(report))
@@ -263,7 +254,7 @@ def cmd_eigenfunction(args) -> int:
     N = max(200, 40 * args.n)
     v = right_vector(op, enc.center, N, DOUBLE)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
-    samples = evaluate_eigenfunction(v, xs, DOUBLE)
+    samples = evaluate_eigenfunction(v, xs)
     lines = ["x,re_psi,im_psi"]
     for x, val in zip(samples.xs, samples.values):
         lines.append(f"{float(x)!r},{float(val.real)!r},{float(val.imag)!r}")

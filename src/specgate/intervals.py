@@ -64,19 +64,12 @@ class Interval:
         return self.hi - self.lo
 
     @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    @property
     def mag(self) -> float:
         """Largest absolute value of any member."""
         return max(abs(self.lo), abs(self.hi))
 
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
@@ -268,13 +261,3 @@ class MPBox:
     def __mul__(self, other) -> "MPBox":
         return MPBox(self.re * other.re - self.im * other.im,
                      self.re * other.im + self.im * other.re)
-
-    def abs2(self):
-        return self.re * self.re + self.im * self.im
-
-
-def mp_norm2(vec: Sequence[MPBox]):
-    total = _iv.mpf(0)
-    for entry in vec:
-        total += entry.abs2()
-    return _iv.sqrt(total)

@@ -134,13 +134,10 @@ class LTPModel:
     """Per-operator certified constants for the inversion formulas.
 
     ``kappa_iv``/``c_iv`` return directed-rounding intervals and must be
-    called inside an :class:`MPIntervalScope`; ``kappa_bound``/``c_of_m``
-    are float conveniences for non-certified callers.
+    called inside an :class:`MPIntervalScope`.
     """
 
     id: str
-    kappa_bound: Callable[[int], float]
-    c_of_m: Callable[[int], float]
     kappa_iv: Callable[[int], object]
     c_iv: Callable[[int], object]
     lambda_asymptotic: Optional[Callable[[int], float]] = None
@@ -148,6 +145,12 @@ class LTPModel:
     gap_floor: float = GAP_FLOOR_CUBIC
     hypotheses: tuple = (KAPPA_HYPOTHESIS_TAG,)
     meta: dict = field(default_factory=dict)
+
+    def kappa_bound(self, n: int):
+        """Upper endpoint of kappa_iv(n), rounded upward to a float (a big
+        float on overflow); for non-certified callers."""
+        with MPIntervalScope(_scope_digits(None)):
+            return _upper_out(self.kappa_iv(n), None)
 
     def to_json(self) -> dict:
         if self.meta:
@@ -158,8 +161,6 @@ class LTPModel:
 def cubic_ltp_model() -> LTPModel:
     return LTPModel(
         id="cubic",
-        kappa_bound=lambda n: kappa_bound(n),
-        c_of_m=lambda m: c_of_m(m),
         kappa_iv=_kappa_iv,
         c_iv=_c_iv,
         lambda_asymptotic=lambda n: lambda_asymptotic(n),
@@ -184,8 +185,6 @@ def constant_ltp_model(model_id: str, kappa: float, c: float = 0.0,
 
     return LTPModel(
         id=model_id,
-        kappa_bound=lambda n: kappa,
-        c_of_m=lambda m: c,
         kappa_iv=k_iv,
         c_iv=cc_iv,
         lambda_asymptotic=lam,

@@ -188,11 +188,12 @@ class OperatorSpec:
     evaluation is pure, so specs are safe to share across threads.
 
     ``hints`` holds optional operator-specific fast paths by name; the one
-    read today is ``mp_residual_rows`` (the lattice's big-float residual
-    rows, see :func:`specgate.verify.verified_residual`).  Structure the
-    entries reveal is derived, not declared: a banded spec whose band is
-    real after the rotation W = diag(i^m) runs its real-shift big-float
-    sigma and residuals in real arithmetic (``truncation._band``).
+    read today is ``mp_residual_rows(z, vals, col_start, pad)``, the
+    big-float interval rows of (H - z) v over the padded block, which
+    :func:`specgate.verify.verified_residual` reads in place of the band.
+    Structure the entries reveal is derived, not declared: a spec whose
+    band is real after the rotation W = diag(i^m) runs its real-shift
+    big-float sigma and residuals in real arithmetic (``truncation._band``).
     """
 
     id: str
@@ -427,8 +428,8 @@ def _lattice_residual_rows_mp(z, vals, col_start: int, pad: int):
     Hop entries are exact binary powers, so their products with the exact
     candidate components need no interval widening; only the accumulation
     and the diagonal (with its sine enclosure) run in intervals.  Returns
-    (rows, vnorm2) with rows a list of MPBox and vnorm2 an iv scalar.
-    Caller must scope both mp and iv precision.
+    the rows as a list of MPBox.  Caller must scope both mp and iv
+    precision.
     """
     zz = mpmath.mpc(z)
     ncols = len(vals)
@@ -459,10 +460,7 @@ def _lattice_residual_rows_mp(z, vals, col_start: int, pad: int):
             acc_re += dre * bre - dim * bim
             acc_im += dre * bim + dim * bre
         rows.append(MPBox(acc_re, acc_im))
-    vnorm2 = _iv.mpf(0)
-    for jc in range(ncols):
-        vnorm2 += _iv.mpf(vre[jc]) ** 2 + _iv.mpf(vim[jc]) ** 2
-    return rows, vnorm2
+    return rows
 
 
 def lattice_longrange_operator() -> OperatorSpec:

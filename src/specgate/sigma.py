@@ -281,10 +281,9 @@ def smallest_singular(T: RectTruncation, ctx: PrecisionContext) -> SigmaResult:
         return SigmaResult(sig, v)
 
 
-def _shifted_double(op: OperatorSpec, z: complex, N: int, eps) -> RectTruncation:
+def _shifted_double(op: OperatorSpec, z: complex, N: int) -> RectTruncation:
     """Double truncation at z from the cached unshifted one."""
-    T0 = _cached(op, ("dense", N, eps),
-                 lambda: rectangular(op, 0.0, N, DOUBLE, eps=eps))
+    T0 = _cached(op, ("dense", N), lambda: rectangular(op, 0.0, N, DOUBLE))
     mat = T0.matrix.copy()
     n = T0.shape[1]
     diag = np.arange(n)
@@ -299,7 +298,7 @@ def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
     A real big-float shift uses the real rotated band when the operator has
     one; its vector maps back by v[m] = i^m w[m].
     """
-    rows, _, row0, col0, _, _ = _block_geometry(op, N, None)
+    rows, _, row0, col0, _, _ = _block_geometry(op, N)
     d = col0 - row0  # array row of column jc's diagonal entry is jc + d
     band = None
     if not ctx.is_double and z.imag == 0:
@@ -321,7 +320,7 @@ def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
 
 
 def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
-              eps=None, want_vector: bool = False):
+              want_vector: bool = False):
     """sigma_min of the rectangular truncation, optionally with the vector.
 
     Returns (sigma, right_vector_or_None); the vector is in the operator's
@@ -329,12 +328,12 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     """
     if ctx.is_double:
         z = complex(z)
-        if op.banded and _block_geometry(op, N, None)[1] > DENSE_SVD_LIMIT:
+        if op.banded and _block_geometry(op, N)[1] > DENSE_SVD_LIMIT:
             sig, w = _banded_sigma_min(op, z, N, ctx)
             if sig is not None:
                 return sig, (np.array(w, dtype=complex) if want_vector
                              else None)
-        T = _shifted_double(op, z, N, eps)
+        T = _shifted_double(op, z, N)
         if not want_vector:
             s = np.linalg.svd(np.asarray(T.matrix, dtype=complex),
                               compute_uv=False)
@@ -346,28 +345,27 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
                 sig, w = _banded_sigma_min(op, z, N, ctx)
                 if sig is not None:
                     return sig, (w if want_vector else None)
-            T = rectangular(op, z, N, ctx, eps=eps)
+            T = rectangular(op, z, N, ctx)
     res = smallest_singular(T, ctx)
     return res.sigma, (res.right_vector if want_vector else None)
 
 
-def gamma(op: OperatorSpec, z, N: int, ctx: PrecisionContext, eps=None):
+def gamma(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
     """Upper bound for the inverse resolvent norm at z.
 
     sigma_min of the rectangular truncation; for long-range specs the
     certified tail defect is added so the value stays an upper bound for
     the injection modulus of (H - z) restricted to the truncated block.
     """
-    sig, _ = sigma_min(op, z, N, ctx, eps=eps)
+    sig, _ = sigma_min(op, z, N, ctx)
     if op.banded:
         return sig
-    defect = _block_geometry(op, N, eps)[5]
-    return sig + defect
+    return sig + _block_geometry(op, N)[5]
 
 
-def right_vector(op: OperatorSpec, z, N: int, ctx: PrecisionContext, eps=None):
+def right_vector(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
     """Right singular vector at the smallest singular value."""
-    _, v = sigma_min(op, z, N, ctx, eps=eps, want_vector=True)
+    _, v = sigma_min(op, z, N, ctx, want_vector=True)
     return v
 
 

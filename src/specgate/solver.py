@@ -38,7 +38,6 @@ from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
 from .sigma import gamma, right_vector, sigma_min
 from .truncation import square as square_truncation
-from .truncation import tail_padding
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
                      verified_residual)
 
@@ -83,8 +82,7 @@ class GridResult:
 
 def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
                         ctx: PrecisionContext = DOUBLE,
-                        parallelism: Optional[int] = None,
-                        eps=None) -> GridResult:
+                        parallelism: Optional[int] = None) -> GridResult:
     """gamma_N on a rectangular grid; rows follow the imaginary axis.
 
     Each value upper-bounds the inverse resolvent norm, so sublevel sets of
@@ -100,7 +98,7 @@ def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
     points = [complex(r, i) for i in ims for r in res]
 
     def val(z):
-        return float(gamma(op, z, N, ctx, eps=eps))
+        return float(gamma(op, z, N, ctx))
 
     workers = parallelism if parallelism else None
     if workers == 1 or not ctx.is_double:
@@ -165,9 +163,8 @@ def _golden_section(f, a, b, tol):
 
 
 def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
-                   ctx: PrecisionContext = DOUBLE,
                    _depth: int = 0) -> EigenpairResult:
-    """Golden-section search for the minimizer of gamma_N on a bracket.
+    """Golden-section search for the minimizer of double gamma_N on a bracket.
 
     Unimodality is assumed, then validated by a coarse scan: a single
     descent-ascent pattern proceeds straight to the golden section; one
@@ -179,8 +176,7 @@ def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
         raise ValueError("bracket must satisfy a < b")
 
     def f(t):
-        return float(gamma(op, t, N, DOUBLE)) if ctx.is_double else \
-            gamma(op, t, N, ctx)
+        return float(gamma(op, t, N, DOUBLE))
 
     total_evals = 0
     ts = [a + (b - a) * k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
@@ -200,7 +196,7 @@ def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
         if len(deep) == 1 and _depth < 4:
             k = deep[0]
             sub = (float(ts[max(0, k - 1)]), float(ts[min(SCAN_POINTS - 1, k + 1)]))
-            inner = locate_minimum(op, sub, N, tol, ctx, _depth + 1)
+            inner = locate_minimum(op, sub, N, tol, _depth + 1)
             return EigenpairResult(inner.z_N, inner.f_N, inner.gamma_at_min,
                                    N, (a, b),
                                    inner.iterations + total_evals)
@@ -210,7 +206,7 @@ def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
         b = float(ts[min(SCAN_POINTS - 1, k + 1)])
     z, evals = _golden_section(f, a, b, tol)
     total_evals += evals
-    v = right_vector(op, z, N, ctx)
+    v = right_vector(op, z, N, DOUBLE)
     g = f(z)
     total_evals += 1
     return EigenpairResult(z, v, g, N, bracket, total_evals)
@@ -370,7 +366,7 @@ def _locate_candidate(op, model, bracket, N, ctx, digits_v, eps_target,
     triggers re-expansion.
     """
     if z_prev is None:
-        loc = locate_minimum(op, bracket, min(N, 600), 1e-9, DOUBLE)
+        loc = locate_minimum(op, bracket, min(N, 600), 1e-9)
         z = float(loc.z_N)
     else:
         z = float(z_prev)
@@ -448,7 +444,6 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     S = square_truncation(op, 0.0, seed_block, DOUBLE)
     eigs = np.linalg.eigvals(np.asarray(S, dtype=complex))
     eigs = sorted(eigs, key=lambda t: (abs(t), -t.imag))
-    pad = tail_padding(op, n_block, 2.0 ** -n_block)
     digits_v = max(25, 16 if ctx.is_double else ctx.digits)
 
     def fn(z):
@@ -471,10 +466,9 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
         is_real = abs(z_ref.imag) < 1e-9
         if is_real:
             z_ref = complex(z_ref.real, 0.0)
-        v = right_vector(op, z_ref, n_block, DOUBLE, eps=2.0 ** -n_block)
+        v = right_vector(op, z_ref, n_block, DOUBLE)
         enc = certify_eigenvalue(op, model, z_ref if not is_real else z_ref.real,
-                                 v, 1, bigfloat(digits_v), index_n=index,
-                                 col_start=-n_block, pad=pad)
+                                 v, 1, bigfloat(digits_v), index_n=index)
         if target_radius is not None and float(enc.radius) > target_radius:
             raise CertificationError(
                 f"lattice index {index}: radius {float(enc.radius):.3e} "
@@ -484,8 +478,7 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
         if not is_real and len(enclosures) < n_max:
             v_mirror = _mirror_vector(v)
             enc_m = certify_eigenvalue(op, model, z_ref.conjugate(), v_mirror,
-                                       1, bigfloat(digits_v), index_n=index,
-                                       col_start=-n_block, pad=pad)
+                                       1, bigfloat(digits_v), index_n=index)
             enclosures.append(enc_m)
             index += 1
     _check_separation(enclosures)
@@ -591,8 +584,7 @@ class EigenfunctionSamples:
     underflow: np.ndarray
 
 
-def evaluate_eigenfunction(coeffs, xs, ctx: PrecisionContext = DOUBLE
-                           ) -> EigenfunctionSamples:
+def evaluate_eigenfunction(coeffs, xs) -> EigenfunctionSamples:
     """Evaluate sum_m c_m u_m(x) with the stable normalized recurrence
     u_{m+1} = x sqrt(2/(m+1)) u_m - sqrt(m/(m+1)) u_{m-1}.
 
@@ -633,7 +625,6 @@ class SpuriousModeReport:
 
 
 def square_spectrum_demo(op: OperatorSpec, N: int,
-                         ctx: PrecisionContext = DOUBLE,
                          threshold: float = 1e-2) -> SpuriousModeReport:
     """Dense spectrum of the square truncation with gamma_{2N} annotations.
 

@@ -4,16 +4,16 @@ Rectangular truncations keep every row reachable from the first N columns,
 so for banded operators the smallest singular value of the finite matrix
 equals the injection modulus of the operator restricted to the span of the
 first N basis states - no interaction is dropped and no spurious coupling
-is introduced.  Square truncations are provided for the spurious-mode
-demonstration only.  Long-range operators get certified tail padding: the
-number of extra rows is chosen so the operator norm of the neglected block
-is below a requested epsilon.
+is introduced.  Over the integers the kept columns are -N..N.  Square
+truncations are provided for the spurious-mode demonstration only.
+Long-range operators get certified tail padding: the number of extra rows is
+chosen so the operator norm of the neglected block is at most 2^-N.  Every
+block is a function of the operator and N alone (:func:`_block_geometry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -79,7 +79,7 @@ def tail_padding(op: OperatorSpec, N: int, eps: float) -> int:
         f"after {PAD_LIMIT} rows of padding", best)
 
 
-def _block_geometry(op: OperatorSpec, N: int, eps: Optional[float]):
+def _block_geometry(op: OperatorSpec, N: int):
     """(rows, cols, row_start, col_start, k, tail_defect) for a truncation."""
     if op.banded:
         if op.index_domain == NATURALS:
@@ -90,9 +90,7 @@ def _block_geometry(op: OperatorSpec, N: int, eps: Optional[float]):
         return rows, cols, -(N + op.upper_bandwidth), -N, rows - cols, 0.0
     if op.tail_bound is None:
         raise StructureError(f"{op.id}: unbounded bands and no tail bound")
-    if eps is None:
-        eps = 2.0 ** (-N)
-    m = tail_padding(op, N, eps)
+    m = tail_padding(op, N, 2.0 ** -N)
     # widen the float-evaluated bound a touch so it stays an upper bound
     defect = op.tail_bound(N, m) * (1.0 + 1e-12)
     if op.index_domain == INTEGERS:
@@ -139,17 +137,20 @@ def _rotate(re, im, k: int):
 
 def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
           rotated: bool = False):
-    """Unshifted band of a banded spec's rectangular truncation.
+    """Unshifted band of the rectangular truncation of a spec.
 
-    One list of (array row, value) pairs per column.  Values come from ``op.entry`` in the context's arithmetic,
-    or with ``box`` from ``op.entry_box`` in its interval arithmetic.
+    One list of (array row, value) pairs per column: the band rows of a
+    banded spec, every row of the padded block of a long-range one.  Values
+    come from ``op.entry`` in the context's arithmetic, or with ``box`` from
+    ``op.entry_box`` in its interval arithmetic.
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
     soon as one of them is not exactly real.  Cached per (op, N,
     arithmetic, digits, rotated).
     """
     def build():
-        _, cols, row0, col0, _, _ = _block_geometry(op, N, None)
+        rows, cols, row0, col0, _, _ = _block_geometry(op, N)
+        every_row = range(row0, row0 + rows)
         if box:
             lib = _box_lib_for_ctx(ctx)
             zero = lib.num(0)
@@ -163,7 +164,7 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
         with scope:
             for j in range(col0, col0 + cols):
                 col = []
-                for i in op.band_rows(j):
+                for i in op.band_rows(j) if op.banded else every_row:
                     if box:
                         v = op.entry_box(i, j, lib)
                         parts = v.re, v.im
@@ -189,17 +190,17 @@ def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):
     return mpmath.zeros(rows, cols), mpmath.mpc(z)
 
 
-def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext,
-                eps: Optional[float] = None) -> RectTruncation:
+def rectangular(op: OperatorSpec, z: complex, N: int,
+                ctx: PrecisionContext) -> RectTruncation:
     """Rectangular truncation of (H - z I) over the first N basis states.
 
     For banded specs the rows cover the full band of every kept column and
     the truncation is exact (tail_defect 0).  Long-range specs get padding
-    chosen by :func:`tail_padding` for accuracy ``eps`` (default 2^-N).
+    chosen by :func:`tail_padding` for a tail of 2^-N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    rows, cols, row0, col0, k, defect = _block_geometry(op, N, eps)
+    rows, cols, row0, col0, k, defect = _block_geometry(op, N)
     with ctx.workprec():
         mat, shift = _zeros(rows, cols, z, ctx)
         for jc in range(cols):
@@ -223,7 +224,7 @@ def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
 
     Operators over the integers use the symmetric block {-N..N}.
     """
-    _, size, _, col0, _, _ = _block_geometry(op, N, None)
+    _, size, _, col0, _, _ = _block_geometry(op, N)
     with ctx.workprec():
         mat, shift = _zeros(size, size, z, ctx)
         for jc in range(size):

@@ -2,7 +2,9 @@
 
 The trust chain: a candidate pair (z, v) from the float stage is re-checked
 from scratch by evaluating ||(H - z) v|| / ||v|| entirely in interval
-arithmetic with enclosed operator entries.  For the operator classes handled
+arithmetic with enclosed operator entries.  v spans the first N columns
+(-N..N over the integers), and a long-range operator adds its certified
+tail of at most 2^-N.  For the operator classes handled
 here the inverse resolvent norm equals the injection modulus, so this ratio
 upper-bounds ||(H - z)^{-1}||^{-1} for *any* nonzero v; the inversion
 formula of :mod:`specgate.ltp` then turns it into a radius around z that
@@ -22,13 +24,12 @@ import numpy as np
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import (Interval, MPIntervalScope, iv_lower, iv_upper,
-                        mp_norm2, norm2)
+from .intervals import Interval, MPIntervalScope, iv_lower, iv_upper
 from .ltp import (GapMembershipError, LTPModel, dist_bound)
 from .operators import (INTEGERS, OperatorSpec, StructureError,
                         _box_lib_for_ctx)
 from .precision import PrecisionContext
-from .truncation import _band, _block_geometry, _rotate, tail_padding
+from .truncation import _band, _block_geometry, _rotate
 
 
 class CertificationError(RuntimeError):
@@ -53,27 +54,26 @@ def _as_complex_list(v):
     return list(v)
 
 
-def _half_width(op, ncols: int, col_start: int) -> int:
-    """N of the truncation a vector of ncols entries spans."""
+def _half_width(op, ncols: int) -> int:
+    """N of the truncation whose first columns a vector of ncols entries
+    spans: 0..N-1 over the naturals, -N..N over the integers."""
     if op.index_domain != INTEGERS:
         return ncols
-    n_half = (ncols - 1) // 2
-    if ncols != 2 * n_half + 1 or col_start != -n_half:
+    if ncols % 2 == 0:
         raise ValueError("integer-domain vectors must cover a symmetric "
-                         f"block; got col_start={col_start} for {ncols} entries")
-    return n_half
+                         f"block -N..N; got {ncols} entries")
+    return (ncols - 1) // 2
 
 
-def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext,
-                      col_start: int = 0, pad: Optional[int] = None) -> Bound:
+def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
     """Rigorous enclosure of ||(H - z) v|| / ||v||.
 
     The upper endpoint rigorously bounds the inverse resolvent norm at z.
-    Banded specs are evaluated exactly over their band; long-range specs
-    evaluate the rows of the padded block and fold the certified tail bound
-    in additively.  ``col_start`` is the operator index of v[0] (negative
-    for symmetric blocks over the integers); ``pad`` overrides the default
-    tail padding.
+    v spans the first N columns of the operator (over the integers the 2N+1
+    columns -N..N), so its length fixes the truncation.  Every row of the
+    truncation's block is evaluated in interval arithmetic: exactly the
+    band of a banded spec; for a long-range spec, the padded block, with
+    the certified tail bound (at most 2^-N) folded in additively.
     """
     if op.entry_box is None:
         raise StructureError(f"{op.id}: entries are not enclosable")
@@ -85,25 +85,25 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext,
     # and the interval precision (directed rounding of the evaluation)
     with mp.workdps(ctx.digits + 5), MPIntervalScope(ctx.digits):
         z = complex(z) if ctx.is_double else mpmath.mpc(z)
-        if op.banded:
-            return _verified_residual_banded(op, z, vals, col_start, ctx)
-        return _verified_residual_longrange(op, z, vals, col_start, pad, ctx)
+        return _verified_residual_banded(op, z, vals, ctx)
 
 
-def _verified_residual_banded(op, z, vals, col_start, ctx):
-    """The banded residual over the cached interval band; no tail term.
+def _verified_residual_banded(op, z, vals, ctx):
+    """The residual over the cached interval band, plus the tail term.
 
     At a real shift, an operator whose rotated band is real is evaluated in
     real intervals on the rotated parts a, b of v, v[m] = i^m (a[m] + i b[m]):
     the rotation is unitary, so ||(H - z) v||^2 = ||(R - z) a||^2 +
     ||(R - z) b||^2 and ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs
-    in complex boxes.
+    in complex boxes, with the rows from the operator's ``mp_residual_rows``
+    hint in big floats when it has one (no band is built then).
     """
     lib = _box_lib_for_ctx(ctx)
-    N = _half_width(op, len(vals), col_start)
-    nrows, _, row0, col0, _, _ = _block_geometry(op, N, None)
+    N = _half_width(op, len(vals))
+    nrows, _, row0, col0, _, tail = _block_geometry(op, N)
+    hint = None if ctx.is_double else op.hints.get("mp_residual_rows")
     band = None
-    if z.imag == 0:
+    if hint is None and z.imag == 0:
         band = _band(op, N, ctx, box=True, rotated=True)
     if band is not None:
         ab = [_rotate(t.real, t.imag, -(col0 + jc)) for jc, t in enumerate(vals)]
@@ -113,7 +113,8 @@ def _verified_residual_banded(op, z, vals, col_start, ctx):
         def reals(x):
             return (x,)
     else:
-        band = _band(op, N, ctx, box=True)
+        if hint is None:
+            band = _band(op, N, ctx, box=True)
         parts = (vals,)
         point, shift = lib.point, lib.point(z)
 
@@ -121,13 +122,18 @@ def _verified_residual_banded(op, z, vals, col_start, ctx):
             return x.re, x.im
     num2 = den2 = lib.num(0)
     for part in parts:
-        for row in _band_rows(band, col0 - row0, nrows, shift, part, point):
+        rows = hint(z, part, col0, col0 - row0) if band is None else \
+            _band_rows(band, col0 - row0, nrows, shift, part, point)
+        for row in rows:
             for x in reals(row):
                 num2 = num2 + lib.square(x)
         for t in part:
             for x in reals(point(t)):
                 den2 = den2 + lib.square(x)
     ratio = lib.sqrt(num2 / den2)
+    if tail:
+        ratio = ratio + (Interval(0.0, tail) if ctx.is_double else
+                         _iv.mpf([0, tail]))
     return Bound(lib.lower(ratio), lib.upper(ratio))
 
 
@@ -148,38 +154,6 @@ def _band_rows(band, d, nrows, shift, part, point):
                 term = term - shift * pj
             rows[ir] = term if rows[ir] is None else rows[ir] + term
     return [r for r in rows if r is not None]
-
-
-def _verified_residual_longrange(op, z, vals, col_start, pad, ctx):
-    if op.tail_bound is None:
-        raise StructureError(f"{op.id}: unbounded bands and no tail bound")
-    ncols = len(vals)
-    n_half = _half_width(op, ncols, col_start)
-    if pad is None:
-        pad = tail_padding(op, n_half, 2.0 ** -n_half)
-    tail_val = op.tail_bound(n_half, pad) * (1.0 + 1e-12)
-    lib = _box_lib_for_ctx(ctx)
-    norm = norm2 if ctx.is_double else mp_norm2
-    if not ctx.is_double and "mp_residual_rows" in op.hints:
-        rows, vnorm2 = op.hints["mp_residual_rows"](z, vals, col_start, pad)
-        vnorm = _iv.sqrt(vnorm2)
-    else:
-        zbox = lib.point(z)
-        vbox = [lib.point(t) for t in vals]
-        rows = []
-        for i in range(col_start - pad, col_start + ncols + pad):
-            acc = None
-            for jc in range(ncols):
-                term = op.entry_box(i, col_start + jc, lib) * vbox[jc]
-                acc = term if acc is None else acc + term
-            if col_start <= i < col_start + ncols:
-                acc = acc - zbox * vbox[i - col_start]
-            rows.append(acc)
-        vnorm = norm(vbox)
-    tail = Interval(0.0, tail_val) if ctx.is_double else \
-        _iv.mpf([0, tail_val])
-    ratio = norm(rows) / vnorm + tail
-    return Bound(lib.lower(ratio), lib.upper(ratio))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +251,7 @@ class Enclosure:
 
 def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
                        candidate_v, m: int, ctx: PrecisionContext,
-                       index_n: Optional[int] = None,
-                       col_start: int = 0, pad: Optional[int] = None) -> Enclosure:
+                       index_n: Optional[int] = None) -> Enclosure:
     """Certify a candidate pair into an enclosure via the inversion formula.
 
     ``m`` is the strip index the caller has established (the bootstrap uses
@@ -293,8 +266,7 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         raise GapMembershipError(
             f"candidate {candidate_z} is not plausibly in strip {m}; "
             "bootstrap ordering required")
-    bound = verified_residual(op, candidate_z, candidate_v, ctx,
-                              col_start=col_start, pad=pad)
+    bound = verified_residual(op, candidate_z, candidate_v, ctx)
     eps = bound.hi
     radius = dist_bound(eps, m, model, ctx)
     if math.isinf(float(radius)):

@@ -58,6 +58,23 @@ def test_plugin_eigs_without_model_exits_1(tmp_path, capsys):
     assert "--model" in capsys.readouterr().err
 
 
+def test_lattice_candidates_round_trip(tmp_path):
+    # certify reproduces every disk of eigs from its --candidates-out file
+    report, cands, out = (tmp_path / name for name in
+                          ("eigs.json", "candidates.json", "certify.json"))
+    assert main(["eigs", "--op", "lattice", "--n", "2", "--N", "30",
+                 "--output", str(report), "--candidates-out", str(cands)]) == 0
+    assert main(["certify", "--op", "lattice", "--candidate", str(cands),
+                 "--output", str(out)]) == 0
+
+    def disks(path):
+        return [(e["n"], e["center"], e["radius"]) for e in
+                json.loads(path.read_text(encoding="utf-8"))["enclosures"]]
+
+    assert len(disks(report)) == 2
+    assert disks(out) == disks(report)
+
+
 def test_certify_junk_candidate_exits_2(tmp_path, capsys):
     # e_7 is far from an eigenvector at z = 4.1: the residual is too large
     # for a finite enclosure at strip 5

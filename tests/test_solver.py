@@ -38,7 +38,7 @@ def harmonic():
 # -- locate_minimum ---------------------------------------------------------
 
 def test_locate_minimum_harmonic(harmonic):
-    res = locate_minimum(harmonic, (2.0, 4.0), 20, 1e-12, DOUBLE)
+    res = locate_minimum(harmonic, (2.0, 4.0), 20, 1e-12)
     assert res.z_N == pytest.approx(3.0, abs=1e-9)
     assert res.bracket == (2.0, 4.0)
     assert res.iterations > 0
@@ -46,14 +46,14 @@ def test_locate_minimum_harmonic(harmonic):
 
 
 def test_locate_minimum_cubic_lambda1(cubic):
-    res = locate_minimum(cubic, (0.5, 2.6), 200, 1e-10, DOUBLE)
+    res = locate_minimum(cubic, (0.5, 2.6), 200, 1e-10)
     assert abs(res.z_N - LAMBDA_1) < 1e-8
     assert np.linalg.norm(res.f_N) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_locate_minimum_multi_dip_error(cubic):
     with pytest.raises(MultiMinimumError) as exc:
-        locate_minimum(cubic, (3.0, 9.0), 200, 1e-10, DOUBLE)
+        locate_minimum(cubic, (3.0, 9.0), 200, 1e-10)
     minima = exc.value.minima
     assert any(abs(m - 4.1) < 0.4 for m in minima)
     assert any(abs(m - 7.56) < 0.4 for m in minima)
@@ -61,9 +61,8 @@ def test_locate_minimum_multi_dip_error(cubic):
 
 def test_locate_minimum_argmin_stable(cubic):
     tol = 1e-8
-    res = locate_minimum(cubic, (0.5, 2.6), 150, tol, DOUBLE)
-    res2 = locate_minimum(cubic, (0.5 + tol / 10, 2.6 - tol / 10), 150, tol,
-                          DOUBLE)
+    res = locate_minimum(cubic, (0.5, 2.6), 150, tol)
+    res2 = locate_minimum(cubic, (0.5 + tol / 10, 2.6 - tol / 10), 150, tol)
     assert abs(res.z_N - res2.z_N) < tol
 
 
@@ -164,19 +163,19 @@ def test_subspace_angle_converged_eigenvector(cubic):
 
 def test_evaluate_eigenfunction_basics():
     e0 = [1.0]
-    s = evaluate_eigenfunction(e0, [0.0], DOUBLE)
+    s = evaluate_eigenfunction(e0, [0.0])
     assert s.values[0] == pytest.approx(math.pi ** -0.25, rel=1e-12)
     e1 = [0.0, 1.0]
-    s = evaluate_eigenfunction(e1, [0.0], DOUBLE)
+    s = evaluate_eigenfunction(e1, [0.0])
     assert abs(s.values[0]) < 1e-14
-    s = evaluate_eigenfunction(e0, [40.0], DOUBLE)
+    s = evaluate_eigenfunction(e0, [40.0])
     assert s.underflow[0] and s.values[0] == 0
 
 
 def test_evaluate_eigenfunction_parseval(cubic):
     v = right_vector(cubic, LAMBDA_1, 60, DOUBLE)
     xs = np.linspace(-12, 12, 3000)
-    s = evaluate_eigenfunction(v, xs, DOUBLE)
+    s = evaluate_eigenfunction(v, xs)
     mass = np.sum(np.abs(s.values) ** 2) * (xs[1] - xs[0])
     assert mass == pytest.approx(float(np.sum(np.abs(v) ** 2)), rel=0.01)
 
@@ -197,9 +196,9 @@ def test_condition_number_cubic_above_one(cubic):
 
 
 def test_square_spectrum_demo(cubic, harmonic):
-    rep_h = square_spectrum_demo(harmonic, 12, DOUBLE)
+    rep_h = square_spectrum_demo(harmonic, 12)
     assert not rep_h.spurious.any()
-    rep_c = square_spectrum_demo(cubic, 60, DOUBLE)
+    rep_c = square_spectrum_demo(cubic, 60)
     assert rep_c.spurious.any()
     assert rep_c.gammas[rep_c.spurious].max() > 1e-2
 
@@ -208,7 +207,7 @@ def test_residual_decay_slope(cubic):
     Ns = list(range(40, 201, 40))
     logs = []
     for N in Ns:
-        res = locate_minimum(cubic, (13.5, 17.3), N, 1e-11, DOUBLE)
+        res = locate_minimum(cubic, (13.5, 17.3), N, 1e-11)
         logs.append(math.log10(max(res.gamma_at_min, 1e-300)))
     slope = fit_slope(Ns, logs)
     assert slope < -0.02

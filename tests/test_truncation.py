@@ -1,5 +1,6 @@
 """Truncations: rectangular geometry, tail padding, normal equations."""
 
+import itertools
 import math
 
 import mpmath
@@ -171,19 +172,30 @@ def test_bigfloat_normal_matches_double(cubic):
             assert abs(complex(M[i, j]) - Md[i, j]) < 1e-12
 
 
-def test_band_holds_entries_at_each_precision():
-    # one operator, one N, three arithmetics in a row: each cached band
-    # holds op.entry at its own precision, and the rotated band the exact
-    # real values i^(c-r) H[r, c]
-    op = hermite_cubic_operator()
+def test_band_holds_entries_at_each_precision(cubic, lattice):
+    # per operator, one N, three arithmetics in a row: each cached band
+    # holds the unshifted rectangular truncation at its own precision (for
+    # the long-range lattice, every row of the padded block), and the
+    # rotated band the exact real values i^(c-r) H[r, c] (none exists for
+    # the lattice, whose diagonal is complex)
     N = 12
-    for ctx in (DOUBLE, bigfloat(20), bigfloat(50)):
+    for op, ctx in itertools.product((cubic, lattice),
+                                     (DOUBLE, bigfloat(20), bigfloat(50))):
         band = _band(op, N, ctx)
         rot = _band(op, N, ctx, rotated=True)
+        T = rectangular(op, 0, N, ctx)
+        rows, cols = T.shape
+        assert len(band) == cols and (rot is None) == (op is lattice)
         unit = 1j if ctx.is_double else mpmath.mpc(0, 1)
         with ctx.workprec():
-            for j, (col, rcol) in enumerate(zip(band, rot)):
-                assert [i for i, _ in col] == list(op.band_rows(j))
+            dense = [[0] * cols for _ in range(rows)]
+            for j, col in enumerate(band):
+                if op.banded:
+                    assert [i for i, _ in col] == list(op.band_rows(j))
+                for i, v in col:
+                    dense[i][j] = v
+            assert all(dense[i][j] == T.matrix[i, j]
+                       for i in range(rows) for j in range(cols))
+            for j, (col, rcol) in enumerate(zip(band, rot or [])):
                 for (i, v), (_, r) in zip(col, rcol):
-                    assert v == op.entry(i, j, ctx)
                     assert unit ** (j - i) * v == r

@@ -1,5 +1,6 @@
 """Verified residuals, certification, enclosure serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -15,12 +16,13 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import right_vector, sigma_min
-from specgate.truncation import _band
+from specgate.truncation import _band, tail_padding
 from specgate.verify import (CertificationError, Enclosure,
                              certify_eigenvalue, eigenvector_error_bound,
                              enclosures_to_report, verified_residual)
 
-from _util import CUBIC_EIGENVALUES, band_plugin, box_route_residual
+from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES, band_plugin,
+                   box_route_residual)
 
 LAMBDA_1 = CUBIC_EIGENVALUES[0]
 
@@ -94,13 +96,11 @@ def test_integer_domain_banded_residual_brackets_sigma(off_diagonal, z):
     N = 8
     sig, v = sigma_min(op, z, N, bigfloat(40), want_vector=True)
     assert len(v) == 2 * N + 1
-    b = verified_residual(op, z, v, bigfloat(25), col_start=-N)
+    b = verified_residual(op, z, v, bigfloat(25))
     assert b.lo <= sig <= b.hi
     # a vector must cover a symmetric block {-N..N}
     with pytest.raises(ValueError):
-        verified_residual(op, z, v, bigfloat(25))
-    with pytest.raises(ValueError):
-        verified_residual(op, z, v[:-1], bigfloat(25), col_start=1 - N)
+        verified_residual(op, z, v[:-1], bigfloat(25))
 
 
 def test_residual_mp_matches_sigma(cubic):
@@ -216,10 +216,25 @@ def test_longrange_residual_includes_tail():
     lattice = lattice_longrange_operator()
     n = 10
     v = right_vector(lattice, -0.04918293439, n, DOUBLE)
-    b0 = verified_residual(lattice, -0.04918293439, v, bigfloat(25),
-                           col_start=-n, pad=20)
-    b1 = verified_residual(lattice, -0.04918293439, v, bigfloat(25),
-                           col_start=-n, pad=60)
-    # small padding leaves a visible tail term; large padding removes it
-    assert float(b0.hi) > float(b1.hi)
-    assert float(b0.hi) >= lattice.tail_bound(n, 20)
+    b = verified_residual(lattice, -0.04918293439, v, bigfloat(25))
+    # the certified tail of the padded block widens the bound upward
+    tail = lattice.tail_bound(n, tail_padding(lattice, n, 2.0 ** -n))
+    assert b.hi - b.lo >= tail
+
+
+@pytest.mark.parametrize("z", [LATTICE_EIGENVALUES[3].real, 0.7 + 0.3j],
+                         ids=["real", "complex"])
+def test_lattice_residual_routes(z):
+    # the double residual runs over the interval band of the padded block
+    # and brackets the smallest singular value; in big floats the
+    # mp_residual_rows hint and the band route enclose the same quantity
+    lattice = lattice_longrange_operator()
+    N = 8
+    sig, v = sigma_min(lattice, z, N, DOUBLE, want_vector=True)
+    b = verified_residual(lattice, z, v, DOUBLE)
+    assert b.lo <= sig <= b.hi
+    hinted = verified_residual(lattice, z, v, bigfloat(30))
+    banded = verified_residual(dataclasses.replace(lattice, hints={}), z, v,
+                               bigfloat(30))
+    for a, c in ((hinted.lo, banded.lo), (hinted.hi, banded.hi)):
+        assert abs(a - c) <= 1e-12 * abs(c)
