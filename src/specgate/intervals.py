@@ -59,15 +59,6 @@ class Interval:
             return x
         return cls.point(float(x))
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mag(self) -> float:
-        """Largest absolute value of any member."""
-        return max(abs(self.lo), abs(self.hi))
-
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 

@@ -152,6 +152,11 @@ class LTPModel:
         with MPIntervalScope(_scope_digits(None)):
             return _upper_out(self.kappa_iv(n), None)
 
+    def c_bound(self, m: int):
+        """Upper endpoint of c_iv(m), rounded like :meth:`kappa_bound`."""
+        with MPIntervalScope(_scope_digits(None)):
+            return _upper_out(self.c_iv(m), None)
+
     def to_json(self) -> dict:
         if self.meta:
             return dict(self.meta)

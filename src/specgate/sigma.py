@@ -9,6 +9,9 @@ arithmetic - so the methods are free to be fast:
 * banded specs: a banded Givens-QR with inverse iteration over the cached
   band (``truncation._band``), for every big-float sigma and for doubles
   beyond ``DENSE_SVD_LIMIT`` columns;
+* banded specs, many double shifts at once (the pseudospectrum grid): the
+  same method in numpy over panels of columns, with the shifts on the
+  leading axis (``banded_sigma_batch``);
 * otherwise LAPACK SVD in doubles, and a one-sided Jacobi SVD in big floats.
 
 At a real big-float shift an operator whose rotated band is real (the
@@ -206,6 +209,158 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
         if converged:
             break
     return sig_prev, w
+
+
+# ---------------------------------------------------------------------------
+# the same method over many double shifts at once
+# ---------------------------------------------------------------------------
+#
+# banded_sigma_batch runs banded_sigma's method in numpy for a batch of
+# shifts; the shifts index the leading axis of every array, the one numpy's
+# stacked linalg routines loop over.  Both stages step over panels of
+# columns, at least twice the bandwidth L+U of R wide:
+#
+# * QR: LAPACK factors each panel: the rows below the previous panel's R
+#   rows, over the panel's columns and the L+U columns it spills into.
+#   The first panel-width rows of the result are final rows of R; the
+#   next L rows are carried into the next panel.  R is kept as its
+#   inverted diagonal blocks and the (L+U) x (L+U) corners that couple
+#   each block to the next, so both triangular solves of inverse
+#   iteration take one panel per step.
+# * ||T w|| comes from the shared unshifted band minus z w on the
+#   diagonal; no shifted copy of T is made.
+#
+# The columns are padded to whole panels with unit columns in rows below
+# the truncation's last row.  They share no row with T, and the start
+# vector is zero on them, so they stay zero.  Each shift stops on
+# banded_sigma's test and is then frozen, so a value does not depend on
+# the other shifts of its batch.  Shifts go in chunks whose blocks take
+# about BATCH_BYTES.  A shift that meets an exact zero pivot, or ends on a
+# value that is not finite, is left to the single-shift sigma_min, which
+# has the kernel shortcut.
+
+BATCH_BYTES = 1 << 20
+
+
+def _panels(band, up: int, kd: int, ncols: int, panel: int):
+    """Unshifted panel blocks of the padded truncation, and the mask of
+    their diagonal entries (where the shift goes)."""
+    bw = band.shape[0] - 1
+    lo = bw - up
+    nb = -(-ncols // panel)
+    npad = nb * panel
+    ext = np.zeros((bw + 1, npad), dtype=complex)
+    ext[:, :ncols] = band
+    ext[bw, ncols:] = 1.0
+    col = np.arange(nb)[:, None, None] * panel + np.arange(panel + bw)
+    k = np.arange(panel + lo)[:, None] - np.arange(panel + bw) + up
+    inside = (k >= 0) & (k <= bw) & (col < npad)
+    entries = ext[np.clip(k, 0, bw), np.minimum(col, npad - 1)]
+    blocks = np.where(inside, entries, 0)
+    return blocks, inside & (k == kd) & (col < ncols)
+
+
+def _panel_qr(blocks, diag, z, lo: int, bw: int):
+    """(inverted diagonal blocks, coupling corners, exact-zero-pivot mask)
+    of R for each shift in z."""
+    nb, _, width = blocks.shape
+    panel = width - bw
+    dinv = np.empty((len(z), nb, panel, panel), dtype=complex)
+    corner = np.empty((len(z), nb, bw, bw), dtype=complex)
+    singular = np.zeros(len(z), dtype=bool)
+    carry = None
+    for p in range(nb):
+        a = blocks[p] - z[:, None, None] * diag[p]
+        if p:
+            a[:, :lo, :bw] = carry
+        r = np.linalg.qr(a, mode="r")
+        d = r[:, :panel, :panel]
+        zero = (d.diagonal(axis1=1, axis2=2) == 0).any(axis=1)
+        singular |= zero
+        d[zero] = np.eye(panel)  # inverted in place of a singular block
+        dinv[:, p] = np.linalg.inv(d)
+        corner[:, p] = r[:, panel - bw:panel, panel:]
+        carry = r[:, panel:, panel:]
+    return dinv, corner, singular
+
+
+def _band_norm(band, kd: int, z, w):
+    """||(T0 - z) w|| for each row of w, from the unshifted band T0."""
+    nk, ncols = band.shape
+    out = np.zeros((len(w), ncols + nk - 1), dtype=complex)
+    for k in range(nk):
+        out[:, k:k + ncols] += band[k] * w
+    out[:, kd:kd + ncols] -= z[:, None] * w
+    return np.linalg.norm(out, axis=1)
+
+
+def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int):
+    """banded_sigma's inverse iteration, one shift per row."""
+    ns, nb, panel, _ = dinv.shape
+    bw = corner.shape[-1]
+    t = panel - bw
+    w = np.zeros((ns, nb * panel), dtype=complex)
+    w[:, :ncols] = 1.0 / math.sqrt(ncols)
+    sig_prev = np.full(ns, np.nan)
+    sig_out = np.full(ns, np.nan)
+    done = np.zeros(ns, dtype=bool)
+    for _ in range(MAXIT):
+        # R^H y = w, solved as the row system y^H R = w^H
+        yh = w.conj().reshape(ns, nb, panel)
+        for p in range(nb):
+            if p:
+                yh[:, p, :bw] -= (yh[:, p - 1, None, t:]
+                                  @ corner[:, p - 1])[:, 0]
+            yh[:, p] = (yh[:, p, None] @ dinv[:, p])[:, 0]
+        x = yh.conj()
+        for p in range(nb - 1, -1, -1):
+            if p < nb - 1:
+                x[:, p, t:] -= (corner[:, p] @ x[:, p + 1, :bw, None])[..., 0]
+            x[:, p] = (dinv[:, p] @ x[:, p, :, None])[..., 0]
+        x = x.reshape(ns, -1)
+        w = x / np.linalg.norm(x, axis=1)[:, None]
+        sig = _band_norm(band, kd, z, w[:, :ncols])
+        live = ~done
+        sig_out[live] = sig[live]
+        done |= np.abs((sig - sig_prev) / sig_prev) <= RTOL
+        sig_prev = sig
+        if done.all():
+            break
+    return sig_out
+
+
+def banded_sigma_batch(op: OperatorSpec, zs, N: int) -> np.ndarray:
+    """Double sigma_min of the rectangular truncation at each shift of zs.
+
+    Banded specs only; see the notes above.  The values agree with
+    ``sigma_min(op, z, N, DOUBLE)`` up to rounding and the RTOL stop, and
+    do not depend on how the shifts are chunked.
+    """
+    zs = np.asarray(zs, dtype=complex).ravel()
+    rows, ncols, row0, col0, _, _ = _block_geometry(op, N)
+    lo = rows - ncols                         # bandwidths in array rows
+    up = op.upper_bandwidth - (col0 - row0)
+    bw = lo + up
+    # band[k, j] = T0[j + k - up, j]
+    band = np.zeros((bw + 1, ncols), dtype=complex)
+    for j, col in enumerate(_band(op, N, DOUBLE)):
+        for i, v in col:
+            band[i - j + up, j] = v
+    kd = op.upper_bandwidth                   # band row of the diagonal
+    panel = max(2 * bw, 8)
+    blocks, diag = _panels(band, up, kd, ncols, panel)
+    chunk = max(1, BATCH_BYTES // (16 * len(blocks) * (panel ** 2 + bw ** 2)))
+    out = np.empty(len(zs))
+    with np.errstate(all="ignore"):
+        for a in range(0, len(zs), chunk):
+            z = zs[a:a + chunk]
+            dinv, corner, singular = _panel_qr(blocks, diag, z, lo, bw)
+            sig = _inverse_iteration(band, kd, z, dinv, corner, ncols)
+            sig[singular] = np.nan
+            out[a:a + chunk] = sig
+    for i in np.flatnonzero(~np.isfinite(out)):
+        out[i] = sigma_min(op, zs[i], N, DOUBLE)[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

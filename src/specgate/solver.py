@@ -25,7 +25,6 @@ separation of the certified disks is enforced.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,7 +35,7 @@ from mpmath import mp
 from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
-from .sigma import gamma, right_vector, sigma_min
+from .sigma import banded_sigma_batch, gamma, right_vector, sigma_min
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
                      verified_residual)
@@ -81,13 +80,14 @@ class GridResult:
 
 
 def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
-                        ctx: PrecisionContext = DOUBLE,
-                        parallelism: Optional[int] = None) -> GridResult:
+                        ctx: PrecisionContext = DOUBLE) -> GridResult:
     """gamma_N on a rectangular grid; rows follow the imaginary axis.
 
     Each value upper-bounds the inverse resolvent norm, so sublevel sets of
-    the output are subsets of the true pseudospectrum.  Nodes are
-    independent; evaluation parallelizes across a thread pool.
+    the output are subsets of the true pseudospectrum.  A double grid over
+    a banded spec is computed in batches of shifts
+    (:func:`~specgate.sigma.banded_sigma_batch`); other grids evaluate
+    gamma node by node.
     """
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
@@ -96,16 +96,10 @@ def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
     points = [complex(r, i) for i in ims for r in res]
-
-    def val(z):
-        return float(gamma(op, z, N, ctx))
-
-    workers = parallelism if parallelism else None
-    if workers == 1 or not ctx.is_double:
-        values = [val(z) for z in points]
+    if ctx.is_double and op.banded:
+        values = banded_sigma_batch(op, points, N)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            values = list(ex.map(val, points))
+        values = [float(gamma(op, z, N, ctx)) for z in points]
     grid = np.array(values).reshape(ny, nx)
     return GridResult(tuple(region), (nx, ny), grid, N, op.id)
 
@@ -222,10 +216,22 @@ def _default_target_radius(ctx: PrecisionContext):
     return 10.0 ** (-(ctx.digits // 2))
 
 
+def _residual_target(model: LTPModel, m: int, target):
+    """Residual bound that certifies strip index m within ``target``.
+
+    g = 0.45 target / (2 kappa(m) + c_m target) keeps c_m g below 0.45, and
+    dist_bound's 2 kappa g / (1 - c_m g) is then
+    0.9 kappa target / (2 kappa + 0.55 c_m target) < target / 2.  A big
+    float when either constant is past the double range.
+    """
+    return 0.45 * target / (2.0 * model.kappa_bound(m)
+                            + model.c_bound(m) * target)
+
+
 def _verification_digits(n: int, ctx: PrecisionContext, eps_target) -> int:
     need = 25
     if eps_target > 0:
-        need = max(need, int(math.ceil(-math.log10(eps_target))) + 12)
+        need = max(need, int(mpmath.ceil(-mpmath.log10(eps_target))) + 12)
     base = 16 if ctx.is_double else ctx.digits
     return max(base, guard_digits(n), need)
 
@@ -296,13 +302,10 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
     prev_sup = None
     for n in range(1, n_max + 1):
         m_eff = n + 1
-        kap_eff = model.kappa_bound(m_eff)
-        eps_target = 0.45 * target / (2.0 * kap_eff) if not math.isinf(kap_eff) \
-            else 0.0
-        if eps_target <= 0:
+        eps_target = _residual_target(model, m_eff, target)
+        if not eps_target > 0:
             raise CertificationError(
-                f"target radius {target} unreachable for index {n}: "
-                "inversion constant overflows")
+                f"target radius {target} unreachable for index {n}")
         digits_v = _verification_digits(n, ctx, eps_target)
         bracket = _bracket_for(model, n, prev_sup)
 
@@ -350,7 +353,8 @@ def _escalate_N(attempts, eps_target, N, cap):
         if e2 > 0 and e1 > e2 and N2 > N1:
             slope = (math.log10(e1) - math.log10(e2)) / (N2 - N1)
             if slope > 1e-4:
-                need = (math.log10(e2) - math.log10(eps_target)) / slope
+                need = (math.log10(e2) - float(mpmath.log10(eps_target))) \
+                    / slope
                 fitted = int(math.ceil(N2 + 1.15 * need))
                 return min(cap, max(fitted, int(1.3 * N)))
     return min(cap, max(2 * N, N + 50))

@@ -80,7 +80,11 @@ def tail_padding(op: OperatorSpec, N: int, eps: float) -> int:
 
 
 def _block_geometry(op: OperatorSpec, N: int):
-    """(rows, cols, row_start, col_start, k, tail_defect) for a truncation."""
+    """(rows, cols, row_start, col_start, k, tail_defect) for a truncation.
+
+    A long-range spec's padding comes from the linear search of
+    :func:`tail_padding`, so its geometry is memoized per (op, N).
+    """
     if op.banded:
         if op.index_domain == NATURALS:
             rows, cols = N + op.lower_bandwidth, N
@@ -90,16 +94,40 @@ def _block_geometry(op: OperatorSpec, N: int):
         return rows, cols, -(N + op.upper_bandwidth), -N, rows - cols, 0.0
     if op.tail_bound is None:
         raise StructureError(f"{op.id}: unbounded bands and no tail bound")
-    m = tail_padding(op, N, 2.0 ** -N)
-    # widen the float-evaluated bound a touch so it stays an upper bound
-    defect = op.tail_bound(N, m) * (1.0 + 1e-12)
-    if op.index_domain == INTEGERS:
-        cols = 2 * N + 1
-        rows = 2 * (N + m) + 1
-        return rows, cols, -(N + m), -N, rows - cols, defect
-    rows, cols = N + m, N
-    return rows, cols, 0, 0, m, defect
 
+    def build():
+        m = tail_padding(op, N, 2.0 ** -N)
+        # widen the float-evaluated bound a touch so it stays an upper bound
+        defect = op.tail_bound(N, m) * (1.0 + 1e-12)
+        if op.index_domain == INTEGERS:
+            cols = 2 * N + 1
+            rows = 2 * (N + m) + 1
+            return rows, cols, -(N + m), -N, rows - cols, defect
+        return N + m, N, 0, 0, m, defect
+
+    return _memo(_geometry_cache, GEOMETRY_CACHE_LIMIT, op, (N,), build)
+
+
+def _memo(cache: dict, limit: int, op: OperatorSpec, key: tuple, build):
+    """build(), memoized in cache per (op, *key); the cache is emptied when
+    a new entry would exceed limit.  Entries keep their operator object, so
+    a recycled id() is not a hit."""
+    key = (id(op),) + key
+    hit = cache.get(key)
+    if hit is not None and hit[0] is op:
+        return hit[1]
+    value = build()
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = (op, value)
+    return value
+
+
+#: Long-range block geometries, per operator object and N.  Each is a
+#: tuple of six numbers; kept apart from _base_cache so that they never
+#: evict a band.
+_geometry_cache: dict = {}
+GEOMETRY_CACHE_LIMIT = 64
 
 #: Unshifted truncations and bands, per operator object.  A band at N = 200
 #: and 30 digits takes 0.2-0.8 MB, so the cache holds at most CACHE_LIMIT
@@ -112,15 +140,7 @@ CACHE_LIMIT = 3
 
 def _cached(op: OperatorSpec, key: tuple, build):
     """build(), memoized in _base_cache per (op, *key)."""
-    key = (id(op),) + key
-    hit = _base_cache.get(key)
-    if hit is not None and hit[0] is op:
-        return hit[1]
-    value = build()
-    if len(_base_cache) >= CACHE_LIMIT:
-        _base_cache.clear()
-    _base_cache[key] = (op, value)
-    return value
+    return _memo(_base_cache, CACHE_LIMIT, op, key, build)
 
 
 def _rotate(re, im, k: int):

@@ -8,6 +8,8 @@ import jsonschema
 
 from specgate.cli import main
 
+SCHEMA = json.loads(files("specgate").joinpath(
+    "schemas/enclosure.schema.json").read_text())
 GRID = ["pseudospectrum", "--op", "harmonic", "--region", "0", "4", "-1", "1",
         "--resolution", "5", "3", "--N", "10"]
 
@@ -44,9 +46,7 @@ def test_eigs_exits_0_with_a_schema_valid_report(tmp_path):
     assert main(["eigs", "--op", "harmonic", "--n", "2",
                  "--output", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
-    schema = json.loads(files("specgate").joinpath(
-        "schemas/enclosure.schema.json").read_text())
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, SCHEMA)
     assert [e["n"] for e in report["enclosures"]] == [1, 2]
 
 
@@ -73,6 +73,7 @@ def test_lattice_candidates_round_trip(tmp_path):
 
     assert len(disks(report)) == 2
     assert disks(out) == disks(report)
+    jsonschema.validate(json.loads(out.read_text(encoding="utf-8")), SCHEMA)
 
 
 def test_certify_junk_candidate_exits_2(tmp_path, capsys):

@@ -8,15 +8,17 @@ import pytest
 from mpmath import mp
 
 from specgate import DOUBLE, bigfloat
-from specgate.ltp import cubic_ltp_model, harmonic_ltp_model
+from specgate.ltp import cubic_ltp_model, dist_bound, harmonic_ltp_model
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
-from specgate.sigma import gamma, right_vector
-from specgate.solver import (MultiMinimumError, bootstrap_certify,
+from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
+from specgate.solver import (MultiMinimumError, _residual_target,
+                             bootstrap_certify,
                              condition_number, evaluate_eigenfunction,
                              locate_minimum, pseudospectrum_grid,
                              square_spectrum_demo, subspace_angle)
+from specgate.truncation import rectangular
 
 from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES,
                    LATTICE_PRINT_SLACK, fit_slope, sigma_noise_allowance)
@@ -122,7 +124,7 @@ def test_bootstrap_lattice_meets_reference_values():
 
 def test_grid_minimum_near_harmonic_eigenvalue(harmonic):
     g = pseudospectrum_grid(harmonic, (0.0, 4.0, -1.0, 1.0), (17, 9), 20,
-                            DOUBLE, parallelism=1)
+                            DOUBLE)
     iy, ix = np.unravel_index(np.argmin(g.values), g.values.shape)
     res = np.linspace(0, 4, 17)
     assert min(abs(res[ix] - 1.0), abs(res[ix] - 3.0)) < 0.3
@@ -135,6 +137,55 @@ def test_grid_shape_and_monotonicity(cubic):
     assert g150.values.shape == (7, 9)
     allow = sigma_noise_allowance(300, 13.0)
     assert np.all(g300.values <= g150.values + allow)
+
+
+CUBIC_GRID = ((0.0, 12.0, -4.0, 4.0), (7, 5))
+
+
+@pytest.fixture(scope="module", params=[150, 450])
+def cubic_grid(request, cubic):
+    """(N, nodes, values) of a batched cubic grid; at both sizes the 35
+    nodes span more than one chunk of shifts."""
+    (re_min, re_max, im_min, im_max), (nx, ny) = CUBIC_GRID
+    g = pseudospectrum_grid(cubic, *CUBIC_GRID, request.param, DOUBLE)
+    nodes = [complex(r, i) for i in np.linspace(im_min, im_max, ny)
+             for r in np.linspace(re_min, re_max, nx)]
+    return request.param, nodes, g.values.ravel()
+
+
+def test_grid_is_independent_of_chunking(cubic, cubic_grid):
+    N, nodes, values = cubic_grid
+    for z, v in zip(nodes, values):
+        assert banded_sigma_batch(cubic, [z], N)[0] == v, z
+
+
+def test_grid_matches_dense_svd(cubic, cubic_grid):
+    # at most 1e-7 relative above sigma_min (the RTOL stop of inverse
+    # iteration) and at most rounding noise of ||T - z|| below it
+    N, nodes, values = cubic_grid
+    for z, v in zip(nodes, values):
+        s = np.linalg.svd(rectangular(cubic, z, N, DOUBLE).matrix,
+                          compute_uv=False)
+        assert s[-1] - 100 * 2.0 ** -52 * s[0] <= v <= s[-1] * (1 + 1e-7), z
+
+
+@pytest.mark.parametrize("N", [10, 450])
+def test_grid_exact_zero_pivots_take_the_single_shift_path(harmonic, N):
+    # nodes 1 and 3 are eigenvalues of the diagonal oracle: the batch meets
+    # an exact zero pivot there and hands the shift to sigma_min
+    g = pseudospectrum_grid(harmonic, (0.0, 4.0, -1.0, 1.0), (5, 3), N,
+                            DOUBLE)
+    for ix in (1, 3):
+        assert g.values[1, ix] == sigma_min(harmonic, float(ix), N, DOUBLE)[0]
+
+
+def test_residual_target_leaves_half_the_radius():
+    # the bootstrap's residual target keeps the radius within half the
+    # target at every strip index, also where c_m binds (from m = 5 at
+    # T = 1e-8, a target from kappa alone has c_m g >= 1: no finite bound)
+    model, T = cubic_ltp_model(), 1e-8
+    for m in range(2, 102):
+        assert dist_bound(_residual_target(model, m, T), m, model) <= T / 2, m
 
 
 def test_grid_resolution_validation(cubic):

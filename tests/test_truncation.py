@@ -7,12 +7,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from specgate import DOUBLE, bigfloat
+from specgate import DOUBLE, bigfloat, truncation
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
-from specgate.truncation import (TailError, _band, normal_truncation,
-                                 rectangular, square, tail_padding)
+from specgate.truncation import (TailError, _band, _block_geometry,
+                                 normal_truncation, rectangular, square,
+                                 tail_padding)
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +200,21 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
             for j, (col, rcol) in enumerate(zip(band, rot or [])):
                 for (i, v), (_, r) in zip(col, rcol):
                     assert unit ** (j - i) * v == r
+
+
+def test_longrange_geometry_searches_its_padding_once(monkeypatch):
+    # the padding search runs once per (operator object, N)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return tail_padding(*args)
+
+    monkeypatch.setattr(truncation, "tail_padding", counting)
+    op = lattice_longrange_operator()
+    first = _block_geometry(op, 12)
+    assert _block_geometry(op, 12) == first
+    assert len(calls) == 1
+    _block_geometry(op, 13)
+    assert _block_geometry(lattice_longrange_operator(), 12) == first
+    assert len(calls) == 3
