@@ -143,7 +143,9 @@ class _BoxMPLib:
 
     @staticmethod
     def square(x):
-        return x * x
+        # x * x would treat the factors as independent and give a negative
+        # lower endpoint when x straddles zero
+        return x ** 2
 
     @staticmethod
     def lower(x):

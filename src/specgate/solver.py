@@ -5,8 +5,10 @@ The certification flow for operators with real spectra (bootstrap order):
 1. bracket the n-th eigenvalue from asymptotic midpoints, intersected with
    previously certified enclosures (float stage only - no rigor rests on
    the asymptotics, whose remainder constant is unquantified);
-2. locate the minimum of gamma_N by golden-section search, at working
-   precision chosen by the guard-digit rule;
+2. localize the minimum of gamma_N in doubles by golden-section search,
+   then refine the pair (z, v) that minimizes the rectangular residual by
+   bordered Gauss-Newton (one double factorization, residuals in big
+   floats at the guard-digit working precision);
 3. scan the gap below the candidate on a mesh of step gap_floor/8 and
    require every mesh point's distance bound to exceed the step - the
    documented missed-eigenvalue test (an eigenvalue inside the gap would
@@ -36,6 +38,7 @@ from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
 from .sigma import banded_sigma_batch, gamma, right_vector, sigma_min
+from .truncation import _band, _block_geometry, _rotate
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
                      verified_residual)
@@ -119,38 +122,25 @@ class EigenpairResult:
 
 
 def _golden_section(f, a, b, tol):
-    """Golden-section descent; returns (argmin, evaluations).
+    """Golden-section descent in doubles; returns (argmin, evaluations).
 
-    Interior points are reused in the standard way, which amplifies any
-    representation error of the ratio by 1/ratio per step - harmless over
-    the ~40 iterations a double tolerance needs, but fatal for the deep
-    big-float searches here (hundreds of iterations).  The ratio is
-    therefore taken at the ambient precision of the bracket, and the
-    points are re-seeded whenever their ordering degrades.
+    Interior points are reused in the standard way.  Each reuse carries the
+    rounding of the ratio along, which is harmless over the few dozen steps
+    a double tolerance needs.
     """
-    if isinstance(a, mpmath.mpf) or isinstance(b, mpmath.mpf):
-        ratio = (mpmath.sqrt(mpmath.mpf(5)) - 1) / 2
-    else:
-        ratio = GOLDEN
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
     fc = f(c)
     fd = f(d)
     evals = 2
     while (b - a) > tol:
-        if not (a < c < d < b):
-            c = b - ratio * (b - a)
-            d = a + ratio * (b - a)
-            fc = f(c)
-            fd = f(d)
-            evals += 2
         if fc < fd:
             b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
+            c = b - GOLDEN * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
+            d = a + GOLDEN * (b - a)
             fd = f(d)
         evals += 1
     return (a + b) / 2, evals
@@ -315,8 +305,7 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
         z_loc = None
         while True:
             N = min(N, cap)
-            z_loc, v_cand, eps_hat = _locate_candidate(
-                op, model, bracket, N, ctx, digits_v, eps_target, z_loc, n)
+            z_loc, v_cand = _locate_candidate(op, bracket, N, digits_v, z_loc)
             bound = verified_residual(op, z_loc, v_cand, bigfloat(digits_v))
             eps_cert = bound.hi
             radius = dist_bound(eps_cert, m_eff, model, ctx)
@@ -360,41 +349,115 @@ def _escalate_N(attempts, eps_target, N, cap):
     return min(cap, max(2 * N, N + 50))
 
 
-def _locate_candidate(op, model, bracket, N, ctx, digits_v, eps_target,
-                      z_prev, index_n):
-    """Double-precision localization, big-float refinement, vector polish.
+def _locate_candidate(op, bracket, N, digits_v, z_prev):
+    """Candidate (z, v) at truncation size N: localize, then refine.
 
-    The double stage localizes the minimizer only to within roughly
-    kappa * (LAPACK sigma noise), so the big-float refinement bracket is
-    sized by the condition-number bound; a result pinned at a bracket edge
-    triggers re-expansion.
+    The first attempt at an index localizes the minimizer of double gamma
+    by golden section (:func:`locate_minimum`); an escalated attempt starts
+    from the previous attempt's center.  Either start, with the double
+    right singular vector at size N, is refined by bordered Gauss-Newton
+    (:func:`_refine_eigenpair`).  Nothing here is trusted: the caller
+    verifies the residual on the rectangular truncation.
     """
     if z_prev is None:
         loc = locate_minimum(op, bracket, min(N, 600), 1e-9)
-        z = float(loc.z_N)
+        z0 = float(loc.z_N)
+        v0 = loc.f_N if loc.N == N else right_vector(op, z0, N, DOUBLE)
     else:
-        z = float(z_prev)
-    kap = model.kappa_bound(index_n)
-    half0 = max(1e-8 * max(1.0, abs(z)),
-                min(0.4 * model.gap_floor,
-                    (kap if math.isfinite(kap) else 1e12) * 1e-9))
+        z0 = float(z_prev)
+        v0 = right_vector(op, z0, N, DOUBLE)
+    return _refine_eigenpair(op, N, z0, v0, digits_v)
+
+
+#: Gauss-Newton steps of :func:`_refine_eigenpair`, at most.
+NEWTON_MAXIT = 10
+
+
+def _refine_eigenpair(op, N, z0, v0, digits_v):
+    """Candidate (Re z, v) at truncation size N, refined from the double
+    start (z0, v0) by Gauss-Newton.
+
+    (v, z) minimizes ||F||, F = [(T - z E) v ; c^T v - 1] with c = conj(v0),
+    over the rectangular truncation T of H (E puts the identity in the
+    square block's rows).  That is the residual the bootstrap verifies,
+    spill rows included; the square block's eigenpair leaves 2.7 times the
+    minimum there at the cubic's fourth eigenvalue (N = 200).  The Jacobian
+    is frozen at J0 = [[T - z0 E, -E v0], [c^T, 0]] and pseudo-inverted
+    once in doubles; F is evaluated and (v, z) updated in big floats at
+    digits_v + 5.  The steps stop when F vanishes, when one fails to halve
+    ||F||_inf (the floor of the truncation or of the precision), or after
+    NEWTON_MAXIT.
+
+    On the real rotated band (W^-1 H W, W = diag(i^m)), when the operator
+    has one, v0 is rotated in and divided by the phase of its largest entry
+    before its real part is taken; otherwise z is complex.  v comes back in
+    the operator's basis as mpc values.
+    """
     work = bigfloat(digits_v + 5)
-    with mp.workdps(digits_v + 5):
-        tol = mpmath.mpf(eps_target) / 2
+    rows, cols, row0, col0, _, _ = _block_geometry(op, N)
+    d = col0 - row0  # array row of column jc's diagonal entry is jc + d
+    band = _band(op, N, work, rotated=True)
+    rotated = band is not None
+    if not rotated:
+        band = _band(op, N, work)
+    num = mpmath.mpf if rotated else mpmath.mpc
 
-        def fmp(t):
-            return gamma(op, t, N, work)
+    w0 = np.asarray(v0, dtype=complex)
+    if rotated:
+        w0 = np.array([complex(*_rotate(t.real, t.imag, -(col0 + m)))
+                       for m, t in enumerate(w0)])
+    big = w0[np.argmax(np.abs(w0))]
+    w0 = w0 * (abs(big) / big)
+    if rotated:
+        w0 = w0.real
+    w0 = w0 / np.linalg.norm(w0)
+    c = w0.conj()
+    diag = np.arange(cols)
+    # complex also for the real rotated band: the double stage's other
+    # LAPACK calls are complex, and a real SVD pages in a second set of
+    # kernels (0.9 MB more resident memory for eigs --op cubic --n 3)
+    J0 = np.zeros((rows + 1, cols + 1), dtype=complex)
+    for jc, col in enumerate(band):
+        for i, a in col:
+            J0[i, jc] = complex(a)
+    J0[diag + d, diag] -= z0
+    J0[diag + d, cols] = -w0
+    J0[rows, :cols] = c
+    J0pinv = np.linalg.pinv(J0)
 
-        half = mpmath.mpf(half0)
-        for _ in range(3):
-            lo = mpmath.mpf(z) - half
-            hi = mpmath.mpf(z) + half
-            zm, _ = _golden_section(fmp, lo, hi, tol)
-            if zm - lo > 3 * tol and hi - zm > 3 * tol:
+    with work.workprec():
+        cm = [num(t) for t in c]
+
+        def residual(v, z):
+            r = [num(0)] * rows
+            for jc, (t, col) in enumerate(zip(v, band)):
+                for i, a in col:
+                    r[i] += a * t
+                r[jc + d] -= z * t
+            r.append(mpmath.fdot(cm, v) - 1)
+            return r, max(abs(t) for t in r)
+
+        v = [num(t) for t in w0]
+        z = num(z0)
+        r, rn = residual(v, z)
+        for _ in range(NEWTON_MAXIT):
+            if not rn > 0:
                 break
-            half = half * 128  # minimum pinned at an edge: widen and retry
-        sig, v = sigma_min(op, zm, N, bigfloat(digits_v), want_vector=True)
-        return zm, v, sig
+            step = J0pinv @ np.array([complex(t / rn) for t in r])
+            if rotated:
+                step = step.real
+            v_new = [t - num(s) * rn for t, s in zip(v, step)]
+            z_new = z - num(step[cols]) * rn
+            r_new, rn_new = residual(v_new, z_new)
+            if not rn_new < rn:
+                break
+            halved = rn_new <= rn / 2
+            v, z, r, rn = v_new, z_new, r_new, rn_new
+            if not halved:
+                break
+        if rotated:
+            v = [mpmath.mpc(*_rotate(t, 0, col0 + m)) for m, t in enumerate(v)]
+        return (z if rotated else z.real), v
 
 
 # ---------------------------------------------------------------------------

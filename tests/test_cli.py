@@ -5,6 +5,7 @@ import json
 from importlib.resources import files
 
 import jsonschema
+import mpmath
 
 from specgate.cli import main
 
@@ -56,6 +57,25 @@ def test_plugin_eigs_without_model_exits_1(tmp_path, capsys):
         "id": "diag", "bands": [{"offset": 0, "coefficient": "2*n + 1"}]}))
     assert main(["eigs", "--plugin", str(plugin)]) == 1
     assert "--model" in capsys.readouterr().err
+
+
+def test_plugin_eigs_with_a_builtin_model(tmp_path):
+    # the diagonal plugin is the harmonic oracle under another name
+    plugin, out = tmp_path / "plugin.json", tmp_path / "diag.json"
+    plugin.write_text(json.dumps({
+        "id": "diag", "bands": [{"offset": 0, "coefficient": "2*n + 1"}],
+        "symmetry": ["ComplexSymmetric", "RealSpectrumExpected"]}))
+    assert main(["eigs", "--plugin", str(plugin), "--model",
+                 '{"type": "builtin", "id": "harmonic"}', "--n", "3",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(report, SCHEMA)
+    encs = report["enclosures"]
+    assert [e["n"] for e in encs] == [1, 2, 3]
+    with mpmath.workdps(40):
+        for e, value in zip(encs, (1, 3, 5)):
+            assert abs(mpmath.mpf(e["center"]) - value) \
+                <= mpmath.mpf(e["radius"])
 
 
 def test_lattice_candidates_round_trip(tmp_path):

@@ -13,15 +13,17 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
-from specgate.solver import (MultiMinimumError, _residual_target,
-                             bootstrap_certify,
+from specgate.solver import (MultiMinimumError, _refine_eigenpair,
+                             _residual_target, bootstrap_certify,
                              condition_number, evaluate_eigenfunction,
                              locate_minimum, pseudospectrum_grid,
                              square_spectrum_demo, subspace_angle)
-from specgate.truncation import rectangular
+from specgate.truncation import _band, rectangular, square
+from specgate.verify import verified_residual
 
 from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES,
-                   LATTICE_PRINT_SLACK, fit_slope, sigma_noise_allowance)
+                   LATTICE_PRINT_SLACK, band_plugin, fit_slope,
+                   sigma_noise_allowance)
 
 LAMBDA_1 = float(mpmath.mpf(CUBIC_EIGENVALUES[0]))
 LAMBDA_5 = float(mpmath.mpf(CUBIC_EIGENVALUES[4]))
@@ -68,6 +70,47 @@ def test_locate_minimum_argmin_stable(cubic):
     assert abs(res.z_N - res2.z_N) < tol
 
 
+# -- eigenpair refinement ---------------------------------------------------
+
+@pytest.mark.parametrize("phase", [1, -1, 1j, np.exp(0.7j)])
+def test_refine_eigenpair_harmonic_oracle(harmonic, phase):
+    # the rotation i^-m turns a real start vector at odd m into an
+    # imaginary one: its phase must be fixed before the real part is taken
+    v0 = np.zeros(40, dtype=complex)
+    v0[1], v0[2] = phase, 1e-8 * phase
+    z, v = _refine_eigenpair(harmonic, 40, 3 + 1e-7, v0, 30)
+    with mp.workdps(40):
+        assert abs(z - 3) < mpmath.mpf("1e-25")
+        assert max(abs(t) for m, t in enumerate(v) if m != 1) \
+            < mpmath.mpf("1e-25") * abs(v[1])
+
+
+def test_refine_eigenpair_complex_band():
+    # a real symmetric plugin whose rotated band is not real: the refinement
+    # runs on the complex band; the spill row's residual is negligible at
+    # N = 20, so it reaches the square block's eigenvalue
+    op = band_plugin({0: "2*n + 1", 1: "1/2", -1: "1/2"})
+    N = 20
+    assert _band(op, N, bigfloat(35), rotated=True) is None
+    lam = np.linalg.eigvalsh(square(op, 0.0, N, DOUBLE).real)[1]
+    z0 = lam + 1e-7
+    z, v = _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE), 30)
+    assert abs(float(z) - lam) < 1e-12
+    with mp.workdps(40):
+        r = rectangular(op, z, N, bigfloat(40)).matrix * mpmath.matrix(v)
+        assert mpmath.norm(r, mpmath.inf) <= mpmath.mpf("1e-25")
+
+
+def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
+    # rotated back to the operator's basis, the refined vector has a small
+    # verified residual on the rectangular truncation, spill rows included
+    loc = locate_minimum(cubic, (0.5, 2.6), 200, 1e-9)
+    z, v = _refine_eigenpair(cubic, 200, loc.z_N, loc.f_N, 30)
+    with mp.workdps(40):
+        assert abs(z - mpmath.mpf(CUBIC_EIGENVALUES[0])) < 1e-14
+    assert verified_residual(cubic, z, v, bigfloat(30)).hi < 1e-15
+
+
 # -- bootstrap --------------------------------------------------------------
 
 def test_bootstrap_harmonic_oracle(harmonic):
@@ -85,18 +128,29 @@ def test_bootstrap_harmonic_oracle(harmonic):
 
 @pytest.fixture(scope="module")
 def cubic_encs(cubic):
-    """bootstrap_certify(cubic, 3) at double precision, shared by the tests
-    below (each call takes about 15 s)."""
-    return bootstrap_certify(cubic, cubic_ltp_model(), 3, DOUBLE)
+    """bootstrap_certify(cubic, 8) at double precision, shared by the tests
+    below.  From index 5 on, N escalates and c_m binds the residual target.
+    The call takes about 30 s."""
+    return bootstrap_certify(cubic, cubic_ltp_model(), 8, DOUBLE)
+
+
+#: Radii that the big-float golden-section localization certified for the
+#: first eight cubic eigenvalues; the bordered Gauss-Newton refinement must
+#: not certify wider disks.
+GOLDEN_SECTION_RADII = (2.364e-10, 2.432e-11, 6.857e-12, 8.679e-11,
+                        8.981e-17, 1.877e-18, 2.344e-21, 1.136e-24)
 
 
 def test_bootstrap_cubic_double(cubic_encs):
     encs = cubic_encs
+    assert [e.index_n for e in encs] == list(range(1, 9))
     with mp.workdps(40):
         for e, ref in zip(encs, CUBIC_EIGENVALUES):
             assert float(e.radius) <= 1e-8
             assert e.contains(mpmath.mpf(ref))
             assert e.gap_index_m == e.index_n + 1
+    for e, wide in zip(encs, GOLDEN_SECTION_RADII):
+        assert float(e.radius) <= wide
     assert encs[0].residual_upper < 1e-8
 
 

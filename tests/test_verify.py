@@ -45,6 +45,19 @@ def test_exact_eigenpair_residual(harmonic):
     assert b.lo >= 0.0
 
 
+def test_residual_rows_straddling_zero():
+    # z = sqrt(2) to 60 digits lies inside the 30-digit enclosure of the
+    # entry sqrt(2): the residual row straddles zero, and its square must
+    # not reach below it
+    op = band_plugin({0: "sqrt(n + 1)"})
+    with mp.workdps(60):
+        z = mpmath.sqrt(2)
+    v = np.zeros(6, dtype=complex)
+    v[1] = 1.0
+    b = verified_residual(op, z, v, bigfloat(30))
+    assert 0 <= b.lo <= b.hi < 1e-29
+
+
 def test_residual_upper_bounds_lower(cubic):
     v = right_vector(cubic, 4.0, 40, DOUBLE)
     b = verified_residual(cubic, 4.0, v, DOUBLE)
