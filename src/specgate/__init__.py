@@ -6,46 +6,42 @@ inside a rigorous enclosure by combining interval-arithmetic residual
 bounds with per-operator resolvent inversion constants.
 """
 
-from .intervals import CIBox, Interval, IntervalError, norm2
+from .intervals import CIBox, Interval, IntervalError
 from .ltp import (GAP_FLOOR_CUBIC, GapMembershipError, LTPModel, c_of_m,
-                  cubic_ltp_model, dist_bound, generalized_dist_bound,
-                  harmonic_ltp_model, kappa_bound, lambda_asymptotic,
-                  lattice_ltp_model, model_for_operator, model_from_json,
-                  resolvent_bound)
-from .operators import (OperatorSpec, apply_column, harmonic_oscillator_operator,
+                  cubic_ltp_model, dist_bound, harmonic_ltp_model,
+                  kappa_bound, lambda_asymptotic, lattice_ltp_model,
+                  model_for_operator, model_from_json)
+from .operators import (OperatorSpec, harmonic_oscillator_operator,
                         hermite_cubic_operator, lattice_longrange_operator,
                         load_plugin_operator)
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits, parse_precision
-from .sigma import SigmaResult, gamma, left_null_vector, smallest_singular
+from .sigma import gamma, left_null_vector, smallest_singular
 from .solver import (ConditionResult, EigenpairResult, GridResult,
                      GapScanError, MultiMinimumError, bootstrap_certify,
                      condition_number, evaluate_eigenfunction, locate_minimum,
-                     pseudospectrum_grid, square_spectrum_demo, subspace_angle)
-from .truncation import (RectTruncation, TailError, normal_truncation,
-                         rectangular, square, tail_padding)
+                     pseudospectrum_grid, square_spectrum_demo)
+from .truncation import TailError, rectangular, square, tail_padding
 from .verify import (Bound, CertificationError, Enclosure, certify_eigenvalue,
                      eigenvector_error_bound, verified_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CIBox", "Interval", "IntervalError", "norm2",
+    "CIBox", "Interval", "IntervalError",
     "GAP_FLOOR_CUBIC", "GapMembershipError", "LTPModel", "c_of_m",
-    "cubic_ltp_model", "dist_bound", "generalized_dist_bound",
-    "harmonic_ltp_model", "kappa_bound", "lambda_asymptotic",
-    "lattice_ltp_model", "model_for_operator", "model_from_json",
-    "resolvent_bound",
-    "OperatorSpec", "apply_column", "harmonic_oscillator_operator",
+    "cubic_ltp_model", "dist_bound", "harmonic_ltp_model", "kappa_bound",
+    "lambda_asymptotic", "lattice_ltp_model", "model_for_operator",
+    "model_from_json",
+    "OperatorSpec", "harmonic_oscillator_operator",
     "hermite_cubic_operator", "lattice_longrange_operator",
     "load_plugin_operator",
     "DOUBLE", "PrecisionContext", "bigfloat", "guard_digits", "parse_precision",
-    "SigmaResult", "gamma", "left_null_vector", "smallest_singular",
+    "gamma", "left_null_vector", "smallest_singular",
     "ConditionResult", "EigenpairResult", "GridResult", "GapScanError",
     "MultiMinimumError", "bootstrap_certify", "condition_number",
     "evaluate_eigenfunction", "locate_minimum", "pseudospectrum_grid",
-    "square_spectrum_demo", "subspace_angle",
-    "RectTruncation", "TailError", "normal_truncation", "rectangular",
-    "square", "tail_padding",
+    "square_spectrum_demo",
+    "TailError", "rectangular", "square", "tail_padding",
     "Bound", "CertificationError", "Enclosure", "certify_eigenvalue",
     "eigenvector_error_bound", "verified_residual",
 ]

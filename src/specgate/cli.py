@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -20,14 +21,14 @@ from mpmath import mp
 
 from .ltp import GapMembershipError, model_for_operator, model_from_json
 from .operators import BUILTIN_OPERATORS, load_plugin_operator
-from .precision import DOUBLE, parse_precision
+from .precision import bigfloat, parse_precision
 from .sigma import right_vector
 from .solver import (GapScanError, MultiMinimumError, bootstrap_certify,
                      condition_number, evaluate_eigenfunction,
                      pseudospectrum_grid)
 from .truncation import TailError
-from .verify import (CertificationError, certify_eigenvalue, dump_report,
-                     enclosures_to_report)
+from .verify import (CertificationError, _half_width, certify_eigenvalue,
+                     dump_report, enclosures_to_report)
 
 class UsageError(Exception):
     pass
@@ -77,7 +78,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("certify", help="re-certify a stored candidate")
     common(sp)
     sp.add_argument("--candidate", required=True,
-                    help="candidate JSON: {z, m, vector?, N?}")
+                    help="candidate JSON: {z, m, vector?, N?, digits?}; "
+                         "a candidate is checked at no fewer than its "
+                         "digits")
     sp.add_argument("--N", type=int, default=None,
                     help="truncation size when the vector must be recomputed")
 
@@ -151,9 +154,6 @@ def cmd_eigs(args) -> int:
         digits = max((e.precision_digits for e in encs), default=20)
         cands = []
         for e in encs:
-            N_used = args.N or max(200, 40 * e.index_n)
-            v = right_vector(op, e.center, N_used,
-                             ctx if not ctx.is_double else DOUBLE)
             with mp.workdps(digits + 5):
                 if e.is_complex:
                     zc = mpmath.mpc(e.center)
@@ -162,7 +162,9 @@ def cmd_eigs(args) -> int:
                 else:
                     z_ser = mpmath.nstr(mpmath.mpf(e.center), digits)
             cands.append({"n": e.index_n, "z": z_ser, "m": e.gap_index_m,
-                          "N": N_used, "vector": _format_vector(v, digits)})
+                          "N": _half_width(op, len(e.vector)),
+                          "digits": e.precision_digits,
+                          "vector": _format_vector(e.vector, digits)})
         payload = {"op": op.id, "precision": ctx.describe(),
                    "candidates": cands}
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
@@ -198,16 +200,20 @@ def cmd_certify(args) -> int:
     op, model = _resolve_operator(args)
     if model is None:
         raise UsageError("plugin certification needs --model")
-    ctx = parse_precision(args.precision)
+    base = parse_precision(args.precision)
     with open(args.candidate, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if "candidates" in data:
         entries = data["candidates"]
     else:
         entries = [data]
-    digits = 16 if ctx.is_double else ctx.digits
     encs = []
     for entry in entries:
+        ctx = base
+        digits = 16 if ctx.is_double else ctx.digits
+        if int(entry.get("digits", 0)) > digits:
+            digits = int(entry["digits"])
+            ctx = bigfloat(digits)
         z = _parse_candidate_z(entry["z"], digits)
         m = int(entry.get("m", 2))
         if entry.get("vector"):
@@ -219,7 +225,7 @@ def cmd_certify(args) -> int:
             v = right_vector(op, z, N, ctx)
         encs.append(certify_eigenvalue(op, model, z, v, m, ctx,
                                        index_n=entry.get("n", m - 1)))
-    report = enclosures_to_report(encs, op.id, ctx.describe(),
+    report = enclosures_to_report(encs, op.id, base.describe(),
                                   timestamp=_timestamp())
     _write(args, dump_report(report))
     return 0
@@ -233,11 +239,11 @@ def cmd_condition(args) -> int:
     for enc in encs:
         if enc.index_n < args.n_min:
             continue
-        N = args.N or max(200, 40 * enc.index_n)
+        N = args.N or _half_width(op, len(enc.vector))
         res = condition_number(op, enc, N, ctx)
         n = enc.index_n
-        import math as _m
-        rescaled = res.kappa * _m.exp(-n * _m.pi / _m.sqrt(3.0)) * n ** 0.25
+        rescaled = res.kappa * math.exp(-n * math.pi / math.sqrt(3.0)) \
+            * n ** 0.25
         rows.append({"n": n, "kappa": res.kappa, "rescaled": rescaled,
                      "consistency": res.consistency})
     payload = {"operator": op.id, "precision": ctx.describe(),
@@ -250,9 +256,10 @@ def cmd_eigenfunction(args) -> int:
     op, model = _resolve_operator(args)
     ctx = parse_precision(args.precision)
     encs = bootstrap_certify(op, model, args.n, ctx)
-    enc = encs[args.n - 1]
-    N = max(200, 40 * args.n)
-    v = right_vector(op, enc.center, N, DOUBLE)
+    # the certified vector, at unit norm and real at its largest coefficient
+    v = np.array([complex(t) for t in encs[args.n - 1].vector])
+    big = v[np.argmax(np.abs(v))]
+    v = v * (abs(big) / big) / np.linalg.norm(v)
     xs = np.linspace(args.x_min, args.x_max, args.samples)
     samples = evaluate_eigenfunction(v, xs)
     lines = ["x,re_psi,im_psi"]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import mpmath
 from mpmath import iv as _iv
 
@@ -171,22 +169,8 @@ class CIBox:
 
     __rmul__ = __mul__
 
-    def abs2(self) -> Interval:
-        return self.re.square() + self.im.square()
-
     def contains(self, z: complex) -> bool:
         return self.re.contains(z.real) and self.im.contains(z.imag)
-
-
-def norm2(vec: Sequence) -> Interval:
-    """Rigorous euclidean norm of a vector of CIBox/Interval entries."""
-    total = Interval.point(0.0)
-    for entry in vec:
-        if isinstance(entry, CIBox):
-            total = total + entry.abs2()
-        else:
-            total = total + Interval.from_any(entry).square()
-    return total.sqrt()
 
 
 # ---------------------------------------------------------------------------

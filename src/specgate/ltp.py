@@ -4,8 +4,8 @@ An :class:`LTPModel` packages, per operator, everything the certification
 pipeline needs to turn a rigorous residual into a rigorous eigenvalue
 enclosure: a growth bound for spectral-projection norms (kappa_bound), the
 strip constant c_m absorbing far poles and the semigroup part, an eigenvalue
-asymptotic for bracket seeding, the multiplicity exponent, and the minimal
-spacing between consecutive eigenvalues.
+asymptotic for bracket seeding, and the minimal spacing between consecutive
+eigenvalues.
 
 For the cubic oscillator the concrete formulas are::
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath
 from mpmath import iv as _iv
@@ -141,7 +141,6 @@ class LTPModel:
     kappa_iv: Callable[[int], object]
     c_iv: Callable[[int], object]
     lambda_asymptotic: Optional[Callable[[int], float]] = None
-    multiplicity_p: int = 1
     gap_floor: float = GAP_FLOOR_CUBIC
     hypotheses: tuple = (KAPPA_HYPOTHESIS_TAG,)
     meta: dict = field(default_factory=dict)
@@ -169,14 +168,13 @@ def cubic_ltp_model() -> LTPModel:
         kappa_iv=_kappa_iv,
         c_iv=_c_iv,
         lambda_asymptotic=lambda n: lambda_asymptotic(n),
-        multiplicity_p=1,
         gap_floor=GAP_FLOOR_CUBIC,
         meta={"type": "builtin", "id": "cubic"},
     )
 
 
 def constant_ltp_model(model_id: str, kappa: float, c: float = 0.0,
-                       p: int = 1, gap_floor: float = GAP_FLOOR_CUBIC,
+                       gap_floor: float = GAP_FLOOR_CUBIC,
                        lam: Optional[Callable[[int], float]] = None,
                        hypotheses: tuple = (KAPPA_HYPOTHESIS_TAG,),
                        meta: Optional[dict] = None) -> LTPModel:
@@ -193,12 +191,11 @@ def constant_ltp_model(model_id: str, kappa: float, c: float = 0.0,
         kappa_iv=k_iv,
         c_iv=cc_iv,
         lambda_asymptotic=lam,
-        multiplicity_p=p,
         gap_floor=gap_floor,
         hypotheses=hypotheses,
         meta=meta if meta is not None else
         {"type": "constant", "id": model_id, "kappa": kappa, "c": c,
-         "p": p, "gap_floor": gap_floor},
+         "gap_floor": gap_floor},
     )
 
 
@@ -206,7 +203,7 @@ def harmonic_ltp_model() -> LTPModel:
     # normal operator: projection norms are exactly 1, no strip constant,
     # and the "asymptotic" eigenvalue formula is exact
     return constant_ltp_model(
-        "harmonic", kappa=1.0, c=0.0, p=1, gap_floor=2.0,
+        "harmonic", kappa=1.0, c=0.0, gap_floor=2.0,
         lam=lambda n: 2.0 * n - 1.0,
         meta={"type": "builtin", "id": "harmonic"})
 
@@ -222,7 +219,7 @@ LATTICE_HYPOTHESIS_TAG = "lattice-ltp-constant"
 
 def lattice_ltp_model() -> LTPModel:
     return constant_ltp_model(
-        "lattice", kappa=LATTICE_LTP_CONSTANT, c=0.0, p=1, gap_floor=0.25,
+        "lattice", kappa=LATTICE_LTP_CONSTANT, c=0.0, gap_floor=0.25,
         hypotheses=(KAPPA_HYPOTHESIS_TAG, LATTICE_HYPOTHESIS_TAG),
         meta={"type": "builtin", "id": "lattice"})
 
@@ -250,7 +247,7 @@ def model_from_json(source) -> LTPModel:
     if kind == "constant":
         return constant_ltp_model(
             data["id"], float(data["kappa"]), float(data.get("c", 0.0)),
-            int(data.get("p", 1)), float(data.get("gap_floor", GAP_FLOOR_CUBIC)),
+            float(data.get("gap_floor", GAP_FLOOR_CUBIC)),
             meta=data)
     raise ValueError(f"unknown model type {kind!r}")
 
@@ -291,74 +288,3 @@ def dist_bound(gamma_upper, m: int, model: Optional[LTPModel] = None,
             return math.inf
         val = 2 * kb * giv / denom
         return _upper_out(val, ctx)
-
-
-def generalized_dist_bound(eps, C_K: float, p: int,
-                           ctx: Optional[PrecisionContext] = None):
-    """Distance bound C_K * eps^(1/p) for multiplicity-p clusters, upward."""
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if C_K <= 0:
-        raise ValueError("C_K must be positive")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if eps == 0:
-        return 0.0
-    with MPIntervalScope(_scope_digits(ctx)):
-        e = _iv.mpf(eps)
-        base = _iv.mpf(C_K) * _iv.exp(_iv.log(e) / p)
-        return _upper_out(base, ctx)
-
-
-def _enclosure_by_index(enclosures: Sequence, index: int):
-    for enc in enclosures:
-        if getattr(enc, "index_n", None) == index:
-            return enc
-    return None
-
-
-def resolvent_bound(z, m: int, model: LTPModel, certified_lams: Sequence,
-                    ctx: Optional[PrecisionContext] = None):
-    """Two-pole strip bound for the resolvent norm at z, upward rounded.
-
-    Needs certified enclosures for the eigenvalues flanking the strip
-    (indices m-1 and m; the left pole is dropped for m = 1).  Re(z) must lie
-    strictly inside the gap after inflating the enclosures; pole distances
-    are replaced by their certified lower bounds.
-    """
-    if m < 1:
-        raise ValueError("strip index must be >= 1")
-    z_re = z.real if hasattr(z, "real") else z
-    z_im = z.imag if hasattr(z, "imag") else 0.0
-    left = _enclosure_by_index(certified_lams, m - 1) if m > 1 else None
-    right = _enclosure_by_index(certified_lams, m)
-    if m > 1 and left is None:
-        raise ValueError(f"missing certified enclosure for index {m - 1}")
-    if right is None:
-        raise ValueError(f"missing certified enclosure for index {m}")
-    # the leftmost strip has no left pole; the derivation still needs the
-    # shift right of the spectral bottom, hence the Re(z) > 0 requirement
-    lo_edge = float(left.center) + float(left.radius) if left is not None else 0.0
-    hi_edge = float(right.center) - float(right.radius)
-    if not float(z_re) > lo_edge or not float(z_re) < hi_edge:
-        raise GapMembershipError(
-            f"Re(z)={float(z_re)} not strictly inside the certified gap "
-            f"({lo_edge}, {hi_edge})")
-    with MPIntervalScope(_scope_digits(ctx)):
-        total = model.c_iv(m)
-        zre = _iv.mpf(z_re)
-        zim = _iv.mpf(z_im)
-        for idx, enc in ((m - 1, left), (m, right)):
-            if enc is None:
-                continue
-            c = _iv.mpf(enc.center)
-            r = _iv.mpf(enc.radius)
-            dre = abs(zre - c) - r
-            if not iv_lower(dre) >= 0:
-                dre = _iv.mpf(0)
-            d2 = dre * dre + zim * zim
-            if not iv_lower(d2) > 0:
-                raise GapMembershipError(
-                    f"shift overlaps enclosure of eigenvalue {idx}")
-            total = total + model.kappa_iv(idx) / _iv.sqrt(d2)
-        return _upper_out(total, ctx)

@@ -212,11 +212,6 @@ class OperatorSpec:
     def banded(self) -> bool:
         return self.lower_bandwidth is not None and self.upper_bandwidth is not None
 
-    def in_domain(self, index: int) -> bool:
-        if self.index_domain == NATURALS:
-            return index >= 0
-        return True
-
     def band_rows(self, col: int) -> range:
         """Structurally nonzero rows of a column, clipped to the domain."""
         if not self.banded:
@@ -250,27 +245,6 @@ class OperatorSpec:
             symmetry_flags=parent.symmetry_flags,
             entry_box=adj_box,
         )
-
-
-def apply_column(op: OperatorSpec, col: int, ctx: PrecisionContext,
-                 cutoff: Optional[int] = None) -> list[tuple[int, complex]]:
-    """Structurally nonzero (row, value) pairs of one column.
-
-    Banded specs enumerate their band; unbounded specs require ``cutoff``
-    (rows within |row - col| <= cutoff).
-    """
-    if not op.in_domain(col):
-        raise ValueError(f"column {col} outside {op.index_domain} domain")
-    if op.banded:
-        rows = op.band_rows(col)
-    else:
-        if cutoff is None:
-            raise StructureError(f"{op.id}: cutoff required for unbounded bandwidths")
-        lo = col - cutoff
-        if op.index_domain == NATURALS:
-            lo = max(lo, 0)
-        rows = range(lo, col + cutoff + 1)
-    return [(i, op.entry(i, col, ctx)) for i in rows]
 
 
 # ---------------------------------------------------------------------------

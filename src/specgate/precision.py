@@ -11,7 +11,6 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-import mpmath
 from mpmath import mp
 
 DOUBLE_KIND = "double"
@@ -51,10 +50,6 @@ class PrecisionContext:
         dps = DOUBLE_DIGITS if self.is_double else self.digits
         with mp.workdps(dps):
             yield
-
-    def mpf(self, x):
-        with self.workprec():
-            return mpmath.mpf(x)
 
     def describe(self) -> str:
         return "double" if self.is_double else f"bigfloat:{self.digits}"

@@ -22,7 +22,6 @@ quarters the cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -30,18 +29,9 @@ from mpmath import mp
 
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec
 from .precision import DOUBLE, PrecisionContext
-from .truncation import (RectTruncation, _band, _block_geometry, _cached,
-                         _rotate, rectangular)
+from .truncation import _band, _block_geometry, _cached, _rotate, rectangular
 
 DENSE_SVD_LIMIT = 400
-
-
-@dataclass(frozen=True)
-class SigmaResult:
-    """Smallest singular value with its right singular vector."""
-
-    sigma: object
-    right_vector: object
 
 
 # ---------------------------------------------------------------------------
@@ -419,32 +409,30 @@ def jacobi_smallest_singular(A, max_sweeps: int = 30):
 # dispatch over truncations and operators
 # ---------------------------------------------------------------------------
 
-def smallest_singular(T: RectTruncation, ctx: PrecisionContext) -> SigmaResult:
-    """Smallest singular value and right singular direction of T.matrix.
+def smallest_singular(A, ctx: PrecisionContext):
+    """(sigma, right singular vector) of the smallest singular value of A.
 
     Dense: LAPACK SVD in doubles, one-sided Jacobi in big floats.  The
     certified pipeline never trusts this value.  Degenerate smallest
     singular values return an arbitrary unit vector of the minimizing space.
     """
     if ctx.is_double:
-        _, s, vh = np.linalg.svd(np.asarray(T.matrix, dtype=complex))
-        return SigmaResult(float(s[-1]), vh[-1].conj())
+        _, s, vh = np.linalg.svd(np.asarray(A, dtype=complex))
+        return float(s[-1]), vh[-1].conj()
     with ctx.workprec():
-        mat = T.matrix if not isinstance(T.matrix, np.ndarray) else \
-            mpmath.matrix(T.matrix.tolist())
+        mat = A if not isinstance(A, np.ndarray) else mpmath.matrix(A.tolist())
         sig, v, _ = jacobi_smallest_singular(mat)
-        return SigmaResult(sig, v)
+        return sig, v
 
 
-def _shifted_double(op: OperatorSpec, z: complex, N: int) -> RectTruncation:
+def _shifted_double(op: OperatorSpec, z: complex, N: int):
     """Double truncation at z from the cached unshifted one."""
     T0 = _cached(op, ("dense", N), lambda: rectangular(op, 0.0, N, DOUBLE))
-    mat = T0.matrix.copy()
-    n = T0.shape[1]
-    diag = np.arange(n)
-    mat[diag + (T0.col_start - T0.row_start), diag] -= z
-    return RectTruncation(mat, T0.N, T0.k, z, T0.op_id, T0.tail_defect,
-                          T0.row_start, T0.col_start)
+    _, cols, row0, col0, _, _ = _block_geometry(op, N)
+    mat = T0.copy()
+    diag = np.arange(cols)
+    mat[diag + (col0 - row0), diag] -= z
+    return mat
 
 
 def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
@@ -490,8 +478,7 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
                              else None)
         T = _shifted_double(op, z, N)
         if not want_vector:
-            s = np.linalg.svd(np.asarray(T.matrix, dtype=complex),
-                              compute_uv=False)
+            s = np.linalg.svd(T, compute_uv=False)
             return float(s[-1]), None
     else:
         with ctx.workprec():
@@ -501,8 +488,8 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
                 if sig is not None:
                     return sig, (w if want_vector else None)
             T = rectangular(op, z, N, ctx)
-    res = smallest_singular(T, ctx)
-    return res.sigma, (res.right_vector if want_vector else None)
+    sig, v = smallest_singular(T, ctx)
+    return sig, (v if want_vector else None)
 
 
 def gamma(op: OperatorSpec, z, N: int, ctx: PrecisionContext):

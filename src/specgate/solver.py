@@ -571,7 +571,7 @@ def _check_separation(enclosures: Sequence[Enclosure]):
 
 
 # ---------------------------------------------------------------------------
-# condition numbers, angles, eigenfunctions, spurious modes
+# condition numbers, eigenfunctions, spurious modes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -622,26 +622,6 @@ def condition_number(op: OperatorSpec, enclosure: Enclosure, N: int,
     k2 = kappa_at(max(N + 20, (5 * N) // 4))
     consistency = abs(k1 - k2) / max(k1, k2)
     return ConditionResult(enclosure.index_n, k2, consistency, N)
-
-
-def subspace_angle(u, w) -> float:
-    """Angle between the spans of two vectors, in [0, pi/2].
-
-    Vectors of different truncation sizes are compared in the larger space
-    (zero padding).
-    """
-    a = np.asarray([complex(t) for t in u])
-    b = np.asarray([complex(t) for t in w])
-    if a.shape[0] < b.shape[0]:
-        a = np.pad(a, (0, b.shape[0] - a.shape[0]))
-    elif b.shape[0] < a.shape[0]:
-        b = np.pad(b, (0, a.shape[0] - b.shape[0]))
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("zero vector")
-    c = abs(np.vdot(a, b)) / (na * nb)
-    return float(np.arccos(min(1.0, max(0.0, c))))
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,14 @@ so for banded operators the smallest singular value of the finite matrix
 equals the injection modulus of the operator restricted to the span of the
 first N basis states - no interaction is dropped and no spurious coupling
 is introduced.  Over the integers the kept columns are -N..N.  Square
-truncations are provided for the spurious-mode demonstration only.
+truncations serve the spurious-mode demonstration and seed the candidates
+of the complex-spectrum pipeline; nothing is certified from them.
 Long-range operators get certified tail padding: the number of extra rows is
 chosen so the operator norm of the neglected block is at most 2^-N.  Every
 block is a function of the operator and N alone (:func:`_block_geometry`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -32,32 +31,6 @@ class TailError(ValueError):
     def __init__(self, message: str, best_bound: float):
         super().__init__(message)
         self.best_bound = best_bound
-
-
-@dataclass(frozen=True)
-class RectTruncation:
-    """A materialized (N+k) x N truncation of (H - z I).
-
-    ``row_start``/``col_start`` give the operator index of the first row and
-    column (0 for operators over the naturals, negative for symmetric blocks
-    over the integers).  ``tail_defect`` is a certified upper bound on the
-    operator norm of the neglected block; it is exactly 0 for banded specs.
-    """
-
-    matrix: object
-    N: int
-    k: int
-    shift: complex
-    op_id: str
-    tail_defect: float
-    row_start: int = 0
-    col_start: int = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        if isinstance(self.matrix, np.ndarray):
-            return self.matrix.shape
-        return (self.matrix.rows, self.matrix.cols)
 
 
 def tail_padding(op: OperatorSpec, N: int, eps: float) -> int:
@@ -210,17 +183,17 @@ def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):
     return mpmath.zeros(rows, cols), mpmath.mpc(z)
 
 
-def rectangular(op: OperatorSpec, z: complex, N: int,
-                ctx: PrecisionContext) -> RectTruncation:
+def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
     """Rectangular truncation of (H - z I) over the first N basis states.
 
-    For banded specs the rows cover the full band of every kept column and
-    the truncation is exact (tail_defect 0).  Long-range specs get padding
-    chosen by :func:`tail_padding` for a tail of 2^-N.
+    A numpy array in doubles, an mpmath matrix in big floats; its geometry
+    is :func:`_block_geometry`.  For banded specs the rows cover the full
+    band of every kept column and the truncation is exact.  Long-range
+    specs get padding chosen by :func:`tail_padding` for a tail of 2^-N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    rows, cols, row0, col0, k, defect = _block_geometry(op, N)
+    rows, cols, row0, col0, _, _ = _block_geometry(op, N)
     with ctx.workprec():
         mat, shift = _zeros(rows, cols, z, ctx)
         for jc in range(cols):
@@ -236,13 +209,15 @@ def rectangular(op: OperatorSpec, z: complex, N: int,
             jr = j - row0
             if 0 <= jr < rows:
                 mat[jr, jc] -= shift
-    return RectTruncation(mat, N, k, z, op.id, defect, row0, col0)
+    return mat
 
 
 def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
-    """Leading square block of (H - z I); kept for the spurious-mode demo.
+    """Leading square block of (H - z I).
 
-    Operators over the integers use the symmetric block {-N..N}.
+    For the spurious-mode demonstration and the candidate seeds of the
+    complex-spectrum pipeline.  Operators over the integers use the
+    symmetric block {-N..N}.
     """
     _, size, _, col0, _, _ = _block_geometry(op, N)
     with ctx.workprec():
@@ -256,55 +231,3 @@ def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
                     mat[ic, jc] = op.entry(i, j, ctx)
             mat[jc, jc] -= shift
     return mat
-
-
-def normal_truncation(op: OperatorSpec, z: complex, N: int, cutoff: int,
-                      ctx: PrecisionContext):
-    """The N x N Hermitian matrix P_N (H - z)* (H - z) P_N.
-
-    Entries are assembled from operator columns; every column of a banded
-    spec has finite support, so the infinite row sum is exact.  ``cutoff``
-    limits column support for long-range specs (and must cover the band of
-    a banded spec).  The result is symmetrized on output.
-    """
-    if op.banded:
-        need = max(op.lower_bandwidth, op.upper_bandwidth)
-        if cutoff < need:
-            raise StructureError(f"{op.id}: cutoff {cutoff} below bandwidth {need}")
-    elif cutoff < 1:
-        raise StructureError("cutoff must be >= 1 for long-range specs")
-
-    if op.index_domain == INTEGERS:
-        size = 2 * N + 1
-        col0 = -N
-    else:
-        size = N
-        col0 = 0
-
-    def column(j):
-        from .operators import apply_column
-        pairs = apply_column(op, j, ctx, cutoff=None if op.banded else cutoff)
-        col = dict(pairs)
-        col[j] = col.get(j, 0.0) - z
-        return col
-
-    cols = [column(col0 + jc) for jc in range(size)]
-    if ctx.is_double:
-        conj, num = np.conjugate, complex
-    else:
-        conj, num = mpmath.conj, mpmath.mpc
-    with ctx.workprec():
-        cols = [{i: num(v) for i, v in col.items()} for col in cols]
-        mat, _ = _zeros(size, size, 0, ctx)
-        for a in range(size):
-            ca = cols[a]
-            for b in range(a, size):
-                cb = cols[b]
-                acc = num(0)
-                for i, va in ca.items():
-                    vb = cb.get(i)
-                    if vb is not None:
-                        acc += conj(va) * vb
-                mat[a, b] = acc
-                mat[b, a] = conj(acc)
-    return 0.5 * (mat + mat.conj().T) if ctx.is_double else mat

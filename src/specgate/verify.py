@@ -163,7 +163,12 @@ def _band_rows(band, d, nrows, shift, part, point):
 @dataclass(frozen=True)
 class Enclosure:
     """Certified eigenvalue enclosure: some spectral point lies within
-    ``radius`` of ``center``, conditional on the listed hypotheses."""
+    ``radius`` of ``center``, conditional on the listed hypotheses.
+
+    ``vector`` is the candidate whose residual was verified; its length
+    fixes the truncation size N.  It is left out of the JSON form and of
+    comparisons.
+    """
 
     op_id: str
     index_n: int
@@ -173,6 +178,7 @@ class Enclosure:
     gap_index_m: int
     precision_digits: int
     conditional_on: tuple = field(default=())
+    vector: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_complex(self) -> bool:
@@ -290,6 +296,7 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         gap_index_m=m,
         precision_digits=digits,
         conditional_on=tuple(model.hypotheses),
+        vector=candidate_v,
     )
 
 

@@ -2,6 +2,7 @@
 pseudospectrum CSV."""
 
 import json
+import math
 from importlib.resources import files
 
 import jsonschema
@@ -78,22 +79,61 @@ def test_plugin_eigs_with_a_builtin_model(tmp_path):
                 <= mpmath.mpf(e["radius"])
 
 
-def test_lattice_candidates_round_trip(tmp_path):
-    # certify reproduces every disk of eigs from its --candidates-out file
+def _disks(path):
+    return [(e["n"], e["center"], e["radius"]) for e in
+            json.loads(path.read_text(encoding="utf-8"))["enclosures"]]
+
+
+def _round_trip(tmp_path, op, *eigs_args):
+    """(disks of eigs, disks of certify on its --candidates-out file)."""
     report, cands, out = (tmp_path / name for name in
                           ("eigs.json", "candidates.json", "certify.json"))
-    assert main(["eigs", "--op", "lattice", "--n", "2", "--N", "30",
-                 "--output", str(report), "--candidates-out", str(cands)]) == 0
-    assert main(["certify", "--op", "lattice", "--candidate", str(cands),
+    assert main(["eigs", "--op", op, *eigs_args, "--output", str(report),
+                 "--candidates-out", str(cands)]) == 0
+    assert main(["certify", "--op", op, "--candidate", str(cands),
                  "--output", str(out)]) == 0
-
-    def disks(path):
-        return [(e["n"], e["center"], e["radius"]) for e in
-                json.loads(path.read_text(encoding="utf-8"))["enclosures"]]
-
-    assert len(disks(report)) == 2
-    assert disks(out) == disks(report)
     jsonschema.validate(json.loads(out.read_text(encoding="utf-8")), SCHEMA)
+    return _disks(report), _disks(out)
+
+
+def test_lattice_candidates_round_trip(tmp_path):
+    # certify reproduces every disk of eigs from its --candidates-out file
+    eigs, certify = _round_trip(tmp_path, "lattice", "--n", "2", "--N", "30")
+    assert len(eigs) == 2
+    assert certify == eigs
+
+
+def test_cubic_candidates_round_trip(tmp_path):
+    # the candidates are the refined pairs that certified, with their N,
+    # checked at the digits they certified at, so every radius comes back
+    eigs, certify = _round_trip(tmp_path, "cubic", "--n", "2")
+    assert len(eigs) == 2
+    assert certify == eigs
+
+
+def test_eigenfunction_samples_the_harmonic_eigenvector(tmp_path):
+    # the second harmonic eigenfunction is sqrt(2) pi^(-1/4) x exp(-x^2/2)
+    out = tmp_path / "psi.csv"
+    assert main(["eigenfunction", "--op", "harmonic", "--n", "2",
+                 "--samples", "5", "--x-min", "-2", "--x-max", "2",
+                 "--output", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "x,re_psi,im_psi" and len(lines) == 6
+    for line in lines[1:]:
+        x, re_psi, im_psi = (float(cell) for cell in line.split(","))
+        exact = math.sqrt(2.0) * math.pi ** -0.25 * abs(x) * math.exp(-x * x / 2)
+        assert abs(abs(complex(re_psi, im_psi)) - exact) <= 1e-12, x
+
+
+def test_condition_of_the_harmonic_oracle(tmp_path):
+    # a normal operator: every eigenvalue has condition number 1
+    out = tmp_path / "condition.json"
+    assert main(["condition", "--op", "harmonic", "--n", "2",
+                 "--output", str(out)]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["condition_numbers"]
+    assert [r["n"] for r in rows] == [1, 2]
+    for r in rows:
+        assert r["kappa"] == 1.0 and r["consistency"] == 0.0
 
 
 def test_certify_junk_candidate_exits_2(tmp_path, capsys):

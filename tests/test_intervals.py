@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgate.intervals import CIBox, Interval, IntervalError, norm2
+from specgate.intervals import CIBox, Interval, IntervalError
 from specgate.operators import BOX_DOUBLE_LIB, _eval_box
 
 
@@ -152,19 +152,3 @@ def test_cibox_mult_contains():
     z2 = complex(-0.75, 2.0)
     b = CIBox.point(z1) * CIBox.point(z2)
     assert b.contains(z1 * z2)
-
-
-def test_norm2():
-    vec = [CIBox.point(3 + 0j), CIBox.point(4j)]
-    r = norm2(vec)
-    assert r.lo <= 5.0 <= r.hi
-    assert r.hi - r.lo < 1e-13
-
-
-def test_scaling_homogeneity():
-    v = [CIBox.point(0.3 + 0.1j), CIBox.point(-0.2 + 0.9j)]
-    v7 = [CIBox.point(7 * (0.3 + 0.1j)), CIBox.point(7 * (-0.2 + 0.9j))]
-    a = norm2(v)
-    b = norm2(v7)
-    assert b.lo / 7.0 <= a.hi * (1 + 1e-12)
-    assert b.hi / 7.0 >= a.lo * (1 - 1e-12)

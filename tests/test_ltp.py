@@ -7,13 +7,12 @@ import pytest
 from mpmath import mp
 
 from specgate import DOUBLE, bigfloat
-from specgate.ltp import (GAP_FLOOR_CUBIC, GapMembershipError, c_of_m,
-                          cubic_ltp_model, dist_bound, generalized_dist_bound,
-                          harmonic_ltp_model, kappa_bound, lambda_asymptotic,
-                          lattice_ltp_model, model_from_json, resolvent_bound)
-from specgate.verify import Enclosure
+from specgate.ltp import (GAP_FLOOR_CUBIC, c_of_m, cubic_ltp_model,
+                          dist_bound, harmonic_ltp_model, kappa_bound,
+                          lambda_asymptotic, lattice_ltp_model,
+                          model_from_json)
 
-from _util import CUBIC_EIGENVALUES, CUBIC_EIGENVALUE_100
+from _util import CUBIC_EIGENVALUE_100
 
 
 def test_lambda_asymptotic_values():
@@ -124,72 +123,15 @@ def test_upward_rounding_tightens_with_precision():
     assert float(d50) <= float(dd)
 
 
-def test_generalized_dist_bound():
-    assert generalized_dist_bound(1e-6, 3.0, 1) == pytest.approx(3e-6, rel=1e-9)
-    assert generalized_dist_bound(1e-8, 1.0, 2) == pytest.approx(1e-4, rel=1e-9)
-    assert generalized_dist_bound(0.0, 1.0, 4) == 0.0
-    # doubling p weakens the bound for eps < 1
-    assert generalized_dist_bound(1e-8, 1.0, 4) > \
-        generalized_dist_bound(1e-8, 1.0, 2)
-    with pytest.raises(ValueError):
-        generalized_dist_bound(1e-8, -1.0, 2)
-
-
-def _mock_enclosure(n, center, radius=1e-12):
-    return Enclosure("cubic", n, center, radius, radius / 10.0, n + 1, 30,
-                     ("kappa-bound",))
-
-
-def test_resolvent_bound_midgap():
-    lam1 = float(CUBIC_EIGENVALUES[0][:17])
-    lam2 = float(CUBIC_EIGENVALUES[1][:17])
-    encs = [_mock_enclosure(1, lam1), _mock_enclosure(2, lam2)]
-    z = 0.5 * (lam1 + lam2)
-    model = cubic_ltp_model()
-    v = resolvent_bound(z, 2, model, encs)
-    expect = math.exp(math.pi / math.sqrt(3.0)) / abs(lam1 - z) \
-        + math.exp(2 * math.pi / math.sqrt(3.0)) / abs(lam2 - z) + c_of_m(2)
-    assert float(v) == pytest.approx(expect, rel=1e-6)
-
-
-def test_resolvent_bound_diverges_near_pole():
-    lam1 = float(CUBIC_EIGENVALUES[0][:17])
-    lam2 = float(CUBIC_EIGENVALUES[1][:17])
-    encs = [_mock_enclosure(1, lam1), _mock_enclosure(2, lam2)]
-    model = cubic_ltp_model()
-    z = lam2 - 1e-6
-    v = resolvent_bound(z, 2, model, encs)
-    assert float(v) >= kappa_bound(2) / abs(lam2 - z)
-
-
-def test_resolvent_bound_single_pole_strip():
-    lam1 = float(CUBIC_EIGENVALUES[0][:17])
-    encs = [_mock_enclosure(1, lam1)]
-    model = cubic_ltp_model()
-    v = resolvent_bound(0.5, 1, model, encs)
-    expect = math.exp(math.pi / math.sqrt(3.0)) / abs(lam1 - 0.5) + c_of_m(1)
-    assert float(v) == pytest.approx(expect, rel=1e-6)
-
-
-def test_resolvent_bound_gap_membership():
-    lam1 = float(CUBIC_EIGENVALUES[0][:17])
-    lam2 = float(CUBIC_EIGENVALUES[1][:17])
-    encs = [_mock_enclosure(1, lam1), _mock_enclosure(2, lam2)]
-    with pytest.raises(GapMembershipError):
-        resolvent_bound(lam2 + 0.5, 2, cubic_ltp_model(), encs)
-
-
 def test_model_json_roundtrips():
     for model in (cubic_ltp_model(), harmonic_ltp_model(), lattice_ltp_model()):
         back = model_from_json(model.to_json())
         assert back.id == model.id
-        assert back.multiplicity_p == model.multiplicity_p
         assert back.kappa_bound(3) == pytest.approx(model.kappa_bound(3),
                                                     rel=1e-12)
     custom = model_from_json({"type": "constant", "id": "user", "kappa": 2.5,
-                              "c": 0.1, "p": 2, "gap_floor": 1.0})
+                              "c": 0.1, "gap_floor": 1.0})
     assert custom.kappa_bound(9) == 2.5
-    assert custom.multiplicity_p == 2
 
 
 def test_model_invariants():

@@ -10,7 +10,6 @@ from numpy.polynomial.hermite import hermgauss
 from specgate import DOUBLE, bigfloat
 from specgate.intervals import MPIntervalScope
 from specgate.operators import (BOX_DOUBLE_LIB, BOX_MP_LIB, ExpressionError,
-                                StructureError, apply_column,
                                 harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator,
@@ -118,16 +117,6 @@ def test_lattice_tail_monotone(lattice):
     for n in (5, 20, 60):
         for m in (0, 3, 11, 40):
             assert lattice.tail_bound(n, m) - lattice.tail_bound(n, m + 1) >= 0
-
-
-def test_apply_column(cubic, harmonic, lattice):
-    assert apply_column(harmonic, 2, DOUBLE) == [(2, (5 + 0j))]
-    col = apply_column(cubic, 0, DOUBLE)
-    assert [r for r, _ in col] == [0, 1, 2, 3]
-    lat = apply_column(lattice, 0, DOUBLE, cutoff=2)
-    assert [r for r, _ in lat] == [-2, -1, 0, 1, 2]
-    with pytest.raises(StructureError):
-        apply_column(lattice, 0, DOUBLE)
 
 
 def test_entry_box_contains_entry(cubic, lattice):

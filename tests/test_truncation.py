@@ -1,7 +1,6 @@
-"""Truncations: rectangular geometry, tail padding, normal equations."""
+"""Truncations: rectangular geometry, tail padding, square blocks, bands."""
 
 import itertools
-import math
 
 import mpmath
 import numpy as np
@@ -12,8 +11,7 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.truncation import (TailError, _band, _block_geometry,
-                                 normal_truncation, rectangular, square,
-                                 tail_padding)
+                                 rectangular, square, tail_padding)
 
 
 @pytest.fixture(scope="module")
@@ -33,31 +31,32 @@ def lattice():
 
 def test_cubic_shape(cubic):
     T = rectangular(cubic, 0.0, 5, DOUBLE)
-    assert T.matrix.shape == (8, 5)
-    assert T.k == 3
-    assert T.tail_defect == 0.0
+    assert T.shape == (8, 5)
+    _, _, _, _, k, defect = _block_geometry(cubic, 5)
+    assert k == 3
+    assert defect == 0.0
 
 
 def test_harmonic_padded_diag(harmonic):
     T = rectangular(harmonic, 0.0, 3, DOUBLE)
-    assert T.matrix.shape == (3, 3)  # bandwidth 0: no padding rows needed
-    assert np.allclose(np.diag(T.matrix), [1, 3, 5])
+    assert T.shape == (3, 3)  # bandwidth 0: no padding rows needed
+    assert np.allclose(np.diag(T), [1, 3, 5])
 
 
 def test_shift_subtracted(cubic):
     z = 2.5 + 0.5j
     T = rectangular(cubic, z, 6, DOUBLE)
     T0 = rectangular(cubic, 0.0, 6, DOUBLE)
-    assert np.allclose(np.diag(T.matrix[:6, :6]),
-                       np.diag(T0.matrix[:6, :6]) - z)
+    assert np.allclose(np.diag(T[:6, :6]),
+                       np.diag(T0[:6, :6]) - z)
 
 
 def test_lattice_padding_and_defect(lattice):
     n = 12
     T = rectangular(lattice, 0.0, n, DOUBLE)
     m = tail_padding(lattice, n, 2.0 ** -n)
-    assert T.matrix.shape == (2 * (n + m) + 1, 2 * n + 1)
-    assert 0 < T.tail_defect <= 2.0 ** -n * (1 + 1e-9)
+    assert T.shape == (2 * (n + m) + 1, 2 * n + 1)
+    assert 0 < _block_geometry(lattice, n)[5] <= 2.0 ** -n * (1 + 1e-9)
 
 
 def test_tail_padding_slope(lattice):
@@ -94,44 +93,6 @@ def test_square_spurious_imaginary(cubic):
     assert np.max(np.abs(window.imag)) > 0.1
 
 
-def test_normal_truncation_harmonic(harmonic):
-    M = normal_truncation(harmonic, 0.0, 2, 1, DOUBLE)
-    assert np.allclose(M, np.diag([1.0, 9.0]))
-
-
-def test_normal_matches_rectangular(cubic):
-    # sqrt(lambda_min of the normal matrix) equals sigma_min of the
-    # rectangular truncation; forming H*H squares the conditioning, so the
-    # comparison carries an absolute allowance eps*||H*H|| from the dense
-    # eigensolve on top of the 1e-10 relative contract
-    rng = np.random.default_rng(7)
-    for _ in range(6):
-        z = complex(rng.uniform(0, 20), rng.uniform(-3, 3))
-        N = int(rng.integers(20, 100))
-        T = rectangular(cubic, z, N, DOUBLE)
-        s = np.linalg.svd(T.matrix, compute_uv=False)[-1]
-        M = normal_truncation(cubic, z, N, 3, DOUBLE)
-        lam = np.linalg.eigvalsh(M)[0]
-        norm_M = np.linalg.norm(np.asarray(M), 2)
-        abs_allow = 50.0 * 2.0 ** -53 * norm_M / max(2.0 * s, 1e-30)
-        assert math.sqrt(max(lam, 0.0)) == pytest.approx(
-            s, rel=1e-10, abs=abs_allow)
-
-
-def test_normal_exact_kernel(harmonic):
-    # shift on a diagonal entry: exact kernel direction once N covers it
-    for N in (3, 6, 12):
-        M = normal_truncation(harmonic, 5.0, N, 0, DOUBLE)
-        lam = np.linalg.eigvalsh(M)[0]
-        assert abs(lam) < 1e-12
-
-
-def test_normal_cutoff_too_small(cubic):
-    from specgate.operators import StructureError
-    with pytest.raises(StructureError):
-        normal_truncation(cubic, 0.0, 5, 2, DOUBLE)
-
-
 def test_nesting_monotone(cubic):
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -139,8 +100,8 @@ def test_nesting_monotone(cubic):
         N = int(rng.integers(10, 60))
         TN = rectangular(cubic, z, N, DOUBLE)
         TN1 = rectangular(cubic, z, N + 1, DOUBLE)
-        sN = np.linalg.svd(TN.matrix, compute_uv=False)[-1]
-        sN1 = np.linalg.svd(TN1.matrix, compute_uv=False)[-1]
+        sN = np.linalg.svd(TN, compute_uv=False)[-1]
+        sN1 = np.linalg.svd(TN1, compute_uv=False)[-1]
         assert sN1 <= sN * (1 + 1e-11) + 1e-14
 
 
@@ -149,7 +110,7 @@ def test_bigfloat_rectangular_matches_double(cubic):
     Td = rectangular(cubic, 1.5, 8, DOUBLE)
     for i in range(11):
         for j in range(8):
-            assert abs(complex(T.matrix[i, j]) - Td.matrix[i, j]) < 1e-14
+            assert abs(complex(T[i, j]) - Td[i, j]) < 1e-14
 
 
 @pytest.mark.parametrize("name", ["cubic", "lattice"])
@@ -164,15 +125,6 @@ def test_bigfloat_square_matches_double(name, cubic, lattice):
             assert abs(complex(S[i, j]) - Sd[i, j]) < 1e-14
 
 
-def test_bigfloat_normal_matches_double(cubic):
-    z = 2.0 - 0.5j
-    M = normal_truncation(cubic, z, 10, 3, bigfloat(30))
-    Md = normal_truncation(cubic, z, 10, 3, DOUBLE)
-    for i in range(10):
-        for j in range(10):
-            assert abs(complex(M[i, j]) - Md[i, j]) < 1e-12
-
-
 def test_band_holds_entries_at_each_precision(cubic, lattice):
     # per operator, one N, three arithmetics in a row: each cached band
     # holds the unshifted rectangular truncation at its own precision (for
@@ -185,7 +137,7 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
         band = _band(op, N, ctx)
         rot = _band(op, N, ctx, rotated=True)
         T = rectangular(op, 0, N, ctx)
-        rows, cols = T.shape
+        rows, cols, *_ = _block_geometry(op, N)
         assert len(band) == cols and (rot is None) == (op is lattice)
         unit = 1j if ctx.is_double else mpmath.mpc(0, 1)
         with ctx.workprec():
@@ -195,7 +147,7 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
                     assert [i for i, _ in col] == list(op.band_rows(j))
                 for i, v in col:
                     dense[i][j] = v
-            assert all(dense[i][j] == T.matrix[i, j]
+            assert all(dense[i][j] == T[i, j]
                        for i in range(rows) for j in range(cols))
             for j, (col, rcol) in enumerate(zip(band, rot or [])):
                 for (i, v), (_, r) in zip(col, rcol):
