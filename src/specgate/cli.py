@@ -20,7 +20,7 @@ import numpy as np
 from mpmath import mp
 
 from .ltp import GapMembershipError, model_for_operator, model_from_json
-from .operators import BUILTIN_OPERATORS, load_plugin_operator
+from .operators import BUILTIN_OPERATORS, INTEGERS, load_plugin_operator
 from .precision import bigfloat, parse_precision
 from .sigma import right_vector
 from .solver import (GapScanError, MultiMinimumError, bootstrap_certify,
@@ -254,6 +254,9 @@ def cmd_condition(args) -> int:
 
 def cmd_eigenfunction(args) -> int:
     op, model = _resolve_operator(args)
+    if op.index_domain == INTEGERS:
+        raise UsageError(f"{op.id}: eigenfunctions are sampled in the Hermite "
+                         "basis, and this operator's basis is l^2(Z)")
     ctx = parse_precision(args.precision)
     encs = bootstrap_certify(op, model, args.n, ctx)
     # the certified vector, at unit norm and real at its largest coefficient

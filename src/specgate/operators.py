@@ -401,40 +401,53 @@ def _lattice_tail_bound(n: int, m: int) -> float:
 def _lattice_residual_rows_mp(z, vals, col_start: int, pad: int):
     """Big-float interval rows of (H - z) v for the lattice block.
 
-    Hop entries are exact binary powers, so their products with the exact
-    candidate components need no interval widening; only the accumulation
-    and the diagonal (with its sine enclosure) run in intervals.  Returns
-    the rows as a list of MPBox.  Caller must scope both mp and iv
-    precision.
+    The hop part of row i, sum_{j != i} 2^{1-|i-j|} v_j, splits into a left
+    sum L_i over j < i and a right sum R_i over j > i, which two sweeps over
+    the rows build by recurrence: L_{i+1} = L_i / 2 + v_i from the first
+    row down and R_{i-1} = R_i / 2 + v_i from the last row up (v_i = 0
+    outside the block's columns, and both sums start at 0 past the block).
+    Every step is an ``mpmath.iv`` operation: halving an interval is exact
+    (a power-of-two scale of its endpoints) and each addition rounds
+    outward, so L_i + R_i encloses the exact hop sum at O(1) interval
+    operations per row.  The diagonal term, with its sine enclosure, is
+    added in intervals as well.  Returns the rows as a list of MPBox.
+    Caller must scope both mp and iv precision.
     """
     zz = mpmath.mpc(z)
     ncols = len(vals)
-    vre = [mpmath.mpc(t).real for t in vals]
-    vim = [mpmath.mpc(t).imag for t in vals]
     row_lo = col_start - pad
-    row_hi = col_start + ncols - 1 + pad
+    nrows = ncols + 2 * pad
+    zero, two, ten = _iv.mpf(0), _iv.mpf(2), _iv.mpf(10)
+    # v as intervals on the rows, zero where no column sits; the
+    # conversions are exact (no rounding to the interval precision)
+    vre = [zero] * nrows
+    vim = [zero] * nrows
+    for jc, t in enumerate(vals):
+        t = mpmath.mpc(t)
+        vre[pad + jc] = _iv.mpf(t.real)
+        vim[pad + jc] = _iv.mpf(t.imag)
+    left_re = [zero] * nrows
+    left_im = [zero] * nrows
+    for r in range(1, nrows):
+        left_re[r] = left_re[r - 1] / two + vre[r - 1]
+        left_im[r] = left_im[r - 1] / two + vim[r - 1]
+    right_re = [zero] * nrows
+    right_im = [zero] * nrows
+    for r in range(nrows - 2, -1, -1):
+        right_re[r] = right_re[r + 1] / two + vre[r + 1]
+        right_im[r] = right_im[r + 1] / two + vim[r + 1]
     rows = []
     zre = _iv.mpf(zz.real)
     zim = _iv.mpf(zz.imag)
-    for i in range(row_lo, row_hi + 1):
-        acc_re = _iv.mpf(0)
-        acc_im = _iv.mpf(0)
-        for jc in range(ncols):
-            j = col_start + jc
-            d = abs(i - j)
-            if d == 0:
-                continue
-            w = mpmath.ldexp(mpmath.mpf(1), 1 - d)
-            acc_re += _iv.mpf(vre[jc] * w)
-            acc_im += _iv.mpf(vim[jc] * w)
-        if col_start <= i <= col_start + ncols - 1:
-            jc = i - col_start
-            dre = _iv.mpf(i * i) / 10 - zre
-            dim = 2 * _iv.sin(_iv.mpf(i)) - zim
-            bre = _iv.mpf(vre[jc])
-            bim = _iv.mpf(vim[jc])
-            acc_re += dre * bre - dim * bim
-            acc_im += dre * bim + dim * bre
+    for r in range(nrows):
+        acc_re = left_re[r] + right_re[r]
+        acc_im = left_im[r] + right_im[r]
+        if pad <= r < pad + ncols:
+            i = row_lo + r
+            dre = _iv.mpf(i * i) / ten - zre
+            dim = two * _iv.sin(_iv.mpf(i)) - zim
+            acc_re += dre * vre[r] - dim * vim[r]
+            acc_im += dre * vim[r] + dim * vre[r]
         rows.append(MPBox(acc_re, acc_im))
     return rows
 

@@ -19,9 +19,10 @@ The certification flow for operators with real spectra (bootstrap order):
    whichever side of the true eigenvalue the candidate landed on.
 
 Operators with genuinely complex spectra (the lattice model) instead seed
-candidates from a square-truncation eigensolve, polish them by deterministic
-2-D descent, and certify each disk; gap scans do not apply, but pairwise
-separation of the certified disks is enforced.
+candidates from a square-truncation eigensolve, refine each seed with its
+double singular vector by bordered Gauss-Newton in complex doubles (one
+pseudo-inverse per step, a few steps), and certify each disk; gap scans do
+not apply, but pairwise separation of the certified disks is enforced.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from mpmath import mp
 from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
-from .sigma import banded_sigma_batch, gamma, right_vector, sigma_min
+from .sigma import (_shifted_double, banded_sigma_batch, gamma, right_vector,
+                    sigma_min)
 from .truncation import _band, _block_geometry, _rotate
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
@@ -461,50 +463,73 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
 
 
 # ---------------------------------------------------------------------------
-# complex-spectrum pipeline (square-truncation seeds + 2-D descent)
+# complex-spectrum pipeline (square-truncation seeds + Gauss-Newton)
 # ---------------------------------------------------------------------------
 
-def _coordinate_descent(fn, z0: complex, span: float, tol: float):
-    """Deterministic 2-D local minimization: alternating golden sections on
-    the axes, then a shrinking 3x3 grid refinement."""
+def _refine_complex_pair(op, N, z0, v0):
+    """Candidate (z, v) at truncation size N, refined from the double start
+    (z0, v0) by bordered Gauss-Newton in complex doubles.
+
+    (v, z) minimizes ||F||, F = [(T - z E) v ; c^T v - 1] with
+    c = conj(v0) / ||v0||, over the dense double truncation T (E puts the
+    identity in the square block's rows).  The Jacobian
+    J = [[T - z E, -E v], [c^T, 0]] is refreshed and pseudo-inverted at
+    every step.  The steps stop as in :func:`_refine_eigenpair`: when F
+    vanishes, when one fails to halve ||F||_inf, or after NEWTON_MAXIT.
+
+    A z more than 0.05 from z0 has left its seed's neighbourhood, and the
+    refinement fails closed.  Nothing here is trusted: the caller certifies
+    the pair from its verified residual.
+    """
+    rows, cols, row0, col0, _, _ = _block_geometry(op, N)
+    diag = np.arange(cols) + (col0 - row0)
+    v = np.asarray(v0, dtype=complex)
+    c = v.conj() / np.linalg.norm(v)
+    J = np.zeros((rows + 1, cols + 1), dtype=complex)
+    J[rows, :cols] = c
+
+    def residual(v, z):
+        A = _shifted_double(op, z, N)
+        r = np.append(A @ v, c @ v - 1)
+        return A, r, np.abs(r).max()
+
     z = complex(z0)
-    width = span
-    for _ in range(3):
-        re, _ = _golden_section(lambda t: fn(complex(t, z.imag)),
-                                z.real - width, z.real + width,
-                                max(tol, width * 1e-10))
-        z = complex(re, z.imag)
-        im, _ = _golden_section(lambda t: fn(complex(z.real, t)),
-                                z.imag - width, z.imag + width,
-                                max(tol, width * 1e-10))
-        z = complex(z.real, im)
-        width *= 0.35
-    fbest = fn(z)
-    while width > tol:
-        improved = False
-        for dre in (-width, 0.0, width):
-            for dim in (-width, 0.0, width):
-                if dre == 0.0 and dim == 0.0:
-                    continue
-                cand = complex(z.real + dre, z.imag + dim)
-                fc = fn(cand)
-                if fc < fbest:
-                    z, fbest = cand, fc
-                    improved = True
-        if not improved:
-            width *= 0.5
-    return z, fbest
+    A, r, rn = residual(v, z)
+    for _ in range(NEWTON_MAXIT):
+        if not rn > 0:
+            break
+        J[:rows, :cols] = A
+        J[diag, cols] = -v
+        step = np.linalg.pinv(J) @ r
+        v_new = v - step[:cols]
+        z_new = z - step[cols]
+        A_new, r_new, rn_new = residual(v_new, z_new)
+        if not rn_new < rn:
+            break
+        halved = rn_new <= rn / 2
+        v, z, A, r, rn = v_new, z_new, A_new, r_new, rn_new
+        if not halved:
+            break
+    if abs(z - z0) > 0.05:
+        raise CertificationError(
+            f"Gauss-Newton from the seed {complex(z0)} ended at {z}, "
+            "more than 0.05 away")
+    return z, v
 
 
 def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
                               target_radius) -> list[Enclosure]:
     """Seed candidates from a square-truncation eigensolve, refine, certify.
 
-    Eigenvalues are indexed by increasing modulus; complex-pair partners get
-    consecutive indices and mirrored certificates (the verification of the
-    conjugate candidate produces the exact mirror up to outward rounding).
-    Completeness of the enumeration is not certified on this path - each
-    enclosure individually is.
+    Each seed z0 whose gamma at the working size exceeds 0.05 is a
+    square-truncation artifact and is skipped; the others are refined from
+    (z0, the double right singular vector at z0) by bordered Gauss-Newton
+    (:func:`_refine_complex_pair`), then certified from the refined pair's
+    verified residual.  Eigenvalues are indexed by increasing modulus;
+    complex-pair partners get consecutive indices and mirrored certificates
+    (the verification of the conjugate candidate produces the exact mirror
+    up to outward rounding).  Completeness of the enumeration is not
+    certified on this path - each enclosure individually is.
     """
     n_block = N_schedule(0) if N_schedule else 45
     seed_block = min(n_block, 30)
@@ -512,9 +537,7 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     eigs = np.linalg.eigvals(np.asarray(S, dtype=complex))
     eigs = sorted(eigs, key=lambda t: (abs(t), -t.imag))
     digits_v = max(25, 16 if ctx.is_double else ctx.digits)
-
-    def fn(z):
-        return float(gamma(op, z, n_block, DOUBLE))
+    tail = _block_geometry(op, n_block)[5]
 
     enclosures: list[Enclosure] = []
     used: list[complex] = []
@@ -526,14 +549,15 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
             continue  # lower-half partner is emitted as a mirror
         if any(abs(z0 - u) < 1e-6 for u in used):
             continue
-        if fn(complex(z0)) > 0.05:
+        sig, v0 = sigma_min(op, complex(z0), n_block, DOUBLE,
+                            want_vector=True)
+        if sig + tail > 0.05:
             continue  # square-truncation artifact
-        z_ref, _ = _coordinate_descent(fn, complex(z0), 0.05, 1e-13)
+        z_ref, v = _refine_complex_pair(op, n_block, complex(z0), v0)
         used.append(z_ref)
         is_real = abs(z_ref.imag) < 1e-9
         if is_real:
             z_ref = complex(z_ref.real, 0.0)
-        v = right_vector(op, z_ref, n_block, DOUBLE)
         enc = certify_eigenvalue(op, model, z_ref if not is_real else z_ref.real,
                                  v, 1, bigfloat(digits_v), index_n=index)
         if target_radius is not None and float(enc.radius) > target_radius:

@@ -9,6 +9,9 @@ import jsonschema
 import mpmath
 
 from specgate.cli import main
+from specgate.verify import Enclosure
+
+from _util import LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK
 
 SCHEMA = json.loads(files("specgate").joinpath(
     "schemas/enclosure.schema.json").read_text())
@@ -103,6 +106,22 @@ def test_lattice_candidates_round_trip(tmp_path):
     assert certify == eigs
 
 
+def test_eigs_certifies_every_lattice_reference(tmp_path):
+    # the full lattice run: each printed eigenvalue meets exactly one disk,
+    # and every radius is at most 4.4e-13 (the widest is 2.3e-13)
+    out = tmp_path / "lattice.json"
+    assert main(["eigs", "--op", "lattice", "--n", "11",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(report, SCHEMA)
+    encs = [Enclosure.from_json(e) for e in report["enclosures"]]
+    assert len(encs) == len(LATTICE_EIGENVALUES)
+    for ref in LATTICE_EIGENVALUES:
+        hits = [e for e in encs if e.intersects(ref, LATTICE_PRINT_SLACK)]
+        assert len(hits) == 1, ref
+    assert max(float(e.radius) for e in encs) <= 4.4e-13
+
+
 def test_cubic_candidates_round_trip(tmp_path):
     # the candidates are the refined pairs that certified, with their N,
     # checked at the digits they certified at, so every radius comes back
@@ -123,6 +142,14 @@ def test_eigenfunction_samples_the_harmonic_eigenvector(tmp_path):
         x, re_psi, im_psi = (float(cell) for cell in line.split(","))
         exact = math.sqrt(2.0) * math.pi ** -0.25 * abs(x) * math.exp(-x * x / 2)
         assert abs(abs(complex(re_psi, im_psi)) - exact) <= 1e-12, x
+
+
+def test_eigenfunction_refuses_the_lattice(capsys):
+    # the lattice vector lives on l^2(Z), not in the Hermite basis
+    assert main(["eigenfunction", "--op", "lattice", "--n", "1",
+                 "--samples", "3", "--x-min", "-1", "--x-max", "1"]) == 1
+    err = capsys.readouterr()
+    assert "Hermite" in err.err and err.out == ""
 
 
 def test_condition_of_the_harmonic_oracle(tmp_path):

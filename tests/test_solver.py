@@ -13,13 +13,13 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
-from specgate.solver import (MultiMinimumError, _refine_eigenpair,
-                             _residual_target, bootstrap_certify,
-                             condition_number, evaluate_eigenfunction,
-                             locate_minimum, pseudospectrum_grid,
-                             square_spectrum_demo)
+from specgate.solver import (MultiMinimumError, _refine_complex_pair,
+                             _refine_eigenpair, _residual_target,
+                             bootstrap_certify, condition_number,
+                             evaluate_eigenfunction, locate_minimum,
+                             pseudospectrum_grid, square_spectrum_demo)
 from specgate.truncation import _band, rectangular, square
-from specgate.verify import verified_residual
+from specgate.verify import CertificationError, verified_residual
 
 from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES,
                    LATTICE_PRINT_SLACK, band_plugin, fit_slope,
@@ -109,6 +109,28 @@ def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
     with mp.workdps(40):
         assert abs(z - mpmath.mpf(CUBIC_EIGENVALUES[0])) < 1e-14
     assert verified_residual(cubic, z, v, bigfloat(30)).hi < 1e-15
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-3], ids=["singular", "tilted"])
+def test_refine_complex_pair_oracle(tilt):
+    # the diagonal plugin n + i has the eigenvalues n + i exactly, with
+    # eigenvectors e_n; the start vector is the right singular vector at
+    # the start, tilted off e_3 in the second case
+    op, N = band_plugin({0: "n + i"}), 10
+    z0 = 3 + 1j + 1e-3
+    _, v0 = sigma_min(op, z0, N, DOUBLE, want_vector=True)
+    z, v = _refine_complex_pair(op, N, z0, v0 + tilt)
+    assert abs(z - (3 + 1j)) < 1e-13
+    assert max(abs(t) for m, t in enumerate(v) if m != 3) < 1e-12 * abs(v[3])
+
+
+def test_refine_complex_pair_fails_closed_off_its_seed():
+    # from 3.3 + i Gauss-Newton converges to 3 + i, 0.3 from the seed
+    op, N = band_plugin({0: "n + i"}), 10
+    z0 = 3.3 + 1j
+    _, v0 = sigma_min(op, z0, N, DOUBLE, want_vector=True)
+    with pytest.raises(CertificationError, match="0.05"):
+        _refine_complex_pair(op, N, z0, v0)
 
 
 # -- bootstrap --------------------------------------------------------------

@@ -3,13 +3,17 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from specgate import DOUBLE, bigfloat
+from specgate.intervals import MPIntervalScope, iv_lower, iv_upper
 from specgate.ltp import (GapMembershipError, cubic_ltp_model,
                           harmonic_ltp_model, kappa_bound)
 from specgate.operators import (harmonic_oscillator_operator,
@@ -246,8 +250,61 @@ def test_lattice_residual_routes(z):
     sig, v = sigma_min(lattice, z, N, DOUBLE, want_vector=True)
     b = verified_residual(lattice, z, v, DOUBLE)
     assert b.lo <= sig <= b.hi
+    _assert_hint_matches_band(lattice, z, v)
+
+
+@pytest.mark.parametrize("z", [LATTICE_EIGENVALUES[3].real, 0.7 + 0.3j],
+                         ids=["real", "complex"])
+def test_lattice_residual_routes_at_a_larger_N(z):
+    # the hint's sweeps over 149 rows against the band route; the double
+    # bracket is left to N = 8: at N = 24 LAPACK's sigma falls 7e-17 below
+    # the residual of its own vector (eps ||T|| is 1.3e-14 there)
+    lattice = lattice_longrange_operator()
+    _assert_hint_matches_band(lattice, z, right_vector(lattice, z, 24, DOUBLE))
+
+
+def _assert_hint_matches_band(lattice, z, v):
     hinted = verified_residual(lattice, z, v, bigfloat(30))
     banded = verified_residual(dataclasses.replace(lattice, hints={}), z, v,
                                bigfloat(30))
     for a, c in ((hinted.lo, banded.lo), (hinted.hi, banded.hi)):
         assert abs(a - c) <= 1e-12 * abs(c)
+
+
+def _fraction(x):
+    """The exact rational value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(st.integers(1, 12).flatmap(
+           lambda n: st.lists(st.tuples(finite, finite),
+                              min_size=2 * n + 1, max_size=2 * n + 1)),
+       st.integers(0, 30), st.complex_numbers(max_magnitude=10))
+@settings(max_examples=60, deadline=None)
+def test_lattice_rows_contain_the_exact_rows(v, pad, z):
+    # every row box of the hint's two sweeps contains the exact hop sum
+    # sum_{j != i} 2^(1-|i-j|) v_j (in rationals) plus the diagonal term
+    # (i^2/10 + 2i sin i - z) v_i at 60 digits
+    N = (len(v) - 1) // 2
+    rows_of = lattice_longrange_operator().hints["mp_residual_rows"]
+    with mp.workdps(35), MPIntervalScope(30):
+        rows = rows_of(mpmath.mpc(z), [mpmath.mpc(*t) for t in v], -N, pad)
+    assert len(rows) == len(v) + 2 * pad
+    for r, row in enumerate(rows):
+        i = r - N - pad
+        exact = [sum((Fraction(t[k]) * Fraction(2) ** (1 - abs(i - j))
+                      for j, t in enumerate(v, start=-N) if j != i),
+                     Fraction(0)) for k in (0, 1)]
+        if -N <= i <= N:
+            with mp.workdps(60):
+                d = (mpmath.mpf(i * i) / 10 + 2j * mpmath.sin(i)
+                     - mpmath.mpc(z)) * mpmath.mpc(*v[i + N])
+                exact = [exact[0] + _fraction(d.real),
+                         exact[1] + _fraction(d.imag)]
+        for box, value in ((row.re, exact[0]), (row.im, exact[1])):
+            assert _fraction(iv_lower(box)) <= value <= \
+                _fraction(iv_upper(box)), (i, pad)
