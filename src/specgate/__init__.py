@@ -16,10 +16,10 @@ from .operators import (OperatorSpec, harmonic_oscillator_operator,
                         load_plugin_operator)
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits, parse_precision
 from .sigma import gamma, left_null_vector, smallest_singular
-from .solver import (ConditionResult, EigenpairResult, GridResult,
-                     GapScanError, MultiMinimumError, bootstrap_certify,
-                     condition_number, evaluate_eigenfunction, locate_minimum,
-                     pseudospectrum_grid, square_spectrum_demo)
+from .solver import (ConditionResult, GridResult, GapScanError,
+                     bootstrap_certify, condition_number,
+                     evaluate_eigenfunction, pseudospectrum_grid,
+                     square_spectrum_demo)
 from .truncation import TailError, rectangular, square, tail_padding
 from .verify import (Bound, CertificationError, Enclosure, certify_eigenvalue,
                      eigenvector_error_bound, verified_residual)
@@ -37,9 +37,8 @@ __all__ = [
     "load_plugin_operator",
     "DOUBLE", "PrecisionContext", "bigfloat", "guard_digits", "parse_precision",
     "gamma", "left_null_vector", "smallest_singular",
-    "ConditionResult", "EigenpairResult", "GridResult", "GapScanError",
-    "MultiMinimumError", "bootstrap_certify", "condition_number",
-    "evaluate_eigenfunction", "locate_minimum", "pseudospectrum_grid",
+    "ConditionResult", "GridResult", "GapScanError", "bootstrap_certify",
+    "condition_number", "evaluate_eigenfunction", "pseudospectrum_grid",
     "square_spectrum_demo",
     "TailError", "rectangular", "square", "tail_padding",
     "Bound", "CertificationError", "Enclosure", "certify_eigenvalue",

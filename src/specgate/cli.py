@@ -23,9 +23,8 @@ from .ltp import GapMembershipError, model_for_operator, model_from_json
 from .operators import BUILTIN_OPERATORS, INTEGERS, load_plugin_operator
 from .precision import bigfloat, parse_precision
 from .sigma import right_vector
-from .solver import (GapScanError, MultiMinimumError, bootstrap_certify,
-                     condition_number, evaluate_eigenfunction,
-                     pseudospectrum_grid)
+from .solver import (GapScanError, bootstrap_certify, condition_number,
+                     evaluate_eigenfunction, pseudospectrum_grid)
 from .truncation import TailError
 from .verify import (CertificationError, _half_width, certify_eigenvalue,
                      dump_report, enclosures_to_report)
@@ -304,7 +303,7 @@ _COMMANDS = {
     "operators": cmd_operators,
 }
 
-_CERTIFICATION_ERRORS = (CertificationError, GapScanError, MultiMinimumError,
+_CERTIFICATION_ERRORS = (CertificationError, GapScanError,
                          GapMembershipError, TailError)
 
 

@@ -6,12 +6,11 @@ verification stage.  Nothing here is trusted by the certification pipeline -
 every certified quantity is re-derived from a residual in interval
 arithmetic - so the methods are free to be fast:
 
-* banded specs: a banded Givens-QR with inverse iteration over the cached
-  band (``truncation._band``), for every big-float sigma and for doubles
-  beyond ``DENSE_SVD_LIMIT`` columns;
-* banded specs, many double shifts at once (the pseudospectrum grid): the
-  same method in numpy over panels of columns, with the shifts on the
-  leading axis (``banded_sigma_batch``);
+* banded specs, double shifts, one or many at once: a banded QR in numpy
+  over panels of columns, with the shifts on the leading axis, and inverse
+  iteration (``banded_sigma_batch``);
+* banded specs, big-float shifts: a banded Givens-QR with inverse iteration
+  over the cached band (``banded_sigma``);
 * otherwise LAPACK SVD in doubles, and a one-sided Jacobi SVD in big floats.
 
 At a real big-float shift an operator whose rotated band is real (the
@@ -31,9 +30,6 @@ from .operators import COMPLEX_SYMMETRIC, OperatorSpec
 from .precision import DOUBLE, PrecisionContext
 from .truncation import _band, _block_geometry, _cached, _rotate, rectangular
 
-DENSE_SVD_LIMIT = 400
-
-
 # ---------------------------------------------------------------------------
 # banded Givens QR + inverse iteration
 # ---------------------------------------------------------------------------
@@ -45,10 +41,10 @@ DENSE_SVD_LIMIT = 400
 # is ||T v|| for the final unit vector v, so it is always an upper bound
 # for sigma_min.
 #
-# One routine serves three arithmetics (real mpf for the rotated cubic,
-# complex mpc, complex double) through the records below.  Zero tests use
-# each record's own typed zero: comparing mpf/mpc values against the int 0
-# is markedly slower.  Inverse iteration stops after MAXIT steps, or once
+# One routine serves two arithmetics (real mpf for the rotated cubic,
+# complex mpc) through the records below.  Zero tests use each record's
+# own typed zero: comparing mpf/mpc values against the int 0 is markedly
+# slower.  Inverse iteration stops after MAXIT steps, or once
 # sigma changes by at most RTOL (relative) between steps.
 
 MAXIT = 14
@@ -89,26 +85,8 @@ class _ComplexMPArith:
         return mpmath.sqrt(mp.fsum([abs(t) ** 2 for t in xs]))
 
 
-class _ComplexDoubleArith:
-    zero = 0j
-    one = 1.0 + 0j
-
-    @staticmethod
-    def conj(x):
-        return x.conjugate()
-
-    @staticmethod
-    def hypot(a, b):
-        return math.hypot(abs(a), abs(b))
-
-    @staticmethod
-    def norm(xs):
-        return math.sqrt(math.fsum([abs(t) ** 2 for t in xs]))
-
-
 _REAL_MP = _RealMPArith()
 _COMPLEX_MP = _ComplexMPArith()
-_COMPLEX_DOUBLE = _ComplexDoubleArith()
 
 
 def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
@@ -223,11 +201,12 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
 # The columns are padded to whole panels with unit columns in rows below
 # the truncation's last row.  They share no row with T, and the start
 # vector is zero on them, so they stay zero.  Each shift stops on
-# banded_sigma's test and is then frozen, so a value does not depend on
-# the other shifts of its batch.  Shifts go in chunks whose blocks take
-# about BATCH_BYTES.  A shift that meets an exact zero pivot, or ends on a
-# value that is not finite, is left to the single-shift sigma_min, which
-# has the kernel shortcut.
+# banded_sigma's test (RTOL, or the caller's rtol) and is then frozen,
+# value and vector, so neither depends on the other shifts of its batch.
+# Shifts go in chunks whose blocks take about BATCH_BYTES.  A shift that
+# meets an exact zero pivot (an exact kernel), or ends on a value that is
+# not finite, takes the right singular vector v of a dense SVD of its
+# shifted truncation instead, and reports ||T v|| like every other shift.
 
 BATCH_BYTES = 1 << 20
 
@@ -284,8 +263,9 @@ def _band_norm(band, kd: int, z, w):
     return np.linalg.norm(out, axis=1)
 
 
-def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int):
-    """banded_sigma's inverse iteration, one shift per row."""
+def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int, rtol):
+    """banded_sigma's inverse iteration, one shift per row: (sigma, unit
+    right vector)."""
     ns, nb, panel, _ = dinv.shape
     bw = corner.shape[-1]
     t = panel - bw
@@ -293,6 +273,7 @@ def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int):
     w[:, :ncols] = 1.0 / math.sqrt(ncols)
     sig_prev = np.full(ns, np.nan)
     sig_out = np.full(ns, np.nan)
+    w_out = w[:, :ncols].copy()
     done = np.zeros(ns, dtype=bool)
     for _ in range(MAXIT):
         # R^H y = w, solved as the row system y^H R = w^H
@@ -312,19 +293,23 @@ def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int):
         sig = _band_norm(band, kd, z, w[:, :ncols])
         live = ~done
         sig_out[live] = sig[live]
-        done |= np.abs((sig - sig_prev) / sig_prev) <= RTOL
+        w_out[live] = w[live, :ncols]
+        done |= np.abs((sig - sig_prev) / sig_prev) <= rtol
         sig_prev = sig
         if done.all():
             break
-    return sig_out
+    return sig_out, w_out
 
 
-def banded_sigma_batch(op: OperatorSpec, zs, N: int) -> np.ndarray:
-    """Double sigma_min of the rectangular truncation at each shift of zs.
+def banded_sigma_batch(op: OperatorSpec, zs, N: int,
+                       want_vectors: bool = False, rtol: float = RTOL):
+    """Double sigma_min of the rectangular truncation at each shift of zs,
+    and with ``want_vectors`` the unit right vectors, one row per shift.
 
-    Banded specs only; see the notes above.  The values agree with
-    ``sigma_min(op, z, N, DOUBLE)`` up to rounding and the RTOL stop, and
-    do not depend on how the shifts are chunked.
+    Banded specs only; see the notes above.  Each shift stops once sigma
+    changes by at most ``rtol`` (relative) between steps.  The values agree
+    with a dense SVD up to rounding and that stop, and do not depend on how
+    the shifts are chunked.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     rows, ncols, row0, col0, _, _ = _block_geometry(op, N)
@@ -341,16 +326,25 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int) -> np.ndarray:
     blocks, diag = _panels(band, up, kd, ncols, panel)
     chunk = max(1, BATCH_BYTES // (16 * len(blocks) * (panel ** 2 + bw ** 2)))
     out = np.empty(len(zs))
+    vectors = np.empty((len(zs), ncols), dtype=complex) if want_vectors \
+        else None
     with np.errstate(all="ignore"):
         for a in range(0, len(zs), chunk):
             z = zs[a:a + chunk]
             dinv, corner, singular = _panel_qr(blocks, diag, z, lo, bw)
-            sig = _inverse_iteration(band, kd, z, dinv, corner, ncols)
+            sig, w = _inverse_iteration(band, kd, z, dinv, corner, ncols,
+                                        rtol)
             sig[singular] = np.nan
             out[a:a + chunk] = sig
+            if want_vectors:
+                vectors[a:a + chunk] = w
     for i in np.flatnonzero(~np.isfinite(out)):
-        out[i] = sigma_min(op, zs[i], N, DOUBLE)[0]
-    return out
+        T = _shifted_double(op, zs[i], N)
+        v = smallest_singular(T, DOUBLE)[1]
+        out[i] = np.linalg.norm(T @ v)
+        if want_vectors:
+            vectors[i] = v
+    return (out, vectors) if want_vectors else out
 
 
 # ---------------------------------------------------------------------------
@@ -436,23 +430,20 @@ def _shifted_double(op: OperatorSpec, z: complex, N: int):
 
 
 def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
-    """banded_sigma over the cached band of a banded spec.
+    """banded_sigma over the cached big-float band of a banded spec.
 
-    A real big-float shift uses the real rotated band when the operator has
-    one; its vector maps back by v[m] = i^m w[m].
+    A real shift uses the real rotated band when the operator has one; its
+    vector maps back by v[m] = i^m w[m].
     """
     rows, _, row0, col0, _, _ = _block_geometry(op, N)
     d = col0 - row0  # array row of column jc's diagonal entry is jc + d
-    band = None
-    if not ctx.is_double and z.imag == 0:
-        band = _band(op, N, ctx, rotated=True)
+    band = _band(op, N, ctx, rotated=True) if z.imag == 0 else None
     rotated = band is not None
     if rotated:
         shift, arith = z.real, _REAL_MP
     else:
         band = _band(op, N, ctx)
-        shift = z
-        arith = _COMPLEX_DOUBLE if ctx.is_double else _COMPLEX_MP
+        shift, arith = z, _COMPLEX_MP
     columns = [[(i, v - shift if i == jc + d else v) for i, v in col]
                for jc, col in enumerate(band)]
     sig, w = banded_sigma(columns, rows, op.lower_bandwidth + d,
@@ -467,15 +458,16 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     """sigma_min of the rectangular truncation, optionally with the vector.
 
     Returns (sigma, right_vector_or_None); the vector is in the operator's
-    original basis, indexed from the truncation's first column.
+    original basis, indexed from the truncation's first column.  A double
+    shift on a banded spec is a batch of one (:func:`banded_sigma_batch`)
+    that iterates until sigma stops changing, at most MAXIT steps.
     """
     if ctx.is_double:
         z = complex(z)
-        if op.banded and _block_geometry(op, N)[1] > DENSE_SVD_LIMIT:
-            sig, w = _banded_sigma_min(op, z, N, ctx)
-            if sig is not None:
-                return sig, (np.array(w, dtype=complex) if want_vector
-                             else None)
+        if op.banded:
+            sig, w = banded_sigma_batch(op, [z], N, want_vectors=True,
+                                        rtol=0.0)
+            return float(sig[0]), (w[0] if want_vector else None)
         T = _shifted_double(op, z, N)
         if not want_vector:
             s = np.linalg.svd(T, compute_uv=False)

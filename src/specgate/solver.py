@@ -2,18 +2,25 @@
 
 The certification flow for operators with real spectra (bootstrap order):
 
-1. bracket the n-th eigenvalue from asymptotic midpoints, intersected with
-   previously certified enclosures (float stage only - no rigor rests on
-   the asymptotics, whose remainder constant is unquantified);
-2. localize the minimum of gamma_N in doubles by golden-section search,
-   then refine the pair (z, v) that minimizes the rectangular residual by
-   bordered Gauss-Newton (one double factorization, residuals in big
-   floats at the guard-digit working precision);
-3. scan the gap below the candidate on a mesh of step gap_floor/8 and
-   require every mesh point's distance bound to exceed the step - the
-   documented missed-eigenvalue test (an eigenvalue inside the gap would
-   drag gamma_N below the detection threshold at an adjacent mesh point
-   once N is in the converged regime);
+1. take a dip census of double gamma_N: its values on a mesh of step at
+   most gap_floor/8, ends included, from the previous certified center
+   (0 for n = 1) up to the asymptotic midpoint above the n-th eigenvalue.
+   The first interior local minimum (dip) brackets the candidate.  The
+   asymptotics only size the census top; no rigor rests on them, whose
+   remainder constant is unquantified;
+2. zoom into that bracket by censuses of 16 sub-steps until it is at most
+   1e-9 wide, then refine the pair (z, v) that minimizes the rectangular
+   residual by bordered Gauss-Newton (one double factorization, residuals
+   in big floats at the guard-digit working precision);
+3. once the candidate's radius meets the target, take the census again at
+   the certifying N from the previous center to the candidate.  Its ends
+   are certified eigenvalues, where gamma dips; the gap_floor spacing
+   hypothesis keeps any other eigenvalue at least 8 mesh steps from either
+   end, so an interior dip is a suspected missed eigenvalue and raises
+   :class:`GapScanError`.  gamma_N converges to the injection modulus of
+   H - z from above, at no computable rate, so the census is a hypothesis
+   - gamma_N has converged and the mesh resolves each dip - tagged
+   ``DIP_CENSUS_TAG`` in the enclosure's ``conditional_on``;
 4. certify the candidate with strip index n+1: both inversion constants
    grow with the index, so overshooting by one keeps the bound valid
    whichever side of the true eigenvalue the candidate landed on.
@@ -21,12 +28,13 @@ The certification flow for operators with real spectra (bootstrap order):
 Operators with genuinely complex spectra (the lattice model) instead seed
 candidates from a square-truncation eigensolve, refine each seed with its
 double singular vector by bordered Gauss-Newton in complex doubles (one
-pseudo-inverse per step, a few steps), and certify each disk; gap scans do
-not apply, but pairwise separation of the certified disks is enforced.
+pseudo-inverse per step, a few steps), and certify each disk; the census
+does not apply, but pairwise separation of the certified disks is enforced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -45,22 +53,17 @@ from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
                      verified_residual)
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-SCAN_POINTS = 17
 DOUBLE_N_CAP = 5000
 BIGFLOAT_N_CAP = 3000
 
-
-class MultiMinimumError(RuntimeError):
-    """A bracket contains several separated deep minima; split it."""
-
-    def __init__(self, message, minima):
-        super().__init__(message)
-        self.minima = minima
+#: Hypothesis of real-spectrum bootstrap enclosures: gamma_N has converged
+#: and the census mesh resolves each dip, so the index n is complete.
+DIP_CENSUS_TAG = "gamma-dip-census"
 
 
 class GapScanError(RuntimeError):
-    """The missed-eigenvalue scan failed at a mesh point."""
+    """The dip census found no dip where one must be (``at`` is None), or a
+    dip inside a gap between eigenvalues (``at`` is its location)."""
 
     def __init__(self, message, at):
         super().__init__(message)
@@ -69,6 +72,15 @@ class GapScanError(RuntimeError):
 
 def default_n_schedule(n: int) -> int:
     return max(200, 40 * n)
+
+
+def _gamma_nodes(op: OperatorSpec, zs, N: int,
+                 ctx: PrecisionContext = DOUBLE) -> np.ndarray:
+    """gamma_N at each shift of zs: batched for a double banded spec
+    (:func:`~specgate.sigma.banded_sigma_batch`), node by node otherwise."""
+    if ctx.is_double and op.banded:
+        return banded_sigma_batch(op, zs, N)
+    return np.array([float(gamma(op, z, N, ctx)) for z in zs])
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +101,7 @@ def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
     """gamma_N on a rectangular grid; rows follow the imaginary axis.
 
     Each value upper-bounds the inverse resolvent norm, so sublevel sets of
-    the output are subsets of the true pseudospectrum.  A double grid over
-    a banded spec is computed in batches of shifts
-    (:func:`~specgate.sigma.banded_sigma_batch`); other grids evaluate
-    gamma node by node.
+    the output are subsets of the true pseudospectrum.
     """
     re_min, re_max, im_min, im_max = region
     nx, ny = resolution
@@ -101,101 +110,57 @@ def pseudospectrum_grid(op: OperatorSpec, region, resolution, N: int,
     res = np.linspace(re_min, re_max, nx)
     ims = np.linspace(im_min, im_max, ny)
     points = [complex(r, i) for i in ims for r in res]
-    if ctx.is_double and op.banded:
-        values = banded_sigma_batch(op, points, N)
-    else:
-        values = [float(gamma(op, z, N, ctx)) for z in points]
-    grid = np.array(values).reshape(ny, nx)
+    grid = _gamma_nodes(op, points, N, ctx).reshape(ny, nx)
     return GridResult(tuple(region), (nx, ny), grid, N, op.id)
 
 
 # ---------------------------------------------------------------------------
-# bracketed 1-D minimization
+# the dip census of double gamma_N on the real axis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenpairResult:
-    z_N: object
-    f_N: object
-    gamma_at_min: object
-    N: int
-    bracket: tuple
-    iterations: int
+def _census(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
+            N: int, count: Optional[int] = None):
+    """(mesh, gamma_N on it, indices of its dips) for a mesh from lo to hi,
+    ends included: ``count`` nodes, or by default a step of at most
+    gap_floor/8.  A dip is an interior node whose value is at most both
+    neighbours'."""
+    if count is None:
+        count = max(3, math.ceil(8.0 * (hi - lo) / model.gap_floor) + 1)
+    ts = np.linspace(lo, hi, count)
+    g = _gamma_nodes(op, ts, N)
+    dips = [k for k in range(1, count - 1)
+            if g[k] <= g[k - 1] and g[k] <= g[k + 1]]
+    return ts, g, dips
 
 
-def _golden_section(f, a, b, tol):
-    """Golden-section descent in doubles; returns (argmin, evaluations).
+def _locate_dip(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
+                N: int):
+    """(z, gamma_N(z)) at the first dip of the census from lo to hi.
 
-    Interior points are reused in the standard way.  Each reuse carries the
-    rounding of the ratio along, which is harmless over the few dozen steps
-    a double tolerance needs.
+    The dip's bracket (its two neighbours) is re-censused with 16 sub-steps
+    until it is at most 1e-9 wide; each round keeps the deepest interior
+    node.  No dip raises :class:`GapScanError`.
     """
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc = f(c)
-    fd = f(d)
-    evals = 2
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    return (a + b) / 2, evals
+    ts, g, dips = _census(op, model, lo, hi, N)
+    if not dips:
+        raise GapScanError(f"no dip of gamma_{N} in ({lo}, {hi})", None)
+    k = dips[0]
+    while ts[k + 1] - ts[k - 1] > 1e-9:
+        ts, g, _ = _census(op, model, ts[k - 1], ts[k + 1], N, count=17)
+        k = 1 + int(np.argmin(g[1:-1]))
+    return float(ts[k]), float(g[k])
 
 
-def locate_minimum(op: OperatorSpec, bracket, N: int, tol,
-                   _depth: int = 0) -> EigenpairResult:
-    """Golden-section search for the minimizer of double gamma_N on a bracket.
-
-    Unimodality is assumed, then validated by a coarse scan: a single
-    descent-ascent pattern proceeds straight to the golden section; one
-    deep dip among several wiggles recurses into the dip; two separated
-    deep dips raise :class:`MultiMinimumError` (the caller must split).
-    """
-    a, b = bracket
-    if not a < b:
-        raise ValueError("bracket must satisfy a < b")
-
-    def f(t):
-        return float(gamma(op, t, N, DOUBLE))
-
-    total_evals = 0
-    ts = [a + (b - a) * k / (SCAN_POINTS - 1) for k in range(SCAN_POINTS)]
-    vs = [f(t) for t in ts]
-    total_evals += SCAN_POINTS
-    vmax = max(float(v) for v in vs)
-    dip_threshold = max(1e-9, 0.05 * vmax)
-    minima = [k for k in range(1, SCAN_POINTS - 1)
-              if vs[k] <= vs[k - 1] and vs[k] <= vs[k + 1]]
-    deep = [k for k in minima if float(vs[k]) < dip_threshold]
-    if len(deep) >= 2 and any(deep[i + 1] - deep[i] > 1 for i in range(len(deep) - 1)):
-        raise MultiMinimumError(
-            f"bracket ({a}, {b}) holds several deep minima near "
-            f"{[float(ts[k]) for k in deep]}; split it",
-            [float(ts[k]) for k in deep])
-    if len(minima) > 1:
-        if len(deep) == 1 and _depth < 4:
-            k = deep[0]
-            sub = (float(ts[max(0, k - 1)]), float(ts[min(SCAN_POINTS - 1, k + 1)]))
-            inner = locate_minimum(op, sub, N, tol, _depth + 1)
-            return EigenpairResult(inner.z_N, inner.f_N, inner.gamma_at_min,
-                                   N, (a, b),
-                                   inner.iterations + total_evals)
-        # shallow wiggles: narrow to the best scan point's neighborhood
-        k = min(range(SCAN_POINTS), key=lambda i: float(vs[i]))
-        a = float(ts[max(0, k - 1)])
-        b = float(ts[min(SCAN_POINTS - 1, k + 1)])
-    z, evals = _golden_section(f, a, b, tol)
-    total_evals += evals
-    v = right_vector(op, z, N, DOUBLE)
-    g = f(z)
-    total_evals += 1
-    return EigenpairResult(z, v, g, N, bracket, total_evals)
+def _gap_check(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
+               N: int):
+    """Raise :class:`GapScanError` at the first dip of the census from lo to
+    hi, two consecutive eigenvalues; see step 3 of the module notes."""
+    ts, _, dips = _census(op, model, lo, hi, N)
+    if dips:
+        t = float(ts[dips[0]])
+        raise GapScanError(
+            f"the dip census at N = {N} finds a suspected eigenvalue near "
+            f"{t} between {lo} and {hi}", t)
 
 
 # ---------------------------------------------------------------------------
@@ -228,54 +193,17 @@ def _verification_digits(n: int, ctx: PrecisionContext, eps_target) -> int:
     return max(base, guard_digits(n), need)
 
 
-def _bracket_for(model: LTPModel, n: int, prev_sup: Optional[float]):
-    lam = model.lambda_asymptotic
-    if n == 1:
-        lo = 0.5 * lam(1)
-    else:
-        lo = 0.5 * (lam(n - 1) + lam(n))
-    hi = 0.5 * (lam(n) + lam(n + 1))
-    if prev_sup is not None:
-        lo = max(lo, prev_sup + 1e-12)
-    return lo, hi
-
-
-def _gap_scan(op, model, m_eff, lo, hi, N, digits_v, ctx):
-    """Mesh scan certifying no eigenvalue hides in (lo, hi).
-
-    One mesh step is trimmed from both ends: the minimal-spacing hypothesis
-    already excludes a second eigenvalue within gap_floor of a certified
-    one, and gamma legitimately dips there.
-    """
-    step = model.gap_floor / 8.0
-    lo = lo + step
-    hi = hi - step
-    if hi <= lo:
-        return
-    count = max(2, int(math.ceil((hi - lo) / step)) + 1)
-    step = (hi - lo) / (count - 1)
-    scan_ctx = bigfloat(max(25, min(digits_v, 40)))
-    n_scan = min(N, 400)
-    for k in range(count):
-        t = lo + k * step
-        v = right_vector(op, t, n_scan, DOUBLE)
-        eps_t = verified_residual(op, t, v, scan_ctx).hi
-        db = dist_bound(eps_t, m_eff, model, ctx)
-        if not (math.isinf(float(db)) or float(db) > step):
-            raise GapScanError(
-                f"gap scan failed at z={t}: distance bound {float(db):.3e} "
-                f"below mesh step {step:.3e}", t)
-
-
 def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
                       ctx: PrecisionContext = DOUBLE,
                       N_schedule: Optional[Callable[[int], int]] = None,
                       target_radius=None) -> list[Enclosure]:
     """Certify the lowest n_max eigenvalues in increasing order.
 
-    Real-spectrum operators run the bracket/locate/scan/certify loop with
-    N escalation (schedule value, then geometric growth guided by the
-    observed residual decay, capped).  Complex-spectrum operators delegate
+    Real-spectrum operators run the census/refine/certify loop of the
+    module notes with N escalation (schedule value, then geometric growth
+    guided by the observed residual decay, capped).  An escalation whose
+    verified residual is not below the previous attempt's has stalled and
+    raises :class:`CertificationError`.  Complex-spectrum operators delegate
     to the square-truncation seeded pipeline.
     """
     if n_max < 1:
@@ -290,8 +218,9 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
     target = target_radius if target_radius is not None else \
         _default_target_radius(ctx)
 
+    lam = model.lambda_asymptotic
     enclosures: list[Enclosure] = []
-    prev_sup = None
+    prev_center, prev_sup = 0.0, None
     for n in range(1, n_max + 1):
         m_eff = n + 1
         eps_target = _residual_target(model, m_eff, target)
@@ -299,25 +228,28 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
             raise CertificationError(
                 f"target radius {target} unreachable for index {n}")
         digits_v = _verification_digits(n, ctx, eps_target)
-        bracket = _bracket_for(model, n, prev_sup)
+        top = 0.5 * (lam(n) + lam(n + 1))
 
-        enc = None
         N = schedule(n)
         attempts = []
         z_loc = None
         while True:
             N = min(N, cap)
-            z_loc, v_cand = _locate_candidate(op, bracket, N, digits_v, z_loc)
-            bound = verified_residual(op, z_loc, v_cand, bigfloat(digits_v))
-            eps_cert = bound.hi
+            z_loc, v_cand = _locate_candidate(op, model, prev_center, top, N,
+                                              digits_v, z_loc)
+            eps_cert = verified_residual(op, z_loc, v_cand,
+                                         bigfloat(digits_v)).hi
             radius = dist_bound(eps_cert, m_eff, model, ctx)
             if not math.isinf(float(radius)) and float(radius) <= target:
-                _gap_scan(op, model, m_eff,
-                          prev_sup if prev_sup is not None else 0.0,
-                          float(z_loc) - float(radius), N, digits_v, ctx)
+                _gap_check(op, model, prev_center, float(z_loc), N)
                 enc = certify_eigenvalue(op, model, z_loc, v_cand, m_eff,
                                          bigfloat(digits_v), index_n=n)
                 break
+            if attempts and not float(eps_cert) < attempts[-1][1]:
+                raise CertificationError(
+                    f"index {n}: the verified residual stalled, "
+                    f"{attempts[-1][1]:.3e} at N = {attempts[-1][0]} and "
+                    f"{float(eps_cert):.3e} at N = {N}")
             attempts.append((N, float(eps_cert)))
             if N >= cap:
                 raise CertificationError(
@@ -331,8 +263,10 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
                 raise CertificationError(
                     f"index {n}: radius {float(enc.radius):.3e} not separated "
                     "from the previous enclosure")
-        enclosures.append(enc)
-        prev_sup = float(enc.center) + float(enc.radius)
+        enclosures.append(dataclasses.replace(
+            enc, conditional_on=enc.conditional_on + (DIP_CENSUS_TAG,)))
+        prev_center = float(enc.center)
+        prev_sup = prev_center + float(enc.radius)
     return enclosures
 
 
@@ -351,24 +285,20 @@ def _escalate_N(attempts, eps_target, N, cap):
     return min(cap, max(2 * N, N + 50))
 
 
-def _locate_candidate(op, bracket, N, digits_v, z_prev):
+def _locate_candidate(op, model, lo, hi, N, digits_v, z_prev):
     """Candidate (z, v) at truncation size N: localize, then refine.
 
-    The first attempt at an index localizes the minimizer of double gamma
-    by golden section (:func:`locate_minimum`); an escalated attempt starts
-    from the previous attempt's center.  Either start, with the double
-    right singular vector at size N, is refined by bordered Gauss-Newton
+    The first attempt at an index localizes the first dip of double gamma_N
+    from lo to hi (:func:`_locate_dip`); an escalated attempt starts from
+    the previous attempt's center.  Either start, with the double right
+    singular vector at size N, is refined by bordered Gauss-Newton
     (:func:`_refine_eigenpair`).  Nothing here is trusted: the caller
     verifies the residual on the rectangular truncation.
     """
-    if z_prev is None:
-        loc = locate_minimum(op, bracket, min(N, 600), 1e-9)
-        z0 = float(loc.z_N)
-        v0 = loc.f_N if loc.N == N else right_vector(op, z0, N, DOUBLE)
-    else:
-        z0 = float(z_prev)
-        v0 = right_vector(op, z0, N, DOUBLE)
-    return _refine_eigenpair(op, N, z0, v0, digits_v)
+    z0 = _locate_dip(op, model, lo, hi, N)[0] if z_prev is None \
+        else float(z_prev)
+    return _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE),
+                             digits_v)
 
 
 #: Gauss-Newton steps of :func:`_refine_eigenpair`, at most.

@@ -160,7 +160,7 @@ def _check_against_lapack(op, z, N, ctx, rel):
 
 
 def test_smallest_singular_banded_double_path(cubic):
-    # past the dense limit sigma_min runs the banded QR in complex doubles
+    # a double shift on a banded spec runs the batched banded QR
     T = rectangular(cubic, 2.0, 450, DOUBLE)
     s_ref = np.linalg.svd(T, compute_uv=False)[-1]
     sig, _ = sigma_min(cubic, 2.0, 450, DOUBLE)
@@ -181,7 +181,8 @@ def test_banded_sigma_bigfloat_matches_lapack(cubic, z):
     ids=["complex-mpc", "complex-double"])
 def test_kernel_shortcut_complex_arithmetic(bands, ctx, N):
     # a complex truncation with an exact zero pivot: entry (2, 2) is 2 + i
-    # at shift 2 + i (no real rotated band: complex mpc), 5 at shift 5
+    # at shift 2 + i (no real rotated band: complex mpc), 5 at shift 5 (the
+    # double batch hands the shift to a dense SVD)
     op = band_plugin(bands)
     z = complex(op.entry(2, 2, DOUBLE))
     if not ctx.is_double:

@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from specgate import DOUBLE, bigfloat
+from specgate import DOUBLE, bigfloat, solver
 from specgate.ltp import cubic_ltp_model, dist_bound, harmonic_ltp_model
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
-from specgate.solver import (MultiMinimumError, _refine_complex_pair,
+from specgate.solver import (DIP_CENSUS_TAG, GapScanError, _census,
+                             _gap_check, _locate_dip, _refine_complex_pair,
                              _refine_eigenpair, _residual_target,
                              bootstrap_certify, condition_number,
-                             evaluate_eigenfunction, locate_minimum,
-                             pseudospectrum_grid, square_spectrum_demo)
+                             evaluate_eigenfunction, pseudospectrum_grid,
+                             square_spectrum_demo)
 from specgate.truncation import _band, rectangular, square
 from specgate.verify import CertificationError, verified_residual
 
@@ -39,35 +40,79 @@ def harmonic():
     return harmonic_oscillator_operator()
 
 
-# -- locate_minimum ---------------------------------------------------------
-
-def test_locate_minimum_harmonic(harmonic):
-    res = locate_minimum(harmonic, (2.0, 4.0), 20, 1e-12)
-    assert res.z_N == pytest.approx(3.0, abs=1e-9)
-    assert res.bracket == (2.0, 4.0)
-    assert res.iterations > 0
-    assert res.gamma_at_min < 1e-9
+@pytest.fixture(scope="module")
+def cubic_model():
+    return cubic_ltp_model()
 
 
-def test_locate_minimum_cubic_lambda1(cubic):
-    res = locate_minimum(cubic, (0.5, 2.6), 200, 1e-10)
-    assert abs(res.z_N - LAMBDA_1) < 1e-8
-    assert np.linalg.norm(res.f_N) == pytest.approx(1.0, abs=1e-10)
+# -- the dip census ---------------------------------------------------------
+
+def test_locate_dip_harmonic(harmonic):
+    z, g = _locate_dip(harmonic, harmonic_ltp_model(), 2.0, 4.0, 20)
+    assert z == pytest.approx(3.0, abs=1e-9)
+    assert 2.0 < z < 4.0
+    assert g < 1e-9
 
 
-def test_locate_minimum_multi_dip_error(cubic):
-    with pytest.raises(MultiMinimumError) as exc:
-        locate_minimum(cubic, (3.0, 9.0), 200, 1e-10)
-    minima = exc.value.minima
+def test_locate_dip_cubic_lambda1(cubic, cubic_model):
+    z, _ = _locate_dip(cubic, cubic_model, 0.5, 2.6, 200)
+    assert abs(z - LAMBDA_1) < 1e-8
+    v = right_vector(cubic, z, 200, DOUBLE)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_dip_census_finds_both_dips(cubic, cubic_model):
+    ts, _, dips = _census(cubic, cubic_model, 3.0, 9.0, 200)
+    minima = [ts[k] for k in dips]
     assert any(abs(m - 4.1) < 0.4 for m in minima)
     assert any(abs(m - 7.56) < 0.4 for m in minima)
 
 
-def test_locate_minimum_argmin_stable(cubic):
+def test_locate_dip_argmin_stable(cubic, cubic_model):
     tol = 1e-8
-    res = locate_minimum(cubic, (0.5, 2.6), 150, tol)
-    res2 = locate_minimum(cubic, (0.5 + tol / 10, 2.6 - tol / 10), 150, tol)
-    assert abs(res.z_N - res2.z_N) < tol
+    z, _ = _locate_dip(cubic, cubic_model, 0.5, 2.6, 150)
+    z2, _ = _locate_dip(cubic, cubic_model, 0.5 + tol / 10, 2.6 - tol / 10,
+                        150)
+    assert abs(z - z2) < tol
+
+
+def test_locate_dip_fails_closed_without_a_dip(cubic, cubic_model):
+    # gamma falls monotonically from 8.5 to the eigenvalue 7.56 at the end
+    with pytest.raises(GapScanError) as exc:
+        _locate_dip(cubic, cubic_model, 8.5, 9.3, 200)
+    assert exc.value.at is None
+
+
+@pytest.mark.parametrize("lo, hi, inside", [
+    (0.0, 8.0, (1, 2, 3)), (5.0, 16.0, (3, 4, 5)), (20.0, 30.0, (7, 8)),
+    (40.0, 53.5, None)])
+def test_gap_check_flags_cubic_eigenvalues(cubic, cubic_model, lo, hi,
+                                           inside):
+    # each window holds eigenvalues: the first dip flags the lowest one
+    with pytest.raises(GapScanError) as exc:
+        _gap_check(cubic, cubic_model, lo, hi, 400)
+    if inside is not None:
+        first = float(mpmath.mpf(CUBIC_EIGENVALUES[inside[0] - 1]))
+        assert abs(exc.value.at - first) < cubic_model.gap_floor / 8
+    assert lo < exc.value.at < hi
+
+
+def test_gap_check_flags_the_harmonic_eigenvalues(harmonic):
+    model = harmonic_ltp_model()
+    _, _, dips = _census(harmonic, model, 0.0, 4.5, 200)
+    assert len(dips) == 2
+    with pytest.raises(GapScanError) as exc:
+        _gap_check(harmonic, model, 0.0, 4.5, 200)
+    assert exc.value.at == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gap_check_passes_the_true_gaps(cubic, cubic_model, n):
+    # [0, lambda_1], [lambda_1, lambda_2], ..., [lambda_9, lambda_10] at the
+    # bootstrap's first N for the index
+    lo = 0.0 if n == 1 else float(mpmath.mpf(CUBIC_EIGENVALUES[n - 2]))
+    hi = float(mpmath.mpf(CUBIC_EIGENVALUES[n - 1]))
+    _gap_check(cubic, cubic_model, lo, hi, max(200, 40 * n))
 
 
 # -- eigenpair refinement ---------------------------------------------------
@@ -104,8 +149,9 @@ def test_refine_eigenpair_complex_band():
 def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
     # rotated back to the operator's basis, the refined vector has a small
     # verified residual on the rectangular truncation, spill rows included
-    loc = locate_minimum(cubic, (0.5, 2.6), 200, 1e-9)
-    z, v = _refine_eigenpair(cubic, 200, loc.z_N, loc.f_N, 30)
+    z0, _ = _locate_dip(cubic, cubic_ltp_model(), 0.5, 2.6, 200)
+    v0 = right_vector(cubic, z0, 200, DOUBLE)
+    z, v = _refine_eigenpair(cubic, 200, z0, v0, 30)
     with mp.workdps(40):
         assert abs(z - mpmath.mpf(CUBIC_EIGENVALUES[0])) < 1e-14
     assert verified_residual(cubic, z, v, bigfloat(30)).hi < 1e-15
@@ -143,6 +189,7 @@ def test_bootstrap_harmonic_oracle(harmonic):
         assert float(e.radius) <= 1e-12
         assert e.contains(val)
         assert "kappa-bound" in e.conditional_on
+        assert DIP_CENSUS_TAG in e.conditional_on
     # separation: radii well below half the gap of 2
     for e in encs:
         assert float(e.radius) < 1.0
@@ -152,13 +199,13 @@ def test_bootstrap_harmonic_oracle(harmonic):
 def cubic_encs(cubic):
     """bootstrap_certify(cubic, 8) at double precision, shared by the tests
     below.  From index 5 on, N escalates and c_m binds the residual target.
-    The call takes about 30 s."""
+    The call takes about 8 s."""
     return bootstrap_certify(cubic, cubic_ltp_model(), 8, DOUBLE)
 
 
-#: Radii that the big-float golden-section localization certified for the
-#: first eight cubic eigenvalues; the bordered Gauss-Newton refinement must
-#: not certify wider disks.
+#: Radii that a big-float golden-section localization once certified for
+#: the first eight cubic eigenvalues; the census and bordered Gauss-Newton
+#: refinement must not certify wider disks.
 GOLDEN_SECTION_RADII = (2.364e-10, 2.432e-11, 6.857e-12, 8.679e-11,
                         8.981e-17, 1.877e-18, 2.344e-21, 1.136e-24)
 
@@ -171,6 +218,7 @@ def test_bootstrap_cubic_double(cubic_encs):
             assert float(e.radius) <= 1e-8
             assert e.contains(mpmath.mpf(ref))
             assert e.gap_index_m == e.index_n + 1
+            assert e.conditional_on == ("kappa-bound", DIP_CENSUS_TAG)
     for e, wide in zip(encs, GOLDEN_SECTION_RADII):
         assert float(e.radius) <= wide
     assert encs[0].residual_upper < 1e-8
@@ -186,6 +234,24 @@ def test_bootstrap_enclosures_are_ordered(cubic_encs):
         assert float(b.radius) < gap / 2
 
 
+def test_stalled_escalation_fails_fast(cubic, monkeypatch):
+    # a candidate that does not improve with N: the escalated attempt's
+    # verified residual equals the first one's, and the bootstrap stops
+    # there instead of climbing to the N cap
+    v = right_vector(cubic, 1.2, 200, DOUBLE)
+    sizes = []
+
+    def stuck(op, model, lo, hi, N, digits_v, z_prev):
+        sizes.append(N)
+        return 1.2, v
+
+    monkeypatch.setattr(solver, "_locate_candidate", stuck)
+    with pytest.raises(CertificationError, match="index 1: .* stalled") as exc:
+        bootstrap_certify(cubic, cubic_ltp_model(), 1, DOUBLE)
+    assert sizes == [200, 400]
+    assert "N = 200" in str(exc.value) and "N = 400" in str(exc.value)
+
+
 # -- grids ------------------------------------------------------------------
 
 def test_bootstrap_lattice_meets_reference_values():
@@ -193,6 +259,8 @@ def test_bootstrap_lattice_meets_reference_values():
     # eigenvalues meets exactly one certified disk
     encs = bootstrap_certify(lattice_longrange_operator(), None, 3)
     assert len(encs) == 3
+    for e in encs:
+        assert DIP_CENSUS_TAG not in e.conditional_on
     for ref in LATTICE_EIGENVALUES[:3]:
         hits = [e for e in encs if e.intersects(ref, LATTICE_PRINT_SLACK)]
         assert len(hits) == 1, ref
@@ -322,11 +390,17 @@ def test_square_spectrum_demo(cubic, harmonic):
     assert rep_c.gammas[rep_c.spurious].max() > 1e-2
 
 
-def test_residual_decay_slope(cubic):
+def test_residual_decay_slope(cubic, cubic_model):
+    # the least gamma_N the census sees near lambda_5: at its zoomed dip,
+    # or at its least node where gamma_N has no dip there yet (N = 40)
     Ns = list(range(40, 201, 40))
     logs = []
     for N in Ns:
-        res = locate_minimum(cubic, (13.5, 17.3), N, 1e-11)
-        logs.append(math.log10(max(res.gamma_at_min, 1e-300)))
+        _, g, dips = _census(cubic, cubic_model, 13.5, 17.3, N)
+        least = g.min()
+        if dips:
+            least = min(least, _locate_dip(cubic, cubic_model, 13.5, 17.3,
+                                           N)[1])
+        logs.append(math.log10(max(least, 1e-300)))
     slope = fit_slope(Ns, logs)
     assert slope < -0.02
