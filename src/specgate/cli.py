@@ -19,6 +19,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from .intervals import _raw
 from .ltp import GapMembershipError, model_for_operator, model_from_json
 from .operators import BUILTIN_OPERATORS, INTEGERS, load_plugin_operator
 from .precision import bigfloat, parse_precision
@@ -128,14 +129,33 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _format_vector(v, digits: int):
-    out = []
-    with mp.workdps(digits + 5):
-        for t in v:
-            tc = mpmath.mpc(t)
-            out.append([mpmath.nstr(tc.real, digits, strip_zeros=False),
-                        mpmath.nstr(tc.imag, digits, strip_zeros=False)])
-    return out
+def _exact_decimal(x) -> str:
+    """The exact decimal value of a double or an mpf.  Parsed at any
+    precision that holds its bits, it comes back as the same binary value,
+    which a string rounded to fewer digits does not."""
+    sign, man, exp, _ = _raw(x)
+    if not man and exp:
+        raise ValueError(f"cannot write the non-finite value {x}")
+    digits = str(man << exp) if exp >= 0 else f"{man * 5 ** -exp}e{exp}"
+    return "-" + digits if sign else digits
+
+
+def _candidates(op, encs, ctx) -> dict:
+    """The --candidates-out payload: for each enclosure its index, center,
+    strip index, N, digits and the vector that certified, with the center
+    and the vector written exactly (:func:`_exact_decimal`)."""
+    cands = []
+    for e in encs:
+        z = e.center
+        cands.append({
+            "n": e.index_n, "m": e.gap_index_m,
+            "z": {"re": _exact_decimal(z.real), "im": _exact_decimal(z.imag)}
+            if e.is_complex else _exact_decimal(z),
+            "N": _half_width(op, len(e.vector)),
+            "digits": e.precision_digits,
+            "vector": [[_exact_decimal(t.real), _exact_decimal(t.imag)]
+                       for t in e.vector]})
+    return {"op": op.id, "precision": ctx.describe(), "candidates": cands}
 
 
 def cmd_eigs(args) -> int:
@@ -150,24 +170,9 @@ def cmd_eigs(args) -> int:
                                   timestamp=_timestamp())
     _write(args, dump_report(report))
     if args.candidates_out:
-        digits = max((e.precision_digits for e in encs), default=20)
-        cands = []
-        for e in encs:
-            with mp.workdps(digits + 5):
-                if e.is_complex:
-                    zc = mpmath.mpc(e.center)
-                    z_ser = {"re": mpmath.nstr(zc.real, digits),
-                             "im": mpmath.nstr(zc.imag, digits)}
-                else:
-                    z_ser = mpmath.nstr(mpmath.mpf(e.center), digits)
-            cands.append({"n": e.index_n, "z": z_ser, "m": e.gap_index_m,
-                          "N": _half_width(op, len(e.vector)),
-                          "digits": e.precision_digits,
-                          "vector": _format_vector(e.vector, digits)})
-        payload = {"op": op.id, "precision": ctx.describe(),
-                   "candidates": cands}
         with open(args.candidates_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+            json.dump(_candidates(op, encs, ctx), fh, indent=1,
+                      sort_keys=True)
     return 0
 
 
@@ -195,19 +200,13 @@ def _parse_candidate_z(raw, digits):
         return mpmath.mpf(raw)
 
 
-def cmd_certify(args) -> int:
-    op, model = _resolve_operator(args)
-    if model is None:
-        raise UsageError("plugin certification needs --model")
-    base = parse_precision(args.precision)
-    with open(args.candidate, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "candidates" in data:
-        entries = data["candidates"]
-    else:
-        entries = [data]
+def _certify_candidates(op, model, data: dict, base, N=None) -> list:
+    """Enclosures of the candidates of a --candidate file (one candidate,
+    or a --candidates-out payload), each checked at no fewer digits than
+    it carries; a candidate without a vector gets the right singular
+    vector at size N, or else at its own N."""
     encs = []
-    for entry in entries:
+    for entry in data.get("candidates", [data]):
         ctx = base
         digits = 16 if ctx.is_double else ctx.digits
         if int(entry.get("digits", 0)) > digits:
@@ -220,10 +219,20 @@ def cmd_certify(args) -> int:
                 v = [mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
                      for re, im in entry["vector"]]
         else:
-            N = args.N or int(entry.get("N", 200))
-            v = right_vector(op, z, N, ctx)
+            v = right_vector(op, z, N or int(entry.get("N", 200)), ctx)
         encs.append(certify_eigenvalue(op, model, z, v, m, ctx,
                                        index_n=entry.get("n", m - 1)))
+    return encs
+
+
+def cmd_certify(args) -> int:
+    op, model = _resolve_operator(args)
+    if model is None:
+        raise UsageError("plugin certification needs --model")
+    base = parse_precision(args.precision)
+    with open(args.candidate, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    encs = _certify_candidates(op, model, data, base, args.N)
     report = enclosures_to_report(encs, op.id, base.describe(),
                                   timestamp=_timestamp())
     _write(args, dump_report(report))

@@ -10,6 +10,9 @@ the exact real result for any members of the inputs):
   directed rounding at a configurable number of decimal digits.
 
 :class:`CIBox` is the complex rectangle over either backend.
+
+A third form serves the hot loops of the big-float residual: fixed-point
+intervals on Python integers (the ``_fx_`` functions at the end).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 import mpmath
 from mpmath import iv as _iv
+from mpmath.libmp import from_float, from_int
 
 _INF = math.inf
 
@@ -209,30 +213,115 @@ class MPIntervalScope:
         return False
 
 
-@dataclass(frozen=True)
-class MPBox:
-    """Complex rectangle over mpmath intervals (big-float analog of CIBox)."""
+# ---------------------------------------------------------------------------
+# Fixed-point intervals on Python integers
+# ---------------------------------------------------------------------------
+#
+# A real interval is an int pair (lo, hi) that stands for [lo 2^-p, hi 2^-p].
+# Sums, and products by an integer, are exact.  The only roundings are the
+# enclosures of outside values (_fx_enclose) and the shifts to a coarser
+# scale (_fx_round); each rounds the lower end down and the upper end up.
+# For either sign, x >> k is floor(x / 2^k) and -((-x) >> k) its ceiling.
+# The primitives run per entry and per row, so they are private: the span
+# that bench/tracer.py wraps around every public function would cost more
+# than the arithmetic and move the residual's time into child spans.
 
-    re: object
-    im: object
+#: Bits of a fixed-point scale beyond the decimal digits it resolves.
+GUARD_BITS = 32
 
-    @classmethod
-    def point(cls, z) -> "MPBox":
-        if isinstance(z, mpmath.mpc):
-            return cls(_iv.mpf(z.real), _iv.mpf(z.imag))
-        if isinstance(z, complex):
-            return cls(_iv.mpf(z.real), _iv.mpf(z.imag))
-        return cls(_iv.mpf(z), _iv.mpf(0))
 
-    def conj(self) -> "MPBox":
-        return MPBox(self.re, -self.im)
+def fixed_bits(digits: int) -> int:
+    """p of the fixed-point scale 2^-p for ``digits`` decimal digits."""
+    return math.ceil(digits * math.log2(10)) + GUARD_BITS
 
-    def __add__(self, other) -> "MPBox":
-        return MPBox(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other) -> "MPBox":
-        return MPBox(self.re - other.re, self.im - other.im)
+def _raw(x):
+    """The exact mpmath raw form (sign, man, exp, bc) of an mpf, an int or a
+    double; the mantissa is unsigned."""
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    if isinstance(x, int):
+        return from_int(x)
+    if isinstance(x, float):
+        return from_float(x)
+    raise TypeError(f"no exact binary value for {type(x).__name__}")
 
-    def __mul__(self, other) -> "MPBox":
-        return MPBox(self.re * other.re - self.im * other.im,
-                     self.re * other.im + self.im * other.re)
+
+def _scaled(raw, k: int, up: bool) -> int:
+    """floor of the raw value times 2^k, or with ``up`` its ceiling."""
+    sign, man, exp, _ = raw
+    if not man and exp:
+        raise IntervalError("infinite or NaN value")
+    if sign:
+        man = -man
+    e = exp + k
+    if e >= 0:
+        return man << e
+    return -((-man) >> -e) if up else man >> -e
+
+
+def _fx_enclose(x, p: int) -> tuple:
+    """(floor(a 2^p), ceil(b 2^p)) for the interval [a, b] of an
+    ``mpmath.iv`` value, or for a = b = x a double, an int or an mpf."""
+    a, b = x._mpi_ if hasattr(x, "_mpi_") else (_raw(x),) * 2
+    return _scaled(a, p, False), _scaled(b, p, True)
+
+
+def _fx_times(a, t: int) -> tuple:
+    """The interval a times the integer t, exactly, at the product of their
+    scales.  The two corner products suffice: t is a point."""
+    lo, hi = a
+    return (lo * t, hi * t) if t >= 0 else (hi * t, lo * t)
+
+
+def _fx_ctimes(a, b, vr: int, vi: int) -> tuple:
+    """(a + ib)(vr + i vi) for intervals a, b and integers vr, vi, exactly,
+    as (re, im) intervals at the product of the scales."""
+    ar, ai = _fx_times(a, vr), _fx_times(a, vi)
+    br, bi = _fx_times(b, vr), _fx_times(b, vi)
+    return (ar[0] - bi[1], ar[1] - bi[0]), (ai[0] + br[0], ai[1] + br[1])
+
+
+def _fx_round(a, k: int) -> tuple:
+    """The interval a times 2^-k, rounded outward to integers: k = p takes
+    a product at scale 2^-2p back to 2^-p, and k = 1 halves."""
+    lo, hi = a
+    return lo >> k, -((-hi) >> k)
+
+
+def _fx_square(a) -> tuple:
+    """The exact square of the interval a, at the square of its scale; its
+    lower end is 0 when a straddles 0."""
+    lo, hi = a
+    if lo >= 0:
+        return lo * lo, hi * hi
+    if hi <= 0:
+        return hi * hi, lo * lo
+    return 0, max(lo * lo, hi * hi)
+
+
+def _fx_vector(values, p: int) -> list:
+    """A nonzero complex vector on the grid of scale 2^-p: (re, im) int
+    pairs for the values times one power of two, rounded to nearest, with
+    the largest component between 2^(p-1) and 2^p in modulus.
+
+    Products with these exact components need no rounding.  A residual
+    ratio ||(H - z) v|| / ||v|| bounds the inverse resolvent norm for any
+    nonzero v, so verifying it for the rounded vector loses nothing.
+    """
+    raws = [(_raw(t.real), _raw(t.imag)) for t in values]
+    top = max((exp + bc for pair in raws for _, man, exp, bc in pair if man),
+              default=None)
+    if top is None:
+        raise ValueError("the vector is zero")
+    # floor(2y) + 1, halved and floored, is y rounded to nearest
+    return [tuple((_scaled(r, p - top + 1, False) + 1) >> 1 for r in pair)
+            for pair in raws]
+
+
+def _fx_ratio(num, den: int, tail=0.0):
+    """sqrt(num / den) + [0, tail] as an ``mpmath.iv`` interval at its
+    current precision, for an int interval num and an int den at one scale;
+    the ints are rounded outward on conversion."""
+    ratio = _iv.sqrt(_iv.mpf(num) / den)
+    return ratio + _iv.mpf([0, tail]) if tail else ratio

@@ -23,6 +23,7 @@ expressions in a small arithmetic grammar (the EBNF comment above
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,7 +33,8 @@ import mpmath
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import CIBox, Interval, MPBox, _down, _up, iv_lower, iv_upper
+from .intervals import (CIBox, Interval, MPIntervalScope, _down, _up,
+                        _fx_ctimes, _fx_enclose, _fx_round)
 from .precision import PrecisionContext
 
 NATURALS = "naturals"
@@ -87,7 +89,6 @@ class _BoxDoubleLib:
     """Interval arithmetic over doubles (outward one-ulp rounding)."""
 
     kind = "box-double"
-    point = staticmethod(CIBox.point)
 
     @staticmethod
     def num(x):
@@ -106,18 +107,6 @@ class _BoxDoubleLib:
         s = math.sin(x.lo)
         return Interval(_down(_down(s)), _up(_up(s)))
 
-    @staticmethod
-    def square(x):
-        return x.square()
-
-    @staticmethod
-    def lower(x):
-        return x.lo
-
-    @staticmethod
-    def upper(x):
-        return x.hi
-
 
 class _BoxMPLib:
     """Interval arithmetic over big floats (mpmath.iv directed rounding).
@@ -127,7 +116,6 @@ class _BoxMPLib:
     """
 
     kind = "box-mp"
-    point = staticmethod(MPBox.point)
 
     @staticmethod
     def num(x):
@@ -140,20 +128,6 @@ class _BoxMPLib:
     @staticmethod
     def sin(x):
         return _iv.sin(x)
-
-    @staticmethod
-    def square(x):
-        # x * x would treat the factors as independent and give a negative
-        # lower endpoint when x straddles zero
-        return x ** 2
-
-    @staticmethod
-    def lower(x):
-        return iv_lower(x)
-
-    @staticmethod
-    def upper(x):
-        return iv_upper(x)
 
 
 FLOAT_LIB = _FloatLib()
@@ -170,12 +144,6 @@ def _box_lib_for_ctx(ctx: PrecisionContext):
     return BOX_DOUBLE_LIB if ctx.is_double else BOX_MP_LIB
 
 
-def _box_complex(lib, re, im):
-    if lib.kind == "box-double":
-        return CIBox(re, im)
-    return MPBox(re, im)
-
-
 # ---------------------------------------------------------------------------
 # operator spec
 # ---------------------------------------------------------------------------
@@ -190,9 +158,13 @@ class OperatorSpec:
     evaluation is pure, so specs are safe to share across threads.
 
     ``hints`` holds optional operator-specific fast paths by name; the one
-    read today is ``mp_residual_rows(z, vals, col_start, pad)``, the
-    big-float interval rows of (H - z) v over the padded block, which
+    read today is ``mp_residual_rows(z, V, col_start, pad, p)``, the
+    big-float rows of (H - z) v over the padded block, which
     :func:`specgate.verify.verified_residual` reads in place of the band.
+    It works on the fixed-point intervals of :mod:`specgate.intervals`:
+    z as (re, im) int intervals and v as exact (re, im) ints at scale 2^-p
+    in, the rows as (re, im) int intervals at that scale out.  Only the
+    entry enclosures it caches (the lattice's sines) run in ``mpmath.iv``.
     Structure the entries reveal is derived, not declared: a spec whose
     band is real after the rotation W = diag(i^m) runs its real-shift
     big-float sigma and residuals in real arithmetic (``truncation._band``).
@@ -265,25 +237,27 @@ class OperatorSpec:
 # The (2m+1)/2 factor (kinetic diagonal, and the x^2-weight inside the odd
 # offsets) is fixed by the Gauss-Hermite quadrature oracle in the test
 # suite; see the build notes for the competing printed variant it rules out.
+#
+# Each off-diagonal entry collapses to +-sqrt(K)/4 with K an integer:
+# K = 18 max(m, m+off)^3 at offset +-1 (the bracket is 3 k^(3/2) / (2 sqrt 2)
+# with k = max(m, m+off)), K = 4 p with a minus sign at +-2 and K = 2 p at
+# +-3, where p is the product under the square root above.  So every entry
+# costs one rounding, in any arithmetic.
 
 def _cubic_coefficient(m: int, off: int, lib):
-    """(magnitude, is_imag) of the entry at row m + off of column m, for
-    |off| <= 3 and m + off >= 0; the magnitude in lib arithmetic."""
-    two = lib.num(2)
+    """(value, is_imag) of the entry at row m + off of column m, for
+    |off| <= 3 and m + off >= 0; the value in lib arithmetic."""
     if off == 0:
-        return lib.num(2 * m + 1) / two, False
-    # the integer under the square root: m(m-1).. below, (m+1)(m+2).. above
-    p = math.prod(range(m + off + 1, m + 1)) if off < 0 else \
-        math.prod(range(m + 1, m + off + 1))
-    s2 = lib.sqrt(two)
-    if off in (-3, 3):
-        return lib.sqrt(lib.num(p)) / (two * s2), True
-    if off in (-2, 2):
-        return -(lib.sqrt(lib.num(p)) / two), False
-    half_2m1 = lib.num(2 * m + 1) / two
-    a = m - 1 if off < 0 else m + 2
-    return lib.num(a) * lib.sqrt(lib.num(p)) / (two * s2) \
-        + half_2m1 * lib.sqrt(lib.num(p) / two), True
+        return lib.num(2 * m + 1) / 2, False
+    if off in (-1, 1):
+        K = 18 * max(m, m + off) ** 3
+    else:
+        # m(m-1).. below the diagonal, (m+1)(m+2).. above
+        p = math.prod(range(m + off + 1, m + 1)) if off < 0 else \
+            math.prod(range(m + 1, m + off + 1))
+        K = 4 * p if off in (-2, 2) else 2 * p
+    mag = lib.sqrt(lib.num(K)) / 4
+    return (-mag, False) if off in (-2, 2) else (mag, True)
 
 
 def _cubic_entry(i: int, j: int, ctx: PrecisionContext):
@@ -298,11 +272,11 @@ def _cubic_entry(i: int, j: int, ctx: PrecisionContext):
 def _cubic_entry_box(i: int, j: int, lib):
     zero = lib.num(0)
     if i < 0 or j < 0 or abs(i - j) > 3:
-        return _box_complex(lib, zero, zero)
+        return CIBox(zero, zero)
     mag, is_imag = _cubic_coefficient(j, i - j, lib)
     if is_imag:
-        return _box_complex(lib, zero, mag)
-    return _box_complex(lib, mag, zero)
+        return CIBox(zero, mag)
+    return CIBox(mag, zero)
 
 
 def hermite_cubic_operator() -> OperatorSpec:
@@ -331,7 +305,7 @@ def _harmonic_entry(i: int, j: int, ctx: PrecisionContext):
 
 def _harmonic_entry_box(i: int, j: int, lib):
     val = lib.num(2 * j + 1) if (i == j and i >= 0) else lib.num(0)
-    return _box_complex(lib, val, lib.num(0))
+    return CIBox(val, lib.num(0))
 
 
 def harmonic_oscillator_operator() -> OperatorSpec:
@@ -385,10 +359,10 @@ def _lattice_entry_box(i: int, j: int, lib):
     if d == 0:
         re = lib.num(j * j) / lib.num(10)
         im = lib.num(2) * lib.sin(lib.num(j))
-        return _box_complex(lib, re, im)
+        return CIBox(re, im)
     # powers of two are exact in binary; the point interval is exact
-    return _box_complex(lib, lib.num(2) ** (1 - d) if lib.kind == "box-mp"
-                        else lib.num(2.0 ** (1 - d)), zero)
+    return CIBox(lib.num(2) ** (1 - d) if lib.kind == "box-mp"
+                 else lib.num(2.0 ** (1 - d)), zero)
 
 
 def _lattice_tail_bound(n: int, m: int) -> float:
@@ -398,57 +372,62 @@ def _lattice_tail_bound(n: int, m: int) -> float:
     return math.sqrt(cols * _LATTICE_COL_SQ_COEFF) * 2.0 ** (-m / 2.0)
 
 
-def _lattice_residual_rows_mp(z, vals, col_start: int, pad: int):
-    """Big-float interval rows of (H - z) v for the lattice block.
+@functools.lru_cache(maxsize=4)
+def _lattice_diagonal(N: int, p: int) -> tuple:
+    """Fixed-point enclosures (re, im) of the diagonal entries
+    i^2/10 + 2i sin i for i = -N..N, at scale 2^-p: i^2/10 by floor and
+    ceiling division, 2 sin i in ``mpmath.iv`` at no fewer than p bits."""
+    with MPIntervalScope(math.ceil(p / math.log2(10))):
+        return tuple((((i * i << p) // 10, -((-(i * i) << p) // 10)),
+                      _fx_enclose(2 * _iv.sin(i), p))
+                     for i in range(-N, N + 1))
 
-    The hop part of row i, sum_{j != i} 2^{1-|i-j|} v_j, splits into a left
-    sum L_i over j < i and a right sum R_i over j > i, which two sweeps over
-    the rows build by recurrence: L_{i+1} = L_i / 2 + v_i from the first
-    row down and R_{i-1} = R_i / 2 + v_i from the last row up (v_i = 0
-    outside the block's columns, and both sums start at 0 past the block).
-    Every step is an ``mpmath.iv`` operation: halving an interval is exact
-    (a power-of-two scale of its endpoints) and each addition rounds
-    outward, so L_i + R_i encloses the exact hop sum at O(1) interval
-    operations per row.  The diagonal term, with its sine enclosure, is
-    added in intervals as well.  Returns the rows as a list of MPBox.
-    Caller must scope both mp and iv precision.
+
+def _hop_sums(x) -> list:
+    """[lo, hi] enclosing sum_{k != r} 2^(1-|r-k|) x_k for each r, for
+    integers x, at their scale.
+
+    The sum splits into a left part over k < r and a right part over k > r,
+    which two sweeps build by recurrence: L_{r+1} = L_r / 2 + x_r from the
+    first row down and R_{r-1} = R_r / 2 + x_r from the last row up, both
+    0 past the ends.  Each halving rounds its lower end down and its upper
+    end up, so the sums cost O(1) integer operations per row.
     """
-    zz = mpmath.mpc(z)
-    ncols = len(vals)
-    row_lo = col_start - pad
-    nrows = ncols + 2 * pad
-    zero, two, ten = _iv.mpf(0), _iv.mpf(2), _iv.mpf(10)
-    # v as intervals on the rows, zero where no column sits; the
-    # conversions are exact (no rounding to the interval precision)
-    vre = [zero] * nrows
-    vim = [zero] * nrows
-    for jc, t in enumerate(vals):
-        t = mpmath.mpc(t)
-        vre[pad + jc] = _iv.mpf(t.real)
-        vim[pad + jc] = _iv.mpf(t.imag)
-    left_re = [zero] * nrows
-    left_im = [zero] * nrows
-    for r in range(1, nrows):
-        left_re[r] = left_re[r - 1] / two + vre[r - 1]
-        left_im[r] = left_im[r - 1] / two + vim[r - 1]
-    right_re = [zero] * nrows
-    right_im = [zero] * nrows
-    for r in range(nrows - 2, -1, -1):
-        right_re[r] = right_re[r + 1] / two + vre[r + 1]
-        right_im[r] = right_im[r + 1] / two + vim[r + 1]
-    rows = []
-    zre = _iv.mpf(zz.real)
-    zim = _iv.mpf(zz.imag)
-    for r in range(nrows):
-        acc_re = left_re[r] + right_re[r]
-        acc_im = left_im[r] + right_im[r]
-        if pad <= r < pad + ncols:
-            i = row_lo + r
-            dre = _iv.mpf(i * i) / ten - zre
-            dim = two * _iv.sin(_iv.mpf(i)) - zim
-            acc_re += dre * vre[r] - dim * vim[r]
-            acc_im += dre * vim[r] + dim * vre[r]
-        rows.append(MPBox(acc_re, acc_im))
+    n = len(x)
+    sums = [[0, 0] for _ in range(n)]
+    for step, order in ((1, range(1, n)), (-1, range(n - 2, -1, -1))):
+        acc = (0, 0)
+        for r in order:
+            lo, hi = _fx_round(acc, 1)
+            acc = (lo + x[r - step], hi + x[r - step])
+            sums[r][0] += acc[0]
+            sums[r][1] += acc[1]
+    return sums
+
+
+def _lattice_residual_rows(z, V, col_start: int, pad: int, p: int):
+    """Fixed-point interval rows of (H - z) v for the lattice block.
+
+    z is the shift as (re, im) int intervals and V the vector as exact
+    (re, im) ints (:func:`specgate.intervals._fx_vector`), both at scale
+    2^-p; the rows come back as (re, im) int intervals at that scale, from
+    the block's first padding row to its last.  The hop part of each row is
+    :func:`_hop_sums` of the components of v, which are 0 outside the
+    block's columns.  The diagonal term (d_i - z) v_i, with d_i from
+    :func:`_lattice_diagonal` (cached per (N, p)), is exact at scale 2^-2p
+    and rounded outward once per row.
+    """
+    (zrl, zrh), (zil, zih) = z
+    zeros = [0] * pad
+    rows = list(zip(_hop_sums(zeros + [t for t, _ in V] + zeros),
+                    _hop_sums(zeros + [t for _, t in V] + zeros)))
+    for r, ((vr, vi), (dre, dim)) in enumerate(
+            zip(V, _lattice_diagonal(-col_start, p)), start=pad):
+        re, im = _fx_ctimes((dre[0] - zrh, dre[1] - zrl),
+                            (dim[0] - zih, dim[1] - zil), vr, vi)
+        for acc, part in zip(rows[r], (_fx_round(re, p), _fx_round(im, p))):
+            acc[0] += part[0]
+            acc[1] += part[1]
     return rows
 
 
@@ -463,7 +442,7 @@ def lattice_longrange_operator() -> OperatorSpec:
         tail_bound=_lattice_tail_bound,
         symmetry_flags=frozenset({COMPLEX_SYMMETRIC, PT_SYMMETRIC}),
         entry_box=_lattice_entry_box,
-        hints={"mp_residual_rows": _lattice_residual_rows_mp},
+        hints={"mp_residual_rows": _lattice_residual_rows},
     )
 
 
@@ -652,19 +631,19 @@ def _eval_box(node, n: int, lib):
     def ev(nd):
         tag = nd[0]
         if tag in ("lit", "lit-int"):
-            return _box_complex(lib, lib.num(nd[1]), zero)
+            return CIBox(lib.num(nd[1]), zero)
         if tag == "n":
-            return _box_complex(lib, lib.num(n), zero)
+            return CIBox(lib.num(n), zero)
         if tag == "pi":
             if lib.kind == "box-mp":
-                return _box_complex(lib, _iv.pi, zero)
+                return CIBox(_iv.pi, zero)
             v = math.pi
-            return _box_complex(lib, Interval(_down(v), _up(v)), zero)
+            return CIBox(Interval(_down(v), _up(v)), zero)
         if tag == "i":
-            return _box_complex(lib, zero, lib.num(1))
+            return CIBox(zero, lib.num(1))
         if tag == "neg":
             b = ev(nd[1])
-            return _box_complex(lib, -b.re, -b.im)
+            return CIBox(-b.re, -b.im)
         if tag in ("+", "-", "*", "/"):
             a, b = ev(nd[1]), ev(nd[2])
             if tag == "+":
@@ -674,7 +653,7 @@ def _eval_box(node, n: int, lib):
             if tag == "*":
                 return a * b
             denom = real_only(b, "division")
-            return _box_complex(lib, a.re / denom, a.im / denom)
+            return CIBox(a.re / denom, a.im / denom)
         if tag == "^":
             base = ev(nd[1])
             p = nd[2]
@@ -683,26 +662,26 @@ def _eval_box(node, n: int, lib):
             k = p[1]
             if k < 0:
                 raise ExpressionError("interval power needs a nonnegative exponent")
-            acc = _box_complex(lib, lib.num(1), zero)
+            acc = CIBox(lib.num(1), zero)
             for _ in range(k):
                 acc = acc * base
             return acc
         arg = real_only(ev(nd[1]), tag)
         if tag == "sqrt":
-            return _box_complex(lib, lib.sqrt(arg), zero)
+            return CIBox(lib.sqrt(arg), zero)
         if tag == "sin":
-            return _box_complex(lib, lib.sin(arg), zero)
+            return CIBox(lib.sin(arg), zero)
         if tag == "cos":
             if lib.kind == "box-mp":
-                return _box_complex(lib, _iv.cos(arg), zero)
+                return CIBox(_iv.cos(arg), zero)
             if arg.lo != arg.hi:
                 raise ExpressionError("double-interval cosine only for point arguments")
             c = math.cos(arg.lo)
-            return _box_complex(lib, Interval(_down(_down(c)), _up(_up(c))), zero)
+            return CIBox(Interval(_down(_down(c)), _up(_up(c))), zero)
         if tag == "exp":
             if lib.kind == "box-mp":
-                return _box_complex(lib, _iv.exp(arg), zero)
-            return _box_complex(lib, arg.exp(), zero)
+                return CIBox(_iv.exp(arg), zero)
+            return CIBox(arg.exp(), zero)
         raise ExpressionError(f"unsupported node {tag!r}")
 
     return ev(node)
@@ -785,7 +764,7 @@ def load_plugin_operator(source) -> OperatorSpec:
     def entry_box(i, j, lib):
         node = bands.get(i - j)
         if node is None:
-            return _box_complex(lib, lib.num(0), lib.num(0))
+            return CIBox(lib.num(0), lib.num(0))
         return _eval_box(node, i, lib)
 
     flags = frozenset(data.get("symmetry", []))

@@ -219,6 +219,11 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
         _default_target_radius(ctx)
 
     lam = model.lambda_asymptotic
+    if lam is None:
+        raise ValueError(
+            f"model {model.id!r} has no eigenvalue asymptotics "
+            "(lambda_asymptotic), which the real-spectrum bootstrap needs "
+            "to size its dip census")
     enclosures: list[Enclosure] = []
     prev_center, prev_sup = 0.0, None
     for n in range(1, n_max + 1):
@@ -237,13 +242,14 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
             N = min(N, cap)
             z_loc, v_cand = _locate_candidate(op, model, prev_center, top, N,
                                               digits_v, z_loc)
-            eps_cert = verified_residual(op, z_loc, v_cand,
-                                         bigfloat(digits_v)).hi
+            bound = verified_residual(op, z_loc, v_cand, bigfloat(digits_v))
+            eps_cert = bound.hi
             radius = dist_bound(eps_cert, m_eff, model, ctx)
             if not math.isinf(float(radius)) and float(radius) <= target:
                 _gap_check(op, model, prev_center, float(z_loc), N)
                 enc = certify_eigenvalue(op, model, z_loc, v_cand, m_eff,
-                                         bigfloat(digits_v), index_n=n)
+                                         bigfloat(digits_v), index_n=n,
+                                         residual=bound)
                 break
             if attempts and not float(eps_cert) < attempts[-1][1]:
                 raise CertificationError(

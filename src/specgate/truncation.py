@@ -17,7 +17,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from .intervals import MPIntervalScope
+from .intervals import MPIntervalScope, fixed_bits, _fx_enclose
 from .operators import (INTEGERS, NATURALS, OperatorSpec, StructureError,
                         _box_lib_for_ctx)
 from .precision import PrecisionContext
@@ -82,16 +82,17 @@ def _block_geometry(op: OperatorSpec, N: int):
 
 
 def _memo(cache: dict, limit: int, op: OperatorSpec, key: tuple, build):
-    """build(), memoized in cache per (op, *key); the cache is emptied when
-    a new entry would exceed limit.  Entries keep their operator object, so
-    a recycled id() is not a hit."""
+    """build(), memoized in cache per (op, *key); when a new entry would
+    exceed limit, the least recently used one is dropped.  Entries keep
+    their operator object, so a recycled id() is not a hit."""
     key = (id(op),) + key
-    hit = cache.get(key)
+    hit = cache.pop(key, None)
     if hit is not None and hit[0] is op:
+        cache[key] = hit  # the most recently used entry comes last
         return hit[1]
     value = build()
-    if len(cache) >= limit:
-        cache.clear()
+    while len(cache) >= limit:
+        del cache[next(iter(cache))]
     cache[key] = (op, value)
     return value
 
@@ -104,9 +105,10 @@ GEOMETRY_CACHE_LIMIT = 64
 
 #: Unshifted truncations and bands, per operator object.  A band at N = 200
 #: and 30 digits takes 0.2-0.8 MB, so the cache holds at most CACHE_LIMIT
-#: entries and is emptied when a new one would exceed that; callers use at
-#: most two at a time (the gap scan alternates a double truncation with an
-#: interval band).
+#: entries and drops the least recently used one.  The real-spectrum
+#: bootstrap uses three at each index: the double band of the dip census,
+#: the big-float band of Gauss-Newton and the interval band of the residual.
+#: The last two change with the index's digits; the double band stays.
 _base_cache: dict = {}
 CACHE_LIMIT = 3
 
@@ -135,7 +137,11 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
     One list of (array row, value) pairs per column: the band rows of a
     banded spec, every row of the padded block of a long-range one.  Values
     come from ``op.entry`` in the context's arithmetic, or with ``box`` from
-    ``op.entry_box`` in its interval arithmetic.
+    ``op.entry_box`` in its interval arithmetic; in a big-float context
+    those enclosures are converted once, to the fixed-point int intervals
+    of scale 2^-p, p = ``fixed_bits(ctx.digits)``, that the residual reads:
+    (lo, hi) for a real value and (re lo, re hi, im lo, im hi) for a
+    complex one.
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
     soon as one of them is not exactly real.  Cached per (op, N,
@@ -144,6 +150,8 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
     def build():
         rows, cols, row0, col0, _, _ = _block_geometry(op, N)
         every_row = range(row0, row0 + rows)
+        fixed = box and not ctx.is_double
+        p = fixed_bits(ctx.digits)
         if box:
             lib = _box_lib_for_ctx(ctx)
             zero = lib.num(0)
@@ -168,6 +176,9 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
                         v, im = _rotate(*parts, j - i)
                         if not im == zero:
                             return None
+                        parts = (v,)
+                    if fixed:
+                        v = tuple(e for x in parts for e in _fx_enclose(x, p))
                     col.append((i - row0, v))
                 out.append(col)
         return out

@@ -10,6 +10,16 @@ upper-bounds ||(H - z)^{-1}||^{-1} for *any* nonzero v; the inversion
 formula of :mod:`specgate.ltp` then turns it into a radius around z that
 provably contains a spectral point.  Certification fails closed: no finite
 radius, no enclosure.
+
+A double context evaluates the ratio in double intervals (one ulp outward
+per operation).  A big-float context evaluates it in the fixed-point int
+intervals of :mod:`specgate.intervals`, at scale 2^-p for p a little above
+the context's digits: v is rounded to that grid (any nonzero v will do) and
+z enclosed on it, so the products in a row are exact; each row is rounded
+outward once and squared exactly.  ``mpmath.iv`` still runs in three
+places, none of them per row: the entry enclosures, converted to ints once
+per band build; the lattice's sines, once per (N, digits); and the final
+sqrt(num / den) plus the tail.
 """
 
 from __future__ import annotations
@@ -24,10 +34,11 @@ import numpy as np
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import Interval, MPIntervalScope, iv_lower, iv_upper
+from .intervals import (CIBox, Interval, MPIntervalScope, fixed_bits,
+                        _fx_ctimes, _fx_enclose, _fx_ratio, _fx_round, _fx_square,
+                        _fx_times, _fx_vector, iv_lower, iv_upper)
 from .ltp import (GapMembershipError, LTPModel, dist_bound)
-from .operators import (INTEGERS, OperatorSpec, StructureError,
-                        _box_lib_for_ctx)
+from .operators import INTEGERS, OperatorSpec, StructureError
 from .precision import PrecisionContext
 from .truncation import _band, _block_geometry, _rotate
 
@@ -81,60 +92,50 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
     if not vals or all(t == 0 for t in vals):
         raise ValueError("v must be nonzero")
 
-    # scope both the mpf working precision (exact conversions of z and v)
-    # and the interval precision (directed rounding of the evaluation)
-    with mp.workdps(ctx.digits + 5), MPIntervalScope(ctx.digits):
-        z = complex(z) if ctx.is_double else mpmath.mpc(z)
-        return _verified_residual_banded(op, z, vals, ctx)
+    if ctx.is_double:
+        return _verified_residual_double(op, complex(z), vals, ctx)
+    return _verified_residual_fixed(op, z, vals, ctx)
 
 
-def _verified_residual_banded(op, z, vals, ctx):
-    """The residual over the cached interval band, plus the tail term.
+def _verified_residual_double(op, z, vals, ctx):
+    """The residual in double intervals over the cached interval band, plus
+    the tail term.
 
     At a real shift, an operator whose rotated band is real is evaluated in
     real intervals on the rotated parts a, b of v, v[m] = i^m (a[m] + i b[m]):
     the rotation is unitary, so ||(H - z) v||^2 = ||(R - z) a||^2 +
     ||(R - z) b||^2 and ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs
-    in complex boxes, with the rows from the operator's ``mp_residual_rows``
-    hint in big floats when it has one (no band is built then).
+    in complex boxes.
     """
-    lib = _box_lib_for_ctx(ctx)
     N = _half_width(op, len(vals))
     nrows, _, row0, col0, _, tail = _block_geometry(op, N)
-    hint = None if ctx.is_double else op.hints.get("mp_residual_rows")
-    band = None
-    if hint is None and z.imag == 0:
-        band = _band(op, N, ctx, box=True, rotated=True)
+    band = _band(op, N, ctx, box=True, rotated=True) if z.imag == 0 else None
     if band is not None:
         ab = [_rotate(t.real, t.imag, -(col0 + jc)) for jc, t in enumerate(vals)]
         parts = ([a for a, _ in ab], [b for _, b in ab])
-        point, shift = lib.num, lib.num(z.real)
+        point, shift = Interval.point, Interval.point(z.real)
 
         def reals(x):
             return (x,)
     else:
-        if hint is None:
-            band = _band(op, N, ctx, box=True)
+        band = _band(op, N, ctx, box=True)
         parts = (vals,)
-        point, shift = lib.point, lib.point(z)
+        point, shift = CIBox.point, CIBox.point(z)
 
         def reals(x):
             return x.re, x.im
-    num2 = den2 = lib.num(0)
+    num2 = den2 = Interval.point(0.0)
     for part in parts:
-        rows = hint(z, part, col0, col0 - row0) if band is None else \
-            _band_rows(band, col0 - row0, nrows, shift, part, point)
-        for row in rows:
+        for row in _band_rows(band, col0 - row0, nrows, shift, part, point):
             for x in reals(row):
-                num2 = num2 + lib.square(x)
+                num2 = num2 + x.square()
         for t in part:
             for x in reals(point(t)):
-                den2 = den2 + lib.square(x)
-    ratio = lib.sqrt(num2 / den2)
+                den2 = den2 + x.square()
+    ratio = (num2 / den2).sqrt()
     if tail:
-        ratio = ratio + (Interval(0.0, tail) if ctx.is_double else
-                         _iv.mpf([0, tail]))
-    return Bound(lib.lower(ratio), lib.upper(ratio))
+        ratio = ratio + Interval(0.0, tail)
+    return Bound(ratio.lo, ratio.hi)
 
 
 def _band_rows(band, d, nrows, shift, part, point):
@@ -154,6 +155,86 @@ def _band_rows(band, d, nrows, shift, part, point):
                 term = term - shift * pj
             rows[ir] = term if rows[ir] is None else rows[ir] + term
     return [r for r in rows if r is not None]
+
+
+def _verified_residual_fixed(op, z, vals, ctx):
+    """The big-float residual in the fixed-point int intervals of
+    :mod:`specgate.intervals`, at scale 2^-p with p = fixed_bits(digits).
+
+    v is rounded to the grid (``_fx_vector``) and z enclosed on it, so every
+    product in a row is exact at scale 2^-2p.  Each row is rounded outward
+    once to 2^-p and squared exactly; ||v||^2 is exact.  The rows come from
+    the operator's ``mp_residual_rows`` hint when it has one, else from the
+    cached int band: real at a real shift when the rotated band is real (as
+    in :func:`_verified_residual_double`), complex otherwise.  The one
+    ``mpmath.iv`` step is the final sqrt(num / den) plus the tail.
+    """
+    p = fixed_bits(ctx.digits)
+    N = _half_width(op, len(vals))
+    nrows, _, row0, col0, _, tail = _block_geometry(op, N)
+    d = col0 - row0
+    V = _fx_vector(vals, p)
+    zre, zim = _fx_enclose(z.real, p), _fx_enclose(z.imag, p)
+    hint = op.hints.get("mp_residual_rows")
+    band = None
+    if hint is None and zim == (0, 0):
+        band = _band(op, N, ctx, box=True, rotated=True)
+    if hint is not None:
+        rows = [x for row in hint((zre, zim), V, col0, d, p) for x in row]
+    elif band is not None:
+        ab = [_rotate(re, im, -(col0 + jc)) for jc, (re, im) in enumerate(V)]
+        rows = [x for k in (0, 1) for x in
+                _real_rows(band, d, nrows, zre, [t[k] for t in ab], p)]
+    else:
+        rows = _complex_rows(_band(op, N, ctx, box=True), d, nrows,
+                             zre, zim, V, p)
+    num_lo = num_hi = 0
+    for x in rows:
+        lo, hi = _fx_square(x)
+        num_lo += lo
+        num_hi += hi
+    den = sum(re * re + im * im for re, im in V)
+    with MPIntervalScope(ctx.digits):
+        ratio = _fx_ratio((num_lo, num_hi), den, tail)
+        return Bound(iv_lower(ratio), iv_upper(ratio))
+
+
+def _real_rows(band, d, nrows, z, part, p):
+    """Rows of (A - z) part at scale 2^-p, for a real band A of int
+    intervals, a real shift interval z and exact ints part; the diagonal of
+    column jc sits at array row jc + d."""
+    lo, hi = [0] * nrows, [0] * nrows
+    for jc, (t, col) in enumerate(zip(part, band)):
+        if not t:
+            continue
+        for ir, a in col:
+            if ir == jc + d:
+                a = (a[0] - z[1], a[1] - z[0])
+            x, y = _fx_times(a, t)
+            lo[ir] += x
+            hi[ir] += y
+    return [_fx_round(r, p) for r in zip(lo, hi)]
+
+
+def _complex_rows(band, d, nrows, zre, zim, V, p):
+    """Real and imaginary parts of the rows of (A - z) v at scale 2^-p, as
+    one flat list, for a complex band A of int intervals; as
+    :func:`_real_rows` otherwise."""
+    acc = [[0, 0, 0, 0] for _ in range(nrows)]
+    for jc, ((vr, vi), col) in enumerate(zip(V, band)):
+        if not (vr or vi):
+            continue
+        for ir, (al, ah, bl, bh) in col:
+            if ir == jc + d:
+                al, ah = al - zre[1], ah - zre[0]
+                bl, bh = bl - zim[1], bh - zim[0]
+            (rl, rh), (il, ih) = _fx_ctimes((al, ah), (bl, bh), vr, vi)
+            row = acc[ir]
+            row[0] += rl
+            row[1] += rh
+            row[2] += il
+            row[3] += ih
+    return [_fx_round(part, p) for row in acc for part in (row[:2], row[2:])]
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +338,16 @@ class Enclosure:
 
 def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
                        candidate_v, m: int, ctx: PrecisionContext,
-                       index_n: Optional[int] = None) -> Enclosure:
+                       index_n: Optional[int] = None,
+                       residual: Optional[Bound] = None) -> Enclosure:
     """Certify a candidate pair into an enclosure via the inversion formula.
 
     ``m`` is the strip index the caller has established (the bootstrap uses
     n + 1 so the bound stays valid on either side of the target eigenvalue).
-    Fails closed: an infinite distance bound raises instead of producing an
-    enclosure.
+    ``residual`` is the :func:`verified_residual` bound of this same pair
+    at ctx, when the caller has computed it already; otherwise it is
+    computed here.  Fails closed: an infinite distance bound raises instead
+    of producing an enclosure.
     """
     if index_n is None:
         index_n = m - 1
@@ -272,8 +356,9 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         raise GapMembershipError(
             f"candidate {candidate_z} is not plausibly in strip {m}; "
             "bootstrap ordering required")
-    bound = verified_residual(op, candidate_z, candidate_v, ctx)
-    eps = bound.hi
+    if residual is None:
+        residual = verified_residual(op, candidate_z, candidate_v, ctx)
+    eps = residual.hi
     radius = dist_bound(eps, m, model, ctx)
     if math.isinf(float(radius)):
         raise CertificationError(

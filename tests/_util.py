@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,6 +68,12 @@ def sigma_noise_allowance(N: int, z=0.0) -> float:
     # a factor-two margin over the worst drift observed at N = 600
     scale = cubic_column_norm(N) + abs(z)
     return 120.0 * 2.0 ** -53 * scale
+
+
+def exact_fraction(x) -> Fraction:
+    """The exact rational value of an mpf."""
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 def fit_slope(xs, ys) -> float:

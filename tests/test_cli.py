@@ -82,6 +82,20 @@ def test_plugin_eigs_with_a_builtin_model(tmp_path):
                 <= mpmath.mpf(e["radius"])
 
 
+def test_plugin_eigs_with_a_constant_model_exits_1(tmp_path, capsys):
+    # a constant model has no eigenvalue asymptotics, which the
+    # real-spectrum bootstrap needs to size its census: exit 1, naming them
+    plugin = tmp_path / "plugin.json"
+    plugin.write_text(json.dumps({
+        "id": "diag", "bands": [{"offset": 0, "coefficient": "2*n + 1"}],
+        "symmetry": ["ComplexSymmetric", "RealSpectrumExpected"]}))
+    assert main(["eigs", "--plugin", str(plugin), "--model",
+                 '{"type": "constant", "id": "diag", "kappa": 1}',
+                 "--n", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "lambda_asymptotic" in err and "Traceback" not in err
+
+
 def _disks(path):
     return [(e["n"], e["center"], e["radius"]) for e in
             json.loads(path.read_text(encoding="utf-8"))["enclosures"]]

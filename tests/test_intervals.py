@@ -9,8 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgate.intervals import CIBox, Interval, IntervalError
+from specgate.intervals import (CIBox, Interval, IntervalError,
+                                MPIntervalScope, _fx_ctimes, _fx_enclose,
+                                _fx_ratio, _fx_round, _fx_square, _fx_times,
+                                _fx_vector, iv_lower, iv_upper)
 from specgate.operators import BOX_DOUBLE_LIB, _eval_box
+
+from _util import exact_fraction
 
 
 def test_add_example():
@@ -152,3 +157,133 @@ def test_cibox_mult_contains():
     z2 = complex(-0.75, 2.0)
     b = CIBox.point(z1) * CIBox.point(z2)
     assert b.contains(z1 * z2)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point int intervals: each primitive against exact rationals
+# ---------------------------------------------------------------------------
+
+#: non-dyadic rationals a/b with b odd, so x 2^p is never an integer
+rationals = st.builds(Fraction, st.integers(-10**12, 10**12),
+                      st.sampled_from([3, 5, 7, 9, 11, 13, 10**9 + 7]))
+scales = st.integers(0, 200)
+int_intervals = st.tuples(st.integers(-2**300, 2**300),
+                          st.integers(-2**300, 2**300)).map(
+                              lambda t: (min(t), max(t)))
+
+
+def _members(a, fracs):
+    """Rational points of the int interval a: its ends and interior points."""
+    lo, hi = a
+    return [Fraction(lo), Fraction(hi)] + [lo + f * (hi - lo) for f in fracs]
+
+
+@given(rationals, scales, st.integers(16, 60))
+@settings(max_examples=200, deadline=None)
+def test_fx_enclose_is_the_exact_floor_and_ceiling(x, p, digits):
+    # a double, an mpf and an mpmath.iv interval, each of a non-dyadic x:
+    # the ends are floor and ceiling of the exact value times 2^p
+    def floor_ceil(value):
+        return math.floor(value * 2 ** p), math.ceil(value * 2 ** p)
+
+    xd = x.numerator / x.denominator
+    assert _fx_enclose(xd, p) == floor_ceil(Fraction(xd))
+    with mpmath.workdps(digits):
+        xm = mpmath.mpf(x.numerator) / x.denominator
+    assert _fx_enclose(xm, p) == floor_ceil(exact_fraction(xm))
+    with MPIntervalScope(digits):
+        xi = mpmath.iv.mpf(x.numerator) / x.denominator
+    a, b = exact_fraction(iv_lower(xi)), exact_fraction(iv_upper(xi))
+    assert a <= x <= b
+    assert _fx_enclose(xi, p) == (floor_ceil(a)[0], floor_ceil(b)[1])
+    assert _fx_enclose(x.numerator, p) == (x.numerator << p,) * 2
+
+
+def test_fx_enclose_rejects_infinite_values():
+    with pytest.raises(IntervalError):
+        _fx_enclose(math.inf, 10)
+    with pytest.raises(IntervalError):
+        _fx_enclose(mpmath.iv.mpf([0, mpmath.inf]), 10)
+    with pytest.raises(TypeError):
+        _fx_enclose(Fraction(1, 3), 10)
+
+
+@given(int_intervals, st.integers(-2**200, 2**200),
+       st.lists(rationals.map(lambda f: f - math.floor(f)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_fx_times_is_exact(a, t, fracs):
+    lo, hi = _fx_times(a, t)
+    products = [x * t for x in _members(a, fracs)]
+    assert lo == min(products[:2]) and hi == max(products[:2])
+    assert all(lo <= v <= hi for v in products)
+
+
+@given(int_intervals, int_intervals, st.integers(-2**200, 2**200),
+       st.integers(-2**200, 2**200),
+       st.lists(st.tuples(rationals, rationals).map(
+           lambda t: tuple(f - math.floor(f) for f in t)), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_fx_ctimes_contains_the_complex_products(a, b, vr, vi, fracs):
+    re, im = _fx_ctimes(a, b, vr, vi)
+    points = list(zip(_members(a, [f for f, _ in fracs]),
+                      _members(b, [g for _, g in fracs])))
+    points += [(Fraction(a[0]), Fraction(b[1])),
+               (Fraction(a[1]), Fraction(b[0]))]
+    for x, y in points:
+        assert re[0] <= x * vr - y * vi <= re[1]
+        assert im[0] <= x * vi + y * vr <= im[1]
+
+
+@given(int_intervals, st.integers(0, 400))
+@settings(max_examples=300, deadline=None)
+def test_fx_round_is_the_outward_rounding(a, k):
+    lo, hi = _fx_round(a, k)
+    assert lo == math.floor(Fraction(a[0], 2 ** k))
+    assert hi == math.ceil(Fraction(a[1], 2 ** k))
+
+
+@given(int_intervals, st.lists(rationals.map(lambda f: f - math.floor(f)),
+                               max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_fx_square_is_the_exact_range(a, fracs):
+    lo, hi = _fx_square(a)
+    squares = [x * x for x in _members(a, fracs)]
+    assert all(lo <= s <= hi for s in squares)
+    assert hi == max(squares[:2])
+    assert lo == (0 if a[0] < 0 < a[1] else min(squares[:2]))
+
+
+@given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=8),
+       st.integers(-60, 60), st.integers(20, 200))
+@settings(max_examples=200, deadline=None)
+def test_fx_vector_rounds_to_nearest_on_one_scale(values, shift, p):
+    vals = [complex(float(a) * 2.0 ** shift, float(b) * 2.0 ** shift)
+            for a, b in values]
+    if not any(vals):
+        with pytest.raises(ValueError):
+            _fx_vector(vals, p)
+        return
+    V = _fx_vector(vals, p)
+    parts = [Fraction(x) for t in vals for x in (t.real, t.imag)]
+    ints = [x for pair in V for x in pair]
+    # the largest component lies in [2^(top-1), 2^top)
+    top = math.frexp(max(abs(x) for t in vals for x in (t.real, t.imag)))[1]
+    scale = Fraction(2) ** (p - top)
+    assert 2 ** (p - 1) <= max(abs(x) for x in ints) <= 2 ** p
+    for x, n in zip(parts, ints):
+        # round half up: n - 1/2 <= x scale < n + 1/2
+        assert n - Fraction(1, 2) <= x * scale < n + Fraction(1, 2)
+
+
+@given(int_intervals.map(lambda t: (abs(t[0]), abs(t[1]))).map(
+           lambda t: (min(t), max(t))),
+       st.integers(1, 2**300), st.sampled_from([0.0, 1e-20, 0.5]),
+       st.integers(16, 60))
+@settings(max_examples=200, deadline=None)
+def test_fx_ratio_contains_the_square_root(num, den, tail, digits):
+    with MPIntervalScope(digits):
+        r = _fx_ratio(num, den, tail)
+    lo, hi = exact_fraction(iv_lower(r)), exact_fraction(iv_upper(r))
+    assert lo >= 0
+    assert lo * lo <= Fraction(num[0], den)
+    assert (hi - Fraction(tail)) ** 2 >= Fraction(num[1], den)

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from specgate import DOUBLE, bigfloat
-from specgate.intervals import MPIntervalScope, iv_lower, iv_upper
+from specgate.intervals import (IntervalError, _fx_enclose, _fx_vector,
+                                fixed_bits)
 from specgate.ltp import (GapMembershipError, cubic_ltp_model,
                           harmonic_ltp_model, kappa_bound)
-from specgate.operators import (harmonic_oscillator_operator,
+from specgate.operators import (_lattice_diagonal,
+                                harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import right_vector, sigma_min
@@ -26,7 +28,7 @@ from specgate.verify import (CertificationError, Enclosure,
                              enclosures_to_report, verified_residual)
 
 from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES, band_plugin,
-                   box_route_residual)
+                   box_route_residual, exact_fraction)
 
 LAMBDA_1 = CUBIC_EIGENVALUES[0]
 
@@ -60,6 +62,14 @@ def test_residual_rows_straddling_zero():
     v[1] = 1.0
     b = verified_residual(op, z, v, bigfloat(30))
     assert 0 <= b.lo <= b.hi < 1e-29
+
+
+def test_residual_refuses_a_non_finite_vector(cubic):
+    # a NaN entry has no place on the fixed-point grid: no bound at all
+    v = np.ones(6, dtype=complex)
+    v[2] = complex(math.nan, 0.0)
+    with pytest.raises(IntervalError):
+        verified_residual(cubic, 1.0, v, bigfloat(20))
 
 
 def test_residual_upper_bounds_lower(cubic):
@@ -271,12 +281,6 @@ def _assert_hint_matches_band(lattice, z, v):
         assert abs(a - c) <= 1e-12 * abs(c)
 
 
-def _fraction(x):
-    """The exact rational value of an mpf."""
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
@@ -286,25 +290,102 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
        st.integers(0, 30), st.complex_numbers(max_magnitude=10))
 @settings(max_examples=60, deadline=None)
 def test_lattice_rows_contain_the_exact_rows(v, pad, z):
-    # every row box of the hint's two sweeps contains the exact hop sum
-    # sum_{j != i} 2^(1-|i-j|) v_j (in rationals) plus the diagonal term
-    # (i^2/10 + 2i sin i - z) v_i at 60 digits
+    # every row of the hint, (re, im) int intervals at scale 2^-p, contains
+    # the exact hop sum sum_{j != i} 2^(1-|i-j|) v_j (in rationals) plus
+    # the diagonal term (i^2/10 + 2i sin i - z) v_i, the sine at 60 digits,
+    # for v on the grid of scale 2^-p
+    if not any(x for t in v for x in t):
+        v[0] = (1.0, 0.0)
     N = (len(v) - 1) // 2
+    p = fixed_bits(30)
+    V = _fx_vector([complex(*t) for t in v], p)
     rows_of = lattice_longrange_operator().hints["mp_residual_rows"]
-    with mp.workdps(35), MPIntervalScope(30):
-        rows = rows_of(mpmath.mpc(z), [mpmath.mpc(*t) for t in v], -N, pad)
+    rows = rows_of((_fx_enclose(z.real, p), _fx_enclose(z.imag, p)), V, -N,
+                   pad, p)
     assert len(rows) == len(v) + 2 * pad
+    unit = Fraction(1, 2 ** p)
     for r, row in enumerate(rows):
         i = r - N - pad
-        exact = [sum((Fraction(t[k]) * Fraction(2) ** (1 - abs(i - j))
-                      for j, t in enumerate(v, start=-N) if j != i),
+        exact = [sum((t[k] * unit * Fraction(2) ** (1 - abs(i - j))
+                      for j, t in enumerate(V, start=-N) if j != i),
                      Fraction(0)) for k in (0, 1)]
         if -N <= i <= N:
             with mp.workdps(60):
-                d = (mpmath.mpf(i * i) / 10 + 2j * mpmath.sin(i)
-                     - mpmath.mpc(z)) * mpmath.mpc(*v[i + N])
-                exact = [exact[0] + _fraction(d.real),
-                         exact[1] + _fraction(d.imag)]
-        for box, value in ((row.re, exact[0]), (row.im, exact[1])):
-            assert _fraction(iv_lower(box)) <= value <= \
-                _fraction(iv_upper(box)), (i, pad)
+                sine = exact_fraction(2 * mpmath.sin(i))
+            dre = Fraction(i * i, 10) - Fraction(z.real)
+            dim = sine - Fraction(z.imag)
+            vr, vi = (x * unit for x in V[i + N])
+            exact = [exact[0] + dre * vr - dim * vi,
+                     exact[1] + dre * vi + dim * vr]
+        for (lo, hi), value in zip(row, exact):
+            assert lo * unit <= value <= hi * unit, (i, pad)
+
+
+def test_lattice_diagonal_is_the_floor_and_ceiling():
+    # i^2/10 by floor and ceiling division; 2 sin i enclosed within a few
+    # units of scale 2^-p around its 60-digit value
+    p = fixed_bits(30)
+    with mp.workdps(60):
+        sines = [exact_fraction(2 * mpmath.sin(i)) for i in range(-12, 13)]
+    for i, ((rl, rh), (il, ih)), s in zip(
+            range(-12, 13), _lattice_diagonal(12, p), sines):
+        assert rl == math.floor(Fraction(i * i, 10) * 2 ** p)
+        assert rh == math.ceil(Fraction(i * i, 10) * 2 ** p)
+        assert il <= s * 2 ** p <= ih and ih - il <= 4
+
+
+def _dyadic_vectors(n):
+    """Complex vectors of n entries k 2^-20, |k| < 2^40, not all zero: on the
+    residual's grid exactly, so the rounding of v changes nothing."""
+    part = st.integers(-2**40, 2**40).map(lambda k: Fraction(k, 2**20))
+    return st.lists(st.tuples(part, part), min_size=n, max_size=n).filter(
+        lambda v: any(x for t in v for x in t))
+
+
+@st.composite
+def _band_cases(draw):
+    """(bands {offset: (coefficient expression, exact rational function of
+    the row index)}, z, v).  Coefficients (a n + b)/q with q odd are not
+    dyadic; odd offsets are imaginary or real, so both the real rotated
+    band and the complex band are drawn."""
+    bands = {}
+    for off in draw(st.sets(st.integers(-2, 2), min_size=1)):
+        a, b = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        q = draw(st.sampled_from([3, 7, 9, 11]))
+        unit = 1j if off % 2 and draw(st.booleans()) else 1
+
+        def exact(n, a=a, b=b, q=q, unit=unit):
+            value = Fraction(a * n + b, q)
+            return (0, value) if unit == 1j else (value, 0)
+        text = f"({a}*n + {b})/{q}"
+        bands[off] = (f"i*{text}" if unit == 1j else text, exact)
+    N = draw(st.integers(2, 6))
+    z = complex(draw(st.integers(-40, 40)) / 8,
+                draw(st.sampled_from([0, 0, 3])) / 8)
+    return bands, z, draw(_dyadic_vectors(N))
+
+
+@given(_band_cases(), st.sampled_from([20, 30]))
+@settings(max_examples=40, deadline=None)
+def test_fixed_residual_contains_the_exact_residual(case, digits):
+    # the big-float residual of a random banded plugin encloses the exact
+    # ||(A - z) v|| / ||v|| over the rectangular truncation, in rationals
+    bands, z, v = case
+    op = band_plugin({off: text for off, (text, _) in bands.items()})
+    b = verified_residual(op, z, [complex(*t) for t in v], bigfloat(digits))
+    N = len(v)
+    num = Fraction(0)
+    for i in range(N + op.lower_bandwidth):
+        re = im = Fraction(0)
+        for j, (vr, vi) in enumerate(v):
+            if i - j in bands:
+                ar, ai = bands[i - j][1](i)
+                re += ar * vr - ai * vi
+                im += ar * vi + ai * vr
+        if i < N:
+            re -= Fraction(z.real) * v[i][0] - Fraction(z.imag) * v[i][1]
+            im -= Fraction(z.real) * v[i][1] + Fraction(z.imag) * v[i][0]
+        num += re * re + im * im
+    ratio2 = num / sum(vr * vr + vi * vi for vr, vi in v)
+    lo, hi = exact_fraction(b.lo), exact_fraction(b.hi)
+    assert 0 <= lo and lo * lo <= ratio2 <= hi * hi
