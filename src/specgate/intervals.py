@@ -11,17 +11,20 @@ the exact real result for any members of the inputs):
 
 :class:`CIBox` is the complex rectangle over either backend.
 
-A third form serves the hot loops of the big-float residual: fixed-point
-intervals on Python integers (the ``_fx_`` functions at the end).
+A third form carries every big-float band and the hot loops of the
+big-float residual: fixed-point intervals on Python integers (the ``_fx_``
+functions at the end).  Its entry arithmetic (:func:`_fx_lib`) encloses the
+operator entries straight onto the grid the residual reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import mpmath
 from mpmath import iv as _iv
-from mpmath.libmp import from_float, from_int
+from mpmath.libmp import from_float, from_int, from_man_exp, round_nearest
 
 _INF = math.inf
 
@@ -325,3 +328,124 @@ def _fx_ratio(num, den: int, tail=0.0):
     the ints are rounded outward on conversion."""
     ratio = _iv.sqrt(_iv.mpf(num) / den)
     return ratio + _iv.mpf([0, tail]) if tail else ratio
+
+
+def _fx_mpf(t: int, k: int, prec: int = 0):
+    """t 2^-k as an mpf: exact, or with ``prec`` rounded to nearest at that
+    many bits."""
+    return mpmath.mp.make_mpf(from_man_exp(t, -k, prec or None, round_nearest))
+
+
+def _fx_mpc(re: int, im: int, k: int):
+    """(re + i im) 2^-k as an mpc, exactly."""
+    return mpmath.mp.make_mpc((from_man_exp(re, -k), from_man_exp(im, -k)))
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point entry arithmetic
+# ---------------------------------------------------------------------------
+#
+# The ``lib`` of ``OperatorSpec.entry_box`` for big-float bands: the entry
+# rules run on int pairs (lo, hi) at scale 2^-p, so a band is enclosed on
+# the grid the residual reads, at its full resolution.  num is exact up to
+# its one enclosure (_fx_enclose); sums and differences are exact; a product
+# or a quotient rounds outward once.  sqrt is the floor of sqrt(lo 2^p) and
+# the ceiling of sqrt(hi 2^p), by math.isqrt.  sin, cos, exp and pi run in
+# mpmath.iv at no fewer than p bits, then are enclosed on the grid.
+
+class _FxInterval(tuple):
+    """[lo 2^-p, hi 2^-p] as the int pair (lo, hi), with the operators of
+    the entry rules.  Each scale has its own subclass (:func:`_fx_lib`),
+    whose class methods num, sqrt, sin, cos, exp and pi make it the lib."""
+
+    __slots__ = ()
+    p = 0
+
+    @classmethod
+    def _of(cls, lo: int, hi: int):
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def num(cls, x):
+        """x enclosed on the grid: an int, a double, an mpf or an
+        ``mpmath.iv`` interval."""
+        if type(x) is int:
+            return cls._of(x << cls.p, x << cls.p)
+        return cls._of(*_fx_enclose(x, cls.p))
+
+    def _operand(self, o):
+        return o if type(o) is type(self) else self.num(o)
+
+    def __neg__(self):
+        return self._of(-self[1], -self[0])
+
+    def __add__(self, o):
+        o = self._operand(o)
+        return self._of(self[0] + o[0], self[1] + o[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        o = self._operand(o)
+        return self._of(self[0] - o[1], self[1] - o[0])
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return self._of(*_fx_times(self, o))
+        a, b = self
+        c, d = self._operand(o)
+        corners = (a * c, a * d, b * c, b * d)
+        return self._of(*_fx_round((min(corners), max(corners)), self.p))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if type(o) is int and o > 0:
+            return self._of(self[0] // o, -((-self[1]) // o))
+        c, d = self._operand(o)
+        if c <= 0 <= d:
+            raise IntervalError(f"division by an interval containing zero: "
+                                f"[{c}, {d}] 2^-{self.p}")
+        tops = [t << self.p for t in self]
+        return self._of(min(t // q for t in tops for q in (c, d)),
+                        max(-((-t) // q) for t in tops for q in (c, d)))
+
+    @classmethod
+    def sqrt(cls, x):
+        lo, hi = x
+        if hi < 0:
+            raise IntervalError(f"sqrt of the negative interval [{lo}, {hi}]")
+        top = hi << cls.p
+        return cls._of(math.isqrt(max(lo, 0) << cls.p),
+                       math.isqrt(top - 1) + 1 if top else 0)
+
+    @classmethod
+    def _iv(cls, f, *args):
+        """f of the arguments in ``mpmath.iv`` at no fewer than p bits,
+        enclosed on the grid."""
+        with MPIntervalScope(math.ceil(cls.p / math.log2(10))):
+            return cls.num(f(*(_iv.mpf([_fx_mpf(t, cls.p) for t in x])
+                               for x in args)))
+
+    @classmethod
+    def sin(cls, x):
+        return cls._iv(_iv.sin, x)
+
+    @classmethod
+    def cos(cls, x):
+        return cls._iv(_iv.cos, x)
+
+    @classmethod
+    def exp(cls, x):
+        return cls._iv(_iv.exp, x)
+
+    @classmethod
+    def pi(cls):
+        return cls._iv(lambda: _iv.pi)
+
+
+@functools.lru_cache(maxsize=32)
+def _fx_lib(p: int):
+    """The entry arithmetic at scale 2^-p: the :class:`_FxInterval`
+    subclass of that scale."""
+    return type(f"_FxInterval{p}", (_FxInterval,), {"__slots__": (), "p": p})

@@ -34,7 +34,8 @@ from mpmath import iv as _iv
 from mpmath import mp
 
 from .intervals import (CIBox, Interval, MPIntervalScope, _down, _up,
-                        _fx_ctimes, _fx_enclose, _fx_round)
+                        fixed_bits, _fx_ctimes, _fx_enclose, _fx_lib,
+                        _fx_round)
 from .precision import PrecisionContext
 
 NATURALS = "naturals"
@@ -50,12 +51,13 @@ class StructureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# numeric adapters: one coefficient formula, three arithmetics
+# numeric adapters: one coefficient formula, four arithmetics
 # ---------------------------------------------------------------------------
+#
+# Doubles and mpf for entry, double intervals and the fixed-point grid of
+# intervals._fx_lib for entry_box.
 
 class _FloatLib:
-    kind = "float"
-
     @staticmethod
     def num(x):
         return float(x)
@@ -70,8 +72,6 @@ class _FloatLib:
 
 
 class _MPLib:
-    kind = "mp"
-
     @staticmethod
     def num(x):
         return mpmath.mpf(x)
@@ -87,8 +87,6 @@ class _MPLib:
 
 class _BoxDoubleLib:
     """Interval arithmetic over doubles (outward one-ulp rounding)."""
-
-    kind = "box-double"
 
     @staticmethod
     def num(x):
@@ -107,41 +105,31 @@ class _BoxDoubleLib:
         s = math.sin(x.lo)
         return Interval(_down(_down(s)), _up(_up(s)))
 
-
-class _BoxMPLib:
-    """Interval arithmetic over big floats (mpmath.iv directed rounding).
-
-    Callers are responsible for scoping ``mpmath.iv`` precision (see
-    :class:`specgate.intervals.MPIntervalScope`).
-    """
-
-    kind = "box-mp"
+    @staticmethod
+    def cos(x):
+        if x.lo != x.hi:
+            raise ExpressionError("double-interval cosine only for point arguments")
+        c = math.cos(x.lo)
+        return Interval(_down(_down(c)), _up(_up(c)))
 
     @staticmethod
-    def num(x):
-        return _iv.mpf(x)
+    def exp(x):
+        return x.exp()
 
     @staticmethod
-    def sqrt(x):
-        return _iv.sqrt(x)
-
-    @staticmethod
-    def sin(x):
-        return _iv.sin(x)
+    def pi():
+        return Interval(_down(math.pi), _up(math.pi))
 
 
 FLOAT_LIB = _FloatLib()
 MP_LIB = _MPLib()
 BOX_DOUBLE_LIB = _BoxDoubleLib()
-BOX_MP_LIB = _BoxMPLib()
-
-
-def _lib_for_ctx(ctx: PrecisionContext):
-    return FLOAT_LIB if ctx.is_double else MP_LIB
 
 
 def _box_lib_for_ctx(ctx: PrecisionContext):
-    return BOX_DOUBLE_LIB if ctx.is_double else BOX_MP_LIB
+    """Double intervals, or the fixed-point grid of scale 2^-p with
+    p = ``fixed_bits(ctx.digits)``."""
+    return BOX_DOUBLE_LIB if ctx.is_double else _fx_lib(fixed_bits(ctx.digits))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +142,11 @@ class OperatorSpec:
 
     ``entry(i, j, ctx)`` evaluates one matrix element in the given precision
     context; ``entry_box(i, j, lib)`` returns a rigorous enclosure of the
-    same element in the interval arithmetic selected by ``lib``.  Entry
-    evaluation is pure, so specs are safe to share across threads.
+    same element, a :class:`~specgate.intervals.CIBox`, in the interval
+    arithmetic selected by ``lib``: double intervals, or for big-float
+    bands the fixed-point int intervals of ``intervals._fx_lib``, on the
+    grid the residual reads.  Entry evaluation is pure, so specs are safe
+    to share across threads.
 
     ``hints`` holds optional operator-specific fast paths by name; the one
     read today is ``mp_residual_rows(z, V, col_start, pad, p)``, the
@@ -163,8 +154,11 @@ class OperatorSpec:
     :func:`specgate.verify.verified_residual` reads in place of the band.
     It works on the fixed-point intervals of :mod:`specgate.intervals`:
     z as (re, im) int intervals and v as exact (re, im) ints at scale 2^-p
-    in, the rows as (re, im) int intervals at that scale out.  Only the
-    entry enclosures it caches (the lattice's sines) run in ``mpmath.iv``.
+    in, the rows as (re, im) int intervals at that scale out.
+    ``mpmath.iv`` runs only where an entry is transcendental: the sin,
+    cos, exp and pi of the fixed-point lib (plugin coefficients), and the
+    lattice's sines, both at no fewer than p bits; square roots and
+    rational entries are integer floors and ceilings.
     Structure the entries reveal is derived, not declared: a spec whose
     band is real after the rotation W = diag(i^m) runs its real-shift
     big-float sigma and residuals in real arithmetic (``truncation._band``).
@@ -263,10 +257,12 @@ def _cubic_coefficient(m: int, off: int, lib):
 def _cubic_entry(i: int, j: int, ctx: PrecisionContext):
     if i < 0 or j < 0 or abs(i - j) > 3:
         return mpmath.mpc(0) if not ctx.is_double else 0j
+    if ctx.is_double:
+        mag, is_imag = _cubic_coefficient(j, i - j, FLOAT_LIB)
+        return complex(0, mag) if is_imag else complex(mag, 0)
     with ctx.workprec():
-        mag, is_imag = _cubic_coefficient(j, i - j, _lib_for_ctx(ctx))
-        parts = (0, mag) if is_imag else (mag, 0)
-        return complex(*parts) if ctx.is_double else mpmath.mpc(*parts)
+        mag, is_imag = _cubic_coefficient(j, i - j, MP_LIB)
+        return mpmath.mpc(0, mag) if is_imag else mpmath.mpc(mag, 0)
 
 
 def _cubic_entry_box(i: int, j: int, lib):
@@ -360,9 +356,9 @@ def _lattice_entry_box(i: int, j: int, lib):
         re = lib.num(j * j) / lib.num(10)
         im = lib.num(2) * lib.sin(lib.num(j))
         return CIBox(re, im)
-    # powers of two are exact in binary; the point interval is exact
-    return CIBox(lib.num(2) ** (1 - d) if lib.kind == "box-mp"
-                 else lib.num(2.0 ** (1 - d)), zero)
+    # a power of two is exact in binary: on the fixed-point grid num
+    # encloses it exactly, past the double range too
+    return CIBox(lib.num(mpmath.ldexp(1, 1 - d)), zero)
 
 
 def _lattice_tail_bound(n: int, m: int) -> float:
@@ -622,9 +618,7 @@ def _eval_box(node, n: int, lib):
     zero = lib.num(0)
 
     def real_only(box, what):
-        lo_hi_zero = (box.im == zero) if lib.kind == "box-mp" else \
-            (box.im.lo == 0.0 and box.im.hi == 0.0)
-        if not lo_hi_zero:
+        if not box.im == zero:
             raise ExpressionError(f"{what} of a complex quantity is not enclosable")
         return box.re
 
@@ -635,10 +629,7 @@ def _eval_box(node, n: int, lib):
         if tag == "n":
             return CIBox(lib.num(n), zero)
         if tag == "pi":
-            if lib.kind == "box-mp":
-                return CIBox(_iv.pi, zero)
-            v = math.pi
-            return CIBox(Interval(_down(v), _up(v)), zero)
+            return CIBox(lib.pi(), zero)
         if tag == "i":
             return CIBox(zero, lib.num(1))
         if tag == "neg":
@@ -667,21 +658,8 @@ def _eval_box(node, n: int, lib):
                 acc = acc * base
             return acc
         arg = real_only(ev(nd[1]), tag)
-        if tag == "sqrt":
-            return CIBox(lib.sqrt(arg), zero)
-        if tag == "sin":
-            return CIBox(lib.sin(arg), zero)
-        if tag == "cos":
-            if lib.kind == "box-mp":
-                return CIBox(_iv.cos(arg), zero)
-            if arg.lo != arg.hi:
-                raise ExpressionError("double-interval cosine only for point arguments")
-            c = math.cos(arg.lo)
-            return CIBox(Interval(_down(_down(c)), _up(_up(c))), zero)
-        if tag == "exp":
-            if lib.kind == "box-mp":
-                return CIBox(_iv.exp(arg), zero)
-            return CIBox(arg.exp(), zero)
+        if tag in _FUNCS:
+            return CIBox(getattr(lib, tag)(arg), zero)
         raise ExpressionError(f"unsupported node {tag!r}")
 
     return ev(node)

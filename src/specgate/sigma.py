@@ -430,7 +430,8 @@ def _shifted_double(op: OperatorSpec, z: complex, N: int):
 
 
 def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
-    """banded_sigma over the cached big-float band of a banded spec.
+    """banded_sigma over the big-float band of a banded spec: the midpoints
+    of its cached fixed-point box band (:func:`~specgate.truncation._band`).
 
     A real shift uses the real rotated band when the operator has one; its
     vector maps back by v[m] = i^m w[m].

@@ -43,15 +43,16 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from .intervals import fixed_bits, _fx_enclose, _fx_mpc, _fx_mpf
 from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
 from .sigma import (_shifted_double, banded_sigma_batch, gamma, right_vector,
                     sigma_min)
-from .truncation import _band, _block_geometry, _rotate
+from .truncation import _block_geometry, _fx_midpoints, _rotate
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
-                     verified_residual)
+                     enclosure_center, verified_residual)
 
 DOUBLE_N_CAP = 5000
 BIGFLOAT_N_CAP = 3000
@@ -321,24 +322,27 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     spill rows included; the square block's eigenpair leaves 2.7 times the
     minimum there at the cubic's fourth eigenvalue (N = 200).  The Jacobian
     is frozen at J0 = [[T - z0 E, -E v0], [c^T, 0]] and pseudo-inverted
-    once in doubles; F is evaluated and (v, z) updated in big floats at
-    digits_v + 5.  The steps stop when F vanishes, when one fails to halve
-    ||F||_inf (the floor of the truncation or of the precision), or after
-    NEWTON_MAXIT.
+    once in doubles.  T is the midpoint of the fixed-point box band that
+    the residual verifies (scale 2^-p, p = ``fixed_bits(digits_v)``), so
+    both read one band build.  v, z and c sit on the grid of scale 2^-p,
+    and F is evaluated in exact integers at scale 2^-(2p+1).  The steps
+    stop when F vanishes, when one fails to halve ||F||_inf (the floor of
+    the truncation or of the grid), or after NEWTON_MAXIT.
 
     On the real rotated band (W^-1 H W, W = diag(i^m)), when the operator
     has one, v0 is rotated in and divided by the phase of its largest entry
     before its real part is taken; otherwise z is complex.  v comes back in
-    the operator's basis as mpc values.
+    the operator's basis as exact mpc values of the grid.
     """
-    work = bigfloat(digits_v + 5)
+    ctx = bigfloat(digits_v)
+    p = fixed_bits(digits_v)
     rows, cols, row0, col0, _, _ = _block_geometry(op, N)
     d = col0 - row0  # array row of column jc's diagonal entry is jc + d
-    band = _band(op, N, work, rotated=True)
-    rotated = band is not None
+    mids = _fx_midpoints(op, N, ctx, rotated=True)
+    rotated = mids is not None
     if not rotated:
-        band = _band(op, N, work)
-    num = mpmath.mpf if rotated else mpmath.mpc
+        mids = _fx_midpoints(op, N, ctx)
+    unit = 1 << (p + 1)
 
     w0 = np.asarray(v0, dtype=complex)
     if rotated:
@@ -355,47 +359,88 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     # LAPACK calls are complex, and a real SVD pages in a second set of
     # kernels (0.9 MB more resident memory for eigs --op cubic --n 3)
     J0 = np.zeros((rows + 1, cols + 1), dtype=complex)
-    for jc, col in enumerate(band):
+    for jc, col in enumerate(mids):
         for i, a in col:
-            J0[i, jc] = complex(a)
+            J0[i, jc] = a / unit if rotated else complex(a[0] / unit,
+                                                         a[1] / unit)
     J0[diag + d, diag] -= z0
     J0[diag + d, cols] = -w0
     J0[rows, :cols] = c
     J0pinv = np.linalg.pinv(J0)
 
-    with work.workprec():
-        cm = [num(t) for t in c]
+    def grid(x):
+        return _fx_enclose(float(x), p)[0]
 
-        def residual(v, z):
-            r = [num(0)] * rows
-            for jc, (t, col) in enumerate(zip(v, band)):
+    if rotated:
+        cg = [grid(t) for t in c]
+        v = [grid(t) for t in w0]
+        z = grid(z0)
+    else:
+        cg = [(grid(t.real), grid(t.imag)) for t in c]
+        v = [(grid(t.real), grid(t.imag)) for t in w0]
+        z = (grid(z0.real), grid(z0.imag))
+    one = 1 << (2 * p)
+
+    def residual(v, z):
+        """The components of F at scale 2^-(2p+1), real and imaginary
+        parts in turn for a complex band, and their largest modulus."""
+        if rotated:
+            r = [0] * rows
+            for jc, (t, col) in enumerate(zip(v, mids)):
                 for i, a in col:
                     r[i] += a * t
-                r[jc + d] -= z * t
-            r.append(mpmath.fdot(cm, v) - 1)
-            return r, max(abs(t) for t in r)
+                r[jc + d] -= 2 * z * t
+            r.append(2 * (sum(a * t for a, t in zip(cg, v)) - one))
+        else:
+            (zr, zi), r = z, [0] * (2 * rows)
+            for jc, ((tr, ti), col) in enumerate(zip(v, mids)):
+                for i, (ar, ai) in col:
+                    r[2 * i] += ar * tr - ai * ti
+                    r[2 * i + 1] += ar * ti + ai * tr
+                k = 2 * (jc + d)
+                r[k] -= 2 * (zr * tr - zi * ti)
+                r[k + 1] -= 2 * (zr * ti + zi * tr)
+            r.append(2 * (sum(a * x - b * y for (a, b), (x, y)
+                              in zip(cg, v)) - one))
+            r.append(2 * sum(a * y + b * x for (a, b), (x, y)
+                             in zip(cg, v)))
+        return r, max(map(abs, r))
 
-        v = [num(t) for t in w0]
-        z = num(z0)
-        r, rn = residual(v, z)
-        for _ in range(NEWTON_MAXIT):
-            if not rn > 0:
-                break
-            step = J0pinv @ np.array([complex(t / rn) for t in r])
-            if rotated:
-                step = step.real
-            v_new = [t - num(s) * rn for t, s in zip(v, step)]
-            z_new = z - num(step[cols]) * rn
-            r_new, rn_new = residual(v_new, z_new)
-            if not rn_new < rn:
-                break
-            halved = rn_new <= rn / 2
-            v, z, r, rn = v_new, z_new, r_new, rn_new
-            if not halved:
-                break
+    def shift(x, s, rn):
+        """x minus the grid value of the double s times rn 2^-(2p+1)."""
+        a, b = float(s).as_integer_ratio()
+        return x - (a * rn) // (b * unit)
+
+    r, rn = residual(v, z)
+    for _ in range(NEWTON_MAXIT):
+        if not rn > 0:
+            break
+        f = np.array([t / rn for t in r])
+        step = J0pinv @ (f if rotated else f[0::2] + 1j * f[1::2])
+        if not np.isfinite(step).all():
+            break
         if rotated:
-            v = [mpmath.mpc(*_rotate(t, 0, col0 + m)) for m, t in enumerate(v)]
-        return (z if rotated else z.real), v
+            step = step.real
+            v_new = [shift(t, s, rn) for t, s in zip(v, step)]
+            z_new = shift(z, step[cols], rn)
+        else:
+            v_new = [(shift(x, s.real, rn), shift(y, s.imag, rn))
+                     for (x, y), s in zip(v, step)]
+            z_new = (shift(z[0], step[cols].real, rn),
+                     shift(z[1], step[cols].imag, rn))
+        r_new, rn_new = residual(v_new, z_new)
+        if not rn_new < rn:
+            break
+        halved = 2 * rn_new <= rn
+        v, z, r, rn = v_new, z_new, r_new, rn_new
+        if not halved:
+            break
+    # the z the bootstrap verifies is the center it reports
+    zc = enclosure_center(_fx_mpf(z if rotated else z[0], p), ctx)
+    if rotated:
+        return zc, [_fx_mpc(*_rotate(t, 0, col0 + m), p)
+                    for m, t in enumerate(v)]
+    return zc, [_fx_mpc(x, y, p) for x, y in v]
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+from mpmath import mp
 
-from .intervals import MPIntervalScope, fixed_bits, _fx_enclose
+from .intervals import fixed_bits, _fx_mpf
 from .operators import (INTEGERS, NATURALS, OperatorSpec, StructureError,
                         _box_lib_for_ctx)
 from .precision import PrecisionContext
@@ -106,9 +107,9 @@ GEOMETRY_CACHE_LIMIT = 64
 #: Unshifted truncations and bands, per operator object.  A band at N = 200
 #: and 30 digits takes 0.2-0.8 MB, so the cache holds at most CACHE_LIMIT
 #: entries and drops the least recently used one.  The real-spectrum
-#: bootstrap uses three at each index: the double band of the dip census,
-#: the big-float band of Gauss-Newton and the interval band of the residual.
-#: The last two change with the index's digits; the double band stays.
+#: bootstrap uses two at each index: the double band of the dip census, and
+#: the fixed-point box band that Gauss-Newton and the residual share.  The
+#: box band changes with the index's digits; the double band stays.
 _base_cache: dict = {}
 CACHE_LIMIT = 3
 
@@ -135,56 +136,87 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
     """Unshifted band of the rectangular truncation of a spec.
 
     One list of (array row, value) pairs per column: the band rows of a
-    banded spec, every row of the padded block of a long-range one.  Values
-    come from ``op.entry`` in the context's arithmetic, or with ``box`` from
-    ``op.entry_box`` in its interval arithmetic; in a big-float context
-    those enclosures are converted once, to the fixed-point int intervals
-    of scale 2^-p, p = ``fixed_bits(ctx.digits)``, that the residual reads:
-    (lo, hi) for a real value and (re lo, re hi, im lo, im hi) for a
-    complex one.
+    banded spec, every row of the padded block of a long-range one.
+
+    * ``box`` in doubles: ``op.entry_box`` enclosures in double intervals.
+    * ``box`` in big floats: ``op.entry_box`` run on the fixed-point grid
+      of scale 2^-p, p = ``fixed_bits(ctx.digits)``, so each value is an
+      int interval at that scale: (lo, hi) for a real value and
+      (re lo, re hi, im lo, im hi) for a complex one.  This is the one
+      big-float build per (op, N, p); the residual reads its intervals,
+      Gauss-Newton and big-float sigma its midpoints.
+    * otherwise in doubles: ``op.entry`` values.
+    * otherwise in big floats: the :func:`_fx_midpoints` of the box band,
+      rounded to the context's precision, as mpf or mpc values.  Not
+      cached; they are derived from the cached box band on each call.
+
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
     soon as one of them is not exactly real.  Cached per (op, N,
     arithmetic, digits, rotated).
     """
-    def build():
-        rows, cols, row0, col0, _, _ = _block_geometry(op, N)
-        every_row = range(row0, row0 + rows)
-        fixed = box and not ctx.is_double
-        p = fixed_bits(ctx.digits)
-        if box:
-            lib = _box_lib_for_ctx(ctx)
-            zero = lib.num(0)
-            scope = ctx.workprec() if ctx.is_double else \
-                MPIntervalScope(ctx.digits)
-        else:
-            num = complex if ctx.is_double else mpmath.mpc
-            zero = 0
-            scope = ctx.workprec()
-        out = []
-        with scope:
-            for j in range(col0, col0 + cols):
-                col = []
-                for i in op.band_rows(j) if op.banded else every_row:
-                    if box:
-                        v = op.entry_box(i, j, lib)
-                        parts = v.re, v.im
-                    else:
-                        v = num(op.entry(i, j, ctx))
-                        parts = v.real, v.imag
-                    if rotated:
-                        v, im = _rotate(*parts, j - i)
-                        if not im == zero:
-                            return None
-                        parts = (v,)
-                    if fixed:
-                        v = tuple(e for x in parts for e in _fx_enclose(x, p))
-                    col.append((i - row0, v))
-                out.append(col)
-        return out
+    if box or ctx.is_double:
+        kind = ("box-" if box else "") + ("double" if ctx.is_double else "fx")
+        return _cached(op, ("band", N, kind, ctx.digits, rotated),
+                       lambda: _build_band(op, N, ctx, box, rotated))
+    mids = _fx_midpoints(op, N, ctx, rotated)
+    if mids is None:
+        return None
+    k = fixed_bits(ctx.digits) + 1
+    with ctx.workprec():
+        prec = mp.prec
+        if rotated:
+            return [[(i, _fx_mpf(a, k, prec)) for i, a in col]
+                    for col in mids]
+        return [[(i, mpmath.mpc(_fx_mpf(a, k, prec), _fx_mpf(b, k, prec)))
+                 for i, (a, b) in col] for col in mids]
 
-    kind = ("box-" if box else "") + ("double" if ctx.is_double else "mp")
-    return _cached(op, ("band", N, kind, ctx.digits, rotated), build)
+
+def _fx_midpoints(op: OperatorSpec, N: int, ctx: PrecisionContext,
+                  rotated: bool = False):
+    """Midpoints of the big-float box band of :func:`_band`, as ints at
+    scale 2^-(p+1), p = ``fixed_bits(ctx.digits)``: lo + hi for each real
+    value of the rotated band, a pair (re, im) for each complex value of
+    the unrotated one.  None where the box band is None."""
+    band = _band(op, N, ctx, box=True, rotated=rotated)
+    if band is None:
+        return None
+    if rotated:
+        return [[(i, a[0] + a[1]) for i, a in col] for col in band]
+    return [[(i, (a[0] + a[1], a[2] + a[3])) for i, a in col]
+            for col in band]
+
+
+def _build_band(op, N, ctx, box, rotated):
+    """The band of :func:`_band`, uncached; ``box`` or a double context."""
+    rows, cols, row0, col0, _, _ = _block_geometry(op, N)
+    every_row = range(row0, row0 + rows)
+    fixed = box and not ctx.is_double
+    if box:
+        lib = _box_lib_for_ctx(ctx)
+        zero = lib.num(0)
+    else:
+        zero = 0
+    out = []
+    for j in range(col0, col0 + cols):
+        col = []
+        for i in op.band_rows(j) if op.banded else every_row:
+            if box:
+                v = op.entry_box(i, j, lib)
+                parts = v.re, v.im
+            else:
+                v = complex(op.entry(i, j, ctx))
+                parts = v.real, v.imag
+            if rotated:
+                v, im = _rotate(*parts, j - i)
+                if not im == zero:
+                    return None
+                parts = (v,)
+            if fixed:
+                v = tuple(e for x in parts for e in x)
+            col.append((i - row0, v))
+        out.append(col)
+    return out
 
 
 def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):

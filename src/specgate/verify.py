@@ -16,8 +16,10 @@ per operation).  A big-float context evaluates it in the fixed-point int
 intervals of :mod:`specgate.intervals`, at scale 2^-p for p a little above
 the context's digits: v is rounded to that grid (any nonzero v will do) and
 z enclosed on it, so the products in a row are exact; each row is rounded
-outward once and squared exactly.  ``mpmath.iv`` still runs in three
-places, none of them per row: the entry enclosures, converted to ints once
+outward once and squared exactly.  The band's entries are enclosed on
+that same grid (``intervals._fx_lib``), by integer floors and ceilings.
+``mpmath.iv`` still runs in three places, none of them per row: the
+transcendental entries (sin, cos, exp, pi) at no fewer than p bits, once
 per band build; the lattice's sines, once per (N, digits); and the final
 sqrt(num / den) plus the tail.
 """
@@ -347,7 +349,8 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
     ``residual`` is the :func:`verified_residual` bound of this same pair
     at ctx, when the caller has computed it already; otherwise it is
     computed here.  Fails closed: an infinite distance bound raises instead
-    of producing an enclosure.
+    of producing an enclosure, and so does a given residual whose z is not
+    already its own :func:`enclosure_center`.
     """
     if index_n is None:
         index_n = m - 1
@@ -356,7 +359,8 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         raise GapMembershipError(
             f"candidate {candidate_z} is not plausibly in strip {m}; "
             "bootstrap ordering required")
-    if residual is None:
+    given = residual is not None
+    if not given:
         residual = verified_residual(op, candidate_z, candidate_v, ctx)
     eps = residual.hi
     radius = dist_bound(eps, m, model, ctx)
@@ -365,13 +369,11 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
             f"residual {float(eps):.3e} too large for a finite enclosure "
             f"at strip {m}")
     digits = 16 if ctx.is_double else ctx.digits
-    if not ctx.is_double:
-        with mp.workdps(ctx.digits + 10):
-            center = +mpmath.mpc(candidate_z) if _is_complexlike(candidate_z) \
-                else +mpmath.mpf(candidate_z)
-    else:
-        center = complex(candidate_z) if _is_complexlike(candidate_z) \
-            else float(candidate_z)
+    center = enclosure_center(candidate_z, ctx)
+    if given and center != candidate_z:
+        raise CertificationError(
+            f"the residual was verified at {candidate_z}, but the center "
+            f"rounds to {center}")
     return Enclosure(
         op_id=op.id,
         index_n=index_n,
@@ -383,6 +385,17 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         conditional_on=tuple(model.hypotheses),
         vector=candidate_v,
     )
+
+
+def enclosure_center(z, ctx: PrecisionContext):
+    """The center that :func:`certify_eigenvalue` reports for a candidate z
+    at ctx: z in doubles, else z rounded to ctx.digits + 10 digits.  A
+    caller that verifies the residual itself rounds z by this first, so
+    that the z it verifies is the center."""
+    if ctx.is_double:
+        return complex(z) if _is_complexlike(z) else float(z)
+    with mp.workdps(ctx.digits + 10):
+        return +mpmath.mpc(z) if _is_complexlike(z) else +mpmath.mpf(z)
 
 
 def _is_complexlike(z) -> bool:

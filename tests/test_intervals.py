@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from specgate.intervals import (CIBox, Interval, IntervalError,
                                 MPIntervalScope, _fx_ctimes, _fx_enclose,
-                                _fx_ratio, _fx_round, _fx_square, _fx_times,
-                                _fx_vector, iv_lower, iv_upper)
+                                _fx_lib, _fx_ratio, _fx_round, _fx_square,
+                                _fx_times, _fx_vector, iv_lower, iv_upper)
 from specgate.operators import BOX_DOUBLE_LIB, _eval_box
 
 from _util import exact_fraction
@@ -287,3 +287,118 @@ def test_fx_ratio_contains_the_square_root(num, den, tail, digits):
     assert lo >= 0
     assert lo * lo <= Fraction(num[0], den)
     assert (hi - Fraction(tail)) ** 2 >= Fraction(num[1], den)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point entry arithmetic: each operation against exact rationals
+# ---------------------------------------------------------------------------
+
+entry_scales = st.integers(1, 200)
+
+
+def _grid(x, p):
+    """The enclosure of the rational x by the entry arithmetic at scale
+    2^-p: num of an mpmath.iv interval around it, at p + 64 bits (|x| is
+    below 2^40)."""
+    with MPIntervalScope(math.ceil((p + 64) / math.log2(10))):
+        box = mpmath.iv.mpf(x.numerator) / x.denominator
+    return _fx_lib(p).num(box)
+
+
+def _ends(a, p):
+    return Fraction(a[0], 2 ** p), Fraction(a[1], 2 ** p)
+
+
+@given(rationals, entry_scales)
+@settings(max_examples=200, deadline=None)
+def test_fx_lib_num_encloses(x, p):
+    # num of a non-dyadic value's iv enclosure, of its double, of an int
+    lo, hi = _ends(_grid(x, p), p)
+    assert lo <= x <= hi and hi - lo <= Fraction(2, 2 ** p)
+    xd = x.numerator / x.denominator
+    lo, hi = _ends(_fx_lib(p).num(xd), p)
+    assert lo <= Fraction(xd) <= hi and hi - lo <= Fraction(1, 2 ** p)
+    assert _fx_lib(p).num(x.numerator) == (x.numerator << p,) * 2
+
+
+@given(rationals, rationals, entry_scales,
+       st.sampled_from(["+", "-", "*", "/"]))
+@settings(max_examples=400, deadline=None)
+def test_fx_lib_operations_enclose_exact_results(x, y, p, op):
+    # + and - are exact on the ends; * and / round the exact range of the
+    # corner results outward once: its floor and ceiling at scale 2^-p
+    a, b = _grid(x, p), _grid(y, p)
+    if op == "/" and b[0] <= 0 <= b[1]:
+        with pytest.raises(IntervalError):
+            a / b
+        return
+    f = {"+": lambda s, t: s + t, "-": lambda s, t: s - t,
+         "*": lambda s, t: s * t, "/": lambda s, t: s / t}[op]
+    r = f(a, b)
+    corners = [f(s, t) for s in _ends(a, p) for t in _ends(b, p)]
+    lo, hi = min(corners), max(corners)
+    assert _ends(r, p)[0] <= f(x, y) <= _ends(r, p)[1]
+    if op in "+-":
+        assert _ends(r, p) == (lo, hi)
+    else:
+        assert r == (math.floor(lo * 2 ** p), math.ceil(hi * 2 ** p))
+
+
+@given(rationals, st.integers(-10**6, 10**6), entry_scales)
+@settings(max_examples=200, deadline=None)
+def test_fx_lib_integer_operands(x, t, p):
+    # an int factor is exact; a positive int divisor rounds outward once;
+    # an int term is a point
+    a = _grid(x, p)
+    assert a * t == t * a == tuple(sorted((a[0] * t, a[1] * t)))
+    if t > 0:
+        assert a / t == (math.floor(Fraction(a[0], t)),
+                         math.ceil(Fraction(a[1], t)))
+    assert a - t == a - _fx_lib(p).num(t) == (a[0] - (t << p),
+                                                a[1] - (t << p))
+    assert a + t == t + a == (a[0] + (t << p), a[1] + (t << p))
+
+
+@given(rationals.map(abs), entry_scales)
+@settings(max_examples=300, deadline=None)
+def test_fx_lib_sqrt_is_the_integer_floor_and_ceiling(x, p):
+    a = _grid(x, p)
+    lo, hi = _fx_lib(p).sqrt(a)
+    # floor of sqrt(a0 2^p) and ceiling of sqrt(a1 2^p)
+    n0, n1 = max(a[0], 0) << p, a[1] << p
+    assert lo * lo <= n0 < (lo + 1) ** 2
+    assert (hi - 1) ** 2 < n1 <= hi * hi or hi == n1 == 0
+    assert lo * lo <= x * 2 ** (2 * p) <= hi * hi
+
+
+@given(st.integers(0, 2**120), entry_scales)
+@settings(max_examples=200, deadline=None)
+def test_fx_lib_sqrt_of_an_exact_square_is_a_point(h, p):
+    # g = h 2^ceil(p/2) is a grid value whose square g^2 2^-2p lies on the
+    # grid too; its square root is the point g
+    g = h << ((p + 1) // 2)
+    lib = _fx_lib(p)
+    square = lib._of(g * g >> p, g * g >> p)
+    assert lib.sqrt(square) == (g, g)
+
+
+def test_fx_lib_sqrt_rejects_negative_intervals():
+    lib = _fx_lib(20)
+    with pytest.raises(IntervalError):
+        lib.sqrt(lib.num(-2))
+
+
+@pytest.mark.parametrize("name", ["sin", "cos", "exp", "pi"])
+def test_fx_lib_transcendentals_contain_their_values(name):
+    # sin, cos and exp of non-dyadic arguments, and pi: mpmath.iv at no
+    # fewer than p bits, a few grid units wide, around the value at 2p bits
+    for p in (40, 133, 300):
+        lib = _fx_lib(p)
+        for x in (Fraction(1, 3), Fraction(-22, 7), Fraction(50, 9)):
+            arg = _grid(x, p)
+            r = lib.pi() if name == "pi" else getattr(lib, name)(arg)
+            with mpmath.workprec(2 * p):
+                t = mpmath.mpf(arg[0]) / 2 ** p
+                ref = mpmath.pi if name == "pi" else getattr(mpmath, name)(t)
+                assert r[0] <= ref * 2 ** p <= r[1] <= r[0] + 2 ** 8 * (
+                    1 + abs(ref)), (name, p, x)

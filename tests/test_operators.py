@@ -8,8 +8,8 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 
 from specgate import DOUBLE, bigfloat
-from specgate.intervals import MPIntervalScope
-from specgate.operators import (BOX_DOUBLE_LIB, BOX_MP_LIB, ExpressionError,
+from specgate.intervals import fixed_bits, _fx_lib
+from specgate.operators import (BOX_DOUBLE_LIB, ExpressionError,
                                 harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator,
@@ -123,12 +123,14 @@ def test_entry_box_contains_entry(cubic, lattice):
     for (i, j) in ((3, 5), (5, 5), (8, 5), (2, 5)):
         box = cubic.entry_box(i, j, BOX_DOUBLE_LIB)
         assert box.contains(cubic.entry(i, j, DOUBLE))
-    with MPIntervalScope(30):
-        b = lattice.entry_box(7, 7, BOX_MP_LIB)
-        v = lattice.entry(7, 7, DOUBLE)
-        assert float(mpmath.mpf(b.re.a)) <= v.real <= float(mpmath.mpf(b.re.b)) + 1e-15
-        # directed sine enclosure straddles the float value
-        assert b.im.a <= 2 * math.sin(7) + 1e-15
+    # on the fixed-point grid: 49/10 by floor and ceiling, 2 sin 7 within
+    # a few grid units around its 60-digit value
+    p = fixed_bits(30)
+    b = lattice.entry_box(7, 7, _fx_lib(p))
+    assert b.re == ((49 << p) // 10, -((-49 << p) // 10))
+    with mpmath.workdps(60):
+        im = 2 * mpmath.sin(7) * 2 ** p
+    assert b.im[0] < im < b.im[1] <= b.im[0] + 4
 
 
 def test_bigfloat_entries_match_double(cubic):

@@ -24,9 +24,9 @@ from specgate.solver import (DIP_CENSUS_TAG, GapScanError, _census,
 from specgate.truncation import _band, rectangular, square
 from specgate.verify import CertificationError, verified_residual
 
-from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES,
-                   LATTICE_PRINT_SLACK, band_plugin, fit_slope,
-                   sigma_noise_allowance)
+from _util import (CUBIC_EIGENVALUES, CUBIC_PRINT_SLACK,
+                   LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK, band_plugin,
+                   fit_slope, sigma_noise_allowance)
 
 LAMBDA_1 = float(mpmath.mpf(CUBIC_EIGENVALUES[0]))
 LAMBDA_5 = float(mpmath.mpf(CUBIC_EIGENVALUES[4]))
@@ -218,12 +218,30 @@ def test_bootstrap_cubic_double(cubic_encs):
     with mp.workdps(40):
         for e, ref in zip(encs, CUBIC_EIGENVALUES):
             assert float(e.radius) <= 1e-8
-            assert e.contains(mpmath.mpf(ref))
+            if e.radius >= CUBIC_PRINT_SLACK:
+                assert e.contains(mpmath.mpf(ref))
+            else:
+                # index 8's disk (radius 5.7e-35) is narrower than the
+                # rounding of the 31 printed decimals of its reference
+                assert e.index_n == 8
+                assert e.intersects(mpmath.mpf(ref), CUBIC_PRINT_SLACK)
             assert e.gap_index_m == e.index_n + 1
             assert e.conditional_on == ("kappa-bound", DIP_CENSUS_TAG)
     for e, wide in zip(encs, GOLDEN_SECTION_RADII):
         assert float(e.radius) <= wide
     assert encs[0].residual_upper < 1e-8
+
+
+#: Radii of indices 6-8 when the entries were enclosed in mpmath.iv at the
+#: context's digits: the width of those enclosures bounded the residuals.
+IV_ENTRY_RADII = (7.250e-25, 5.969e-27, 4.688e-29)
+
+
+def test_grid_entries_tighten_the_deep_radii(cubic_encs):
+    # entries enclosed on the residual's own grid, within two units of
+    # 2^-p, leave indices 6-8 at least 100 times narrower
+    for e, wide in zip(cubic_encs[5:], IV_ENTRY_RADII):
+        assert float(e.radius) <= 1e-2 * wide, e.index_n
 
 
 def test_bootstrap_enclosures_are_ordered(cubic_encs):
@@ -263,6 +281,23 @@ def test_stalled_escalation_fails_fast(cubic, monkeypatch):
         bootstrap_certify(cubic, cubic_ltp_model(), 1, DOUBLE)
     assert sizes == [200, 400]
     assert "N = 200" in str(exc.value) and "N = 400" in str(exc.value)
+
+
+def test_bootstrap_centers_are_the_verified_z(cubic, monkeypatch):
+    # each center is exactly a z whose residual the bootstrap verified,
+    # not a rounding of it
+    verified = []
+
+    def recording(op, z, v, ctx):
+        verified.append(z)
+        return verified_residual(op, z, v, ctx)
+
+    monkeypatch.setattr(solver, "verified_residual", recording)
+    encs = bootstrap_certify(cubic, cubic_ltp_model(), 3, DOUBLE)
+    assert len(encs) == 3
+    for e in encs:
+        assert isinstance(e.center, mpmath.mpf)
+        assert any(e.center == z for z in verified), e.index_n
 
 
 # -- grids ------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Truncations: rectangular geometry, tail padding, square blocks, bands."""
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
 import pytest
 
 from specgate import DOUBLE, bigfloat, truncation
+from specgate.intervals import fixed_bits
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
@@ -152,6 +154,23 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
             for j, (col, rcol) in enumerate(zip(band, rot or [])):
                 for (i, v), (_, r) in zip(col, rcol):
                     assert unit ** (j - i) * v == r
+
+
+@pytest.mark.parametrize("digits", [27, 60])
+def test_fixed_band_is_two_grid_units_wide(cubic, digits):
+    # the big-float box band of the rotated cubic at N = 200: every entry
+    # is an int interval at most 2 units of 2^-p wide (the mpmath.iv
+    # enclosures it replaces reached 2.2e12 units) around the value
+    # i^(c-r) H[r, c] computed at 2p bits
+    p = fixed_bits(digits)
+    band = _band(cubic, 200, bigfloat(digits), box=True, rotated=True)
+    ref = bigfloat(math.ceil(2 * p / math.log2(10)))
+    unit = mpmath.mpc(0, 1)
+    with ref.workprec():
+        for j, col in enumerate(band):
+            for i, (lo, hi) in col:
+                exact = (unit ** (j - i) * cubic.entry(i, j, ref)).real
+                assert hi - lo <= 2 and lo <= exact * 2 ** p <= hi, (i, j)
 
 
 def test_longrange_geometry_searches_its_padding_once(monkeypatch):

@@ -25,7 +25,8 @@ from specgate.sigma import right_vector, sigma_min
 from specgate.truncation import _band, tail_padding
 from specgate.verify import (CertificationError, Enclosure,
                              certify_eigenvalue, eigenvector_error_bound,
-                             enclosures_to_report, verified_residual)
+                             enclosure_center, enclosures_to_report,
+                             verified_residual)
 
 from _util import (CUBIC_EIGENVALUES, LATTICE_EIGENVALUES, band_plugin,
                    box_route_residual, exact_fraction)
@@ -160,6 +161,24 @@ def test_certify_fails_closed_on_large_residual(cubic):
     with pytest.raises(CertificationError):
         certify_eigenvalue(cubic, cubic_ltp_model(), 4.1, v, 5, DOUBLE,
                            index_n=4)
+
+
+def test_certify_refuses_a_residual_verified_off_its_center(cubic):
+    # a residual verified at a z with more digits than the center keeps
+    # bounds the distance from that z, not from the center: refused
+    ctx = bigfloat(20)
+    v = right_vector(cubic, float(mpmath.mpf(LAMBDA_1)), 200, DOUBLE)
+    with mp.workdps(60):
+        z = mpmath.mpf(LAMBDA_1) + mpmath.mpf("1e-45")
+    with pytest.raises(CertificationError, match="center"):
+        certify_eigenvalue(cubic, cubic_ltp_model(), z, v, 2, ctx, index_n=1,
+                           residual=verified_residual(cubic, z, v, ctx))
+    zc = enclosure_center(z, ctx)
+    assert zc != z
+    enc = certify_eigenvalue(cubic, cubic_ltp_model(), zc, v, 2, ctx,
+                             index_n=1,
+                             residual=verified_residual(cubic, zc, v, ctx))
+    assert enc.center == zc
 
 
 def test_certify_gap_membership_error(cubic):
