@@ -90,7 +90,10 @@ class _BoxDoubleLib:
 
     @staticmethod
     def num(x):
-        return Interval.point(float(x))
+        # a value no double holds (such as 2^-1099) is rounded to nearest,
+        # so one ulp either side encloses it
+        f = float(x)
+        return Interval.point(f) if f == x else Interval(_down(f), _up(f))
 
     @staticmethod
     def sqrt(x):

@@ -7,10 +7,12 @@ every certified quantity is re-derived from a residual in interval
 arithmetic - so the methods are free to be fast:
 
 * banded specs, double shifts, one or many at once: a banded QR in numpy
-  over panels of columns, with the shifts on the leading axis, and inverse
-  iteration (``banded_sigma_batch``);
+  over panels of columns, stacked over the shifts, whose diagonal blocks
+  are inverted together by one vectorized back substitution, and inverse
+  iteration one panel per step (``banded_sigma_batch``);
 * banded specs, big-float shifts: a banded Givens-QR with inverse iteration
-  over the cached band (``banded_sigma``);
+  over the midpoints of the cached fixed-point box band (``banded_sigma``
+  over ``_mp_band``);
 * otherwise LAPACK SVD in doubles, and a one-sided Jacobi SVD in big floats.
 
 At a real big-float shift an operator whose rotated band is real (the
@@ -26,9 +28,11 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from .intervals import fixed_bits, _fx_mpf
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec
 from .precision import DOUBLE, PrecisionContext
-from .truncation import _band, _block_geometry, _cached, _rotate, rectangular
+from .truncation import (_band, _block_geometry, _cached, _fx_midpoints,
+                         _rotate, rectangular)
 
 # ---------------------------------------------------------------------------
 # banded Givens QR + inverse iteration
@@ -184,17 +188,18 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
 # ---------------------------------------------------------------------------
 #
 # banded_sigma_batch runs banded_sigma's method in numpy for a batch of
-# shifts; the shifts index the leading axis of every array, the one numpy's
-# stacked linalg routines loop over.  Both stages step over panels of
-# columns, at least twice the bandwidth L+U of R wide:
+# shifts.  Both stages step over panels of columns, at least twice the
+# bandwidth L+U of R wide:
 #
-# * QR: LAPACK factors each panel: the rows below the previous panel's R
-#   rows, over the panel's columns and the L+U columns it spills into.
-#   The first panel-width rows of the result are final rows of R; the
-#   next L rows are carried into the next panel.  R is kept as its
-#   inverted diagonal blocks and the (L+U) x (L+U) corners that couple
-#   each block to the next, so both triangular solves of inverse
-#   iteration take one panel per step.
+# * QR: LAPACK factors each panel, stacked over the shifts: the rows below
+#   the previous panel's R rows, over the panel's columns and the L+U
+#   columns it spills into.  The first panel-width rows of the result are
+#   final rows of R; the next L rows are carried into the next panel.  R is
+#   kept as its diagonal blocks, inverted afterwards all at once by one
+#   back substitution over (panel, shift), and the (L+U) x (L+U) corners
+#   that couple each block to the next, which lie above R's diagonal.  Both
+#   are stored panel-major, (panel, shift, ...), so each step of the two
+#   triangular solves of inverse iteration reads one contiguous slab.
 # * ||T w|| comes from the shared unshifted band minus z w on the
 #   diagonal; no shifted copy of T is made.
 #
@@ -203,12 +208,13 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
 # vector is zero on them, so they stay zero.  Each shift stops on
 # banded_sigma's test (RTOL, or the caller's rtol) and is then frozen,
 # value and vector, so neither depends on the other shifts of its batch.
-# Shifts go in chunks whose blocks take about BATCH_BYTES.  A shift that
-# meets an exact zero pivot (an exact kernel), or ends on a value that is
-# not finite, takes the right singular vector v of a dense SVD of its
-# shifted truncation instead, and reports ||T v|| like every other shift.
+# Shifts go in chunks whose inverted blocks and corners take about
+# BATCH_BYTES.  A shift that meets an exact zero pivot (an exact kernel),
+# or ends on a value that is not finite, takes the right singular vector v
+# of a dense SVD of its shifted truncation instead, and reports ||T v||
+# like every other shift.
 
-BATCH_BYTES = 1 << 20
+BATCH_BYTES = 2 << 20
 
 
 def _panels(band, up: int, kd: int, ncols: int, panel: int):
@@ -229,27 +235,44 @@ def _panels(band, up: int, kd: int, ncols: int, panel: int):
     return blocks, inside & (k == kd) & (col < ncols)
 
 
+def _invert_blocks(d, bw: int):
+    """Invert a stack of upper-triangular blocks of bandwidth bw in place.
+
+    Only the upper band of each block is read; whatever lies below its
+    diagonal is overwritten.  Row i of the inverse is row i of the block
+    against the inverse's rows below it, so one back substitution of as
+    many steps as the block is wide serves the whole stack.  Returns the
+    mask of blocks with an exact zero pivot; only those go non-finite.
+    """
+    n = d.shape[-1]
+    zero = (d.diagonal(axis1=-2, axis2=-1) == 0).any(axis=-1)
+    for i in range(n - 1, -1, -1):
+        k = min(i + bw + 1, n)
+        row = -(d[..., i, None, i + 1:k] @ d[..., i + 1:k, :])[..., 0, :]
+        row[..., i] += 1
+        d[..., i, :] = row / d[..., i, i, None]
+    return zero
+
+
 def _panel_qr(blocks, diag, z, lo: int, bw: int):
     """(inverted diagonal blocks, coupling corners, exact-zero-pivot mask)
-    of R for each shift in z."""
+    of R for each shift in z; the blocks and corners panel-major."""
     nb, _, width = blocks.shape
     panel = width - bw
-    dinv = np.empty((len(z), nb, panel, panel), dtype=complex)
-    corner = np.empty((len(z), nb, bw, bw), dtype=complex)
-    singular = np.zeros(len(z), dtype=bool)
+    dinv = np.empty((nb, len(z), panel, panel), dtype=complex)
+    corner = np.empty((nb, len(z), bw, bw), dtype=complex)
     carry = None
     for p in range(nb):
         a = blocks[p] - z[:, None, None] * diag[p]
         if p:
             a[:, :lo, :bw] = carry
-        r = np.linalg.qr(a, mode="r")
-        d = r[:, :panel, :panel]
-        zero = (d.diagonal(axis1=1, axis2=2) == 0).any(axis=1)
-        singular |= zero
-        d[zero] = np.eye(panel)  # inverted in place of a singular block
-        dinv[:, p] = np.linalg.inv(d)
-        corner[:, p] = r[:, panel - bw:panel, panel:]
-        carry = r[:, panel:, panel:]
+        # R is the upper triangle of the transposed raw factor; below it
+        # lie reflectors, which only the carried rows must not keep
+        r = np.linalg.qr(a, mode="raw")[0].swapaxes(1, 2)
+        dinv[p] = r[:, :panel, :panel]
+        corner[p] = r[:, panel - bw:panel, panel:]
+        carry = np.triu(r[:, panel:, panel:])
+    singular = _invert_blocks(dinv, bw).any(axis=0)
     return dinv, corner, singular
 
 
@@ -266,7 +289,7 @@ def _band_norm(band, kd: int, z, w):
 def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int, rtol):
     """banded_sigma's inverse iteration, one shift per row: (sigma, unit
     right vector)."""
-    ns, nb, panel, _ = dinv.shape
+    nb, ns, panel, _ = dinv.shape
     bw = corner.shape[-1]
     t = panel - bw
     w = np.zeros((ns, nb * panel), dtype=complex)
@@ -276,25 +299,27 @@ def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int, rtol):
     w_out = w[:, :ncols].copy()
     done = np.zeros(ns, dtype=bool)
     for _ in range(MAXIT):
-        # R^H y = w, solved as the row system y^H R = w^H
-        yh = w.conj().reshape(ns, nb, panel)
+        # R^H y = w, solved as the row system y^H R = w^H, panel-major
+        yh = w.conj().reshape(ns, nb, panel).transpose(1, 0, 2).copy()
         for p in range(nb):
             if p:
-                yh[:, p, :bw] -= (yh[:, p - 1, None, t:]
-                                  @ corner[:, p - 1])[:, 0]
-            yh[:, p] = (yh[:, p, None] @ dinv[:, p])[:, 0]
+                yh[p, :, :bw] -= (yh[p - 1, :, None, t:]
+                                  @ corner[p - 1])[:, 0]
+            yh[p] = (yh[p, :, None] @ dinv[p])[:, 0]
         x = yh.conj()
         for p in range(nb - 1, -1, -1):
             if p < nb - 1:
-                x[:, p, t:] -= (corner[:, p] @ x[:, p + 1, :bw, None])[..., 0]
-            x[:, p] = (dinv[:, p] @ x[:, p, :, None])[..., 0]
-        x = x.reshape(ns, -1)
+                x[p, :, t:] -= (corner[p] @ x[p + 1, :, :bw, None])[..., 0]
+            x[p] = (dinv[p] @ x[p, :, :, None])[..., 0]
+        x = x.transpose(1, 0, 2).reshape(ns, -1)
         w = x / np.linalg.norm(x, axis=1)[:, None]
         sig = _band_norm(band, kd, z, w[:, :ncols])
         live = ~done
         sig_out[live] = sig[live]
         w_out[live] = w[live, :ncols]
-        done |= np.abs((sig - sig_prev) / sig_prev) <= rtol
+        # a non-finite value stays so (a zero pivot's stack): freeze it
+        done |= (np.abs((sig - sig_prev) / sig_prev) <= rtol) \
+            | ~np.isfinite(sig)
         sig_prev = sig
         if done.all():
             break
@@ -429,21 +454,40 @@ def _shifted_double(op: OperatorSpec, z: complex, N: int):
     return mat
 
 
+def _mp_band(op: OperatorSpec, N: int, ctx: PrecisionContext,
+             rotated: bool = False):
+    """The big-float band of a spec: the :func:`~specgate.truncation.
+    _fx_midpoints` of its cached fixed-point box band, rounded to the
+    context's precision, as mpf values (``rotated``) or mpc values.  None
+    where that band is None; not cached."""
+    mids = _fx_midpoints(op, N, ctx, rotated)
+    if mids is None:
+        return None
+    k = fixed_bits(ctx.digits) + 1
+    with ctx.workprec():
+        prec = mp.prec
+        if rotated:
+            return [[(i, _fx_mpf(a, k, prec)) for i, a in col]
+                    for col in mids]
+        return [[(i, mpmath.mpc(_fx_mpf(a, k, prec), _fx_mpf(b, k, prec)))
+                 for i, (a, b) in col] for col in mids]
+
+
 def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
-    """banded_sigma over the big-float band of a banded spec: the midpoints
-    of its cached fixed-point box band (:func:`~specgate.truncation._band`).
+    """banded_sigma over the big-float band of a banded spec
+    (:func:`_mp_band`).
 
     A real shift uses the real rotated band when the operator has one; its
     vector maps back by v[m] = i^m w[m].
     """
     rows, _, row0, col0, _, _ = _block_geometry(op, N)
     d = col0 - row0  # array row of column jc's diagonal entry is jc + d
-    band = _band(op, N, ctx, rotated=True) if z.imag == 0 else None
+    band = _mp_band(op, N, ctx, rotated=True) if z.imag == 0 else None
     rotated = band is not None
     if rotated:
         shift, arith = z.real, _REAL_MP
     else:
-        band = _band(op, N, ctx)
+        band = _mp_band(op, N, ctx)
         shift, arith = z, _COMPLEX_MP
     columns = [[(i, v - shift if i == jc + d else v) for i, v in col]
                for jc, col in enumerate(band)]

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
-from mpmath import mp
 
-from .intervals import fixed_bits, _fx_mpf
 from .operators import (INTEGERS, NATURALS, OperatorSpec, StructureError,
                         _box_lib_for_ctx)
 from .precision import PrecisionContext
@@ -144,32 +142,19 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
       int interval at that scale: (lo, hi) for a real value and
       (re lo, re hi, im lo, im hi) for a complex one.  This is the one
       big-float build per (op, N, p); the residual reads its intervals,
-      Gauss-Newton and big-float sigma its midpoints.
-    * otherwise in doubles: ``op.entry`` values.
-    * otherwise in big floats: the :func:`_fx_midpoints` of the box band,
-      rounded to the context's precision, as mpf or mpc values.  Not
-      cached; they are derived from the cached box band on each call.
+      Gauss-Newton and big-float sigma its :func:`_fx_midpoints`.
+    * otherwise (doubles only): ``op.entry`` values.
 
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
     soon as one of them is not exactly real.  Cached per (op, N,
     arithmetic, digits, rotated).
     """
-    if box or ctx.is_double:
-        kind = ("box-" if box else "") + ("double" if ctx.is_double else "fx")
-        return _cached(op, ("band", N, kind, ctx.digits, rotated),
-                       lambda: _build_band(op, N, ctx, box, rotated))
-    mids = _fx_midpoints(op, N, ctx, rotated)
-    if mids is None:
-        return None
-    k = fixed_bits(ctx.digits) + 1
-    with ctx.workprec():
-        prec = mp.prec
-        if rotated:
-            return [[(i, _fx_mpf(a, k, prec)) for i, a in col]
-                    for col in mids]
-        return [[(i, mpmath.mpc(_fx_mpf(a, k, prec), _fx_mpf(b, k, prec)))
-                 for i, (a, b) in col] for col in mids]
+    if not (box or ctx.is_double):
+        raise ValueError("a big-float band is a box band")
+    kind = ("box-" if box else "") + ("double" if ctx.is_double else "fx")
+    return _cached(op, ("band", N, kind, ctx.digits, rotated),
+                   lambda: _build_band(op, N, ctx, box, rotated))
 
 
 def _fx_midpoints(op: OperatorSpec, N: int, ctx: PrecisionContext,

@@ -133,6 +133,16 @@ def test_entry_box_contains_entry(cubic, lattice):
     assert b.im[0] < im < b.im[1] <= b.im[0] + 4
 
 
+def test_double_box_encloses_hops_below_the_smallest_double(lattice):
+    # the hop 2^(1-d) is no double past d = 1075: its double interval is
+    # one ulp either side of the nearest double; up to 1075 it is a point
+    hop = lattice.entry_box(0, 1100, BOX_DOUBLE_LIB).re
+    assert hop.lo <= mpmath.ldexp(1, -1099) <= hop.hi
+    for d in (1, 2, 60, 1000, 1074, 1075):
+        hop = lattice.entry_box(0, d, BOX_DOUBLE_LIB).re
+        assert hop.lo == hop.hi == math.ldexp(1, 1 - d), d
+
+
 def test_bigfloat_entries_match_double(cubic):
     ctx = bigfloat(30)
     for (i, j) in ((3, 5), (6, 5), (4, 7), (10, 7)):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from specgate import DOUBLE, bigfloat
+from specgate import DOUBLE, bigfloat, sigma
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator)
-from specgate.sigma import (gamma, jacobi_smallest_singular, left_null_vector,
+from specgate.sigma import (_invert_blocks, _mp_band, banded_sigma_batch,
+                            gamma, jacobi_smallest_singular, left_null_vector,
                             right_vector, sigma_min, smallest_singular)
 from specgate.truncation import _band, rectangular
 from specgate.verify import verified_residual
@@ -186,11 +187,64 @@ def test_kernel_shortcut_complex_arithmetic(bands, ctx, N):
     op = band_plugin(bands)
     z = complex(op.entry(2, 2, DOUBLE))
     if not ctx.is_double:
-        assert _band(op, N, ctx, rotated=True) is None
+        assert _mp_band(op, N, ctx, rotated=True) is None
     sig, v = sigma_min(op, z, N, ctx, want_vector=True)
     assert float(sig) < 1e-20
     mags = [abs(complex(t)) for t in v]
     assert mags[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_zero_pivot_inside_a_batch(monkeypatch):
+    # shift 5 is the entry (2, 2) of a diagonal plugin, among regular
+    # shifts of one batch: only it meets an exact zero pivot and takes the
+    # dense fallback; every other shift keeps its single-shift value and
+    # vector bit for bit
+    op = band_plugin({0: "2*n + 1"})
+    N, zs = 450, [2.5, 4 + 0.5j, 5.0, 6.1, 9 - 1j, 0.3 + 2j]
+    masks = []
+    panel_qr = sigma._panel_qr
+
+    def recording(*args):
+        dinv, corner, singular = panel_qr(*args)
+        masks.append(singular.tolist())
+        return dinv, corner, singular
+
+    monkeypatch.setattr(sigma, "_panel_qr", recording)
+    sig, vectors = banded_sigma_batch(op, zs, N, want_vectors=True)
+    assert masks == [[z == 5.0 for z in zs]]
+    assert sig[2] < 1e-20
+    assert abs(vectors[2][2]) == pytest.approx(1.0, abs=1e-12)
+    for k, z in enumerate(zs):
+        if k != 2:
+            one, v = banded_sigma_batch(op, [z], N, want_vectors=True)
+            assert one[0] == sig[k] and np.array_equal(v[0], vectors[k]), z
+
+
+@pytest.mark.parametrize("nb, ns", [(1, 1), (2, 7), (5, 3)])
+def test_invert_blocks(nb, ns):
+    # upper-triangular blocks of bandwidth 6 in 12 x 12, over random
+    # entries below the diagonal that the inversion must not read
+    panel, bw = 12, 6
+    rng = np.random.default_rng(100 * nb + ns)
+    d = (rng.normal(size=(nb, ns, panel, panel))
+         + 1j * rng.normal(size=(nb, ns, panel, panel)))
+    upper = np.triu(d) - np.triu(d, bw + 1)
+    inv = d.copy()
+    assert not _invert_blocks(inv, bw).any()
+    for D, X in zip(upper.reshape(-1, panel, panel),
+                    inv.reshape(-1, panel, panel)):
+        err = np.linalg.norm(D @ X - np.eye(panel), 2)
+        assert err <= 1e-12 * np.linalg.cond(D)
+    # an exact zero pivot: its mask, and only its own stack non-finite
+    with_zero = d.copy()
+    with_zero[-1, -1, 4, 4] = 0
+    with np.errstate(all="ignore"):  # as in banded_sigma_batch
+        zero = _invert_blocks(with_zero, bw)
+    expected = np.zeros((nb, ns), dtype=bool)
+    expected[-1, -1] = True
+    assert np.array_equal(zero, expected)
+    assert not np.isfinite(with_zero[-1, -1]).all()
+    assert np.array_equal(with_zero[~expected], inv[~expected])
 
 
 @pytest.mark.parametrize("bands, real_band", [
@@ -202,7 +256,7 @@ def test_derived_rotation_on_plugins(bands, real_band, monkeypatch):
     # routes of sigma and of the residual agree with their references
     op = band_plugin(bands)
     ctx, N, z = bigfloat(30), 40, 2.3
-    assert (_band(op, N, ctx, rotated=True) is not None) == real_band
+    assert (_mp_band(op, N, ctx, rotated=True) is not None) == real_band
     assert (_band(op, N, ctx, box=True, rotated=True) is not None) == real_band
     _check_against_lapack(op, z, N, ctx, rel=1e-9)
     v = right_vector(op, z, N, ctx)

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 from mpmath import mp
 
-from specgate import DOUBLE, bigfloat, solver
+import specgate
+from specgate import DOUBLE, bigfloat, sigma, solver
 from specgate.cli import _candidates, _certify_candidates
 from specgate.ltp import cubic_ltp_model, dist_bound, harmonic_ltp_model
 from specgate.operators import (harmonic_oscillator_operator,
@@ -21,7 +25,7 @@ from specgate.solver import (DIP_CENSUS_TAG, GapScanError, _census,
                              bootstrap_certify, condition_number,
                              evaluate_eigenfunction, pseudospectrum_grid,
                              square_spectrum_demo)
-from specgate.truncation import _band, rectangular, square
+from specgate.truncation import _fx_midpoints, rectangular, square
 from specgate.verify import CertificationError, verified_residual
 
 from _util import (CUBIC_EIGENVALUES, CUBIC_PRINT_SLACK,
@@ -138,7 +142,7 @@ def test_refine_eigenpair_complex_band():
     # N = 20, so it reaches the square block's eigenvalue
     op = band_plugin({0: "2*n + 1", 1: "1/2", -1: "1/2"})
     N = 20
-    assert _band(op, N, bigfloat(35), rotated=True) is None
+    assert _fx_midpoints(op, N, bigfloat(35), rotated=True) is None
     lam = np.linalg.eigvalsh(square(op, 0.0, N, DOUBLE).real)[1]
     z0 = lam + 1e-7
     z, v = _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE), 30)
@@ -336,10 +340,21 @@ CUBIC_GRID = ((0.0, 12.0, -4.0, 4.0), (7, 5))
 
 @pytest.fixture(scope="module", params=[150, 450])
 def cubic_grid(request, cubic):
-    """(N, nodes, values) of a batched cubic grid; at both sizes the 35
-    nodes span more than one chunk of shifts."""
+    """(N, nodes, values) of a batched cubic grid; at both sizes a small
+    batch budget splits the 35 nodes into chunks of at most 8 shifts."""
     (re_min, re_max, im_min, im_max), (nx, ny) = CUBIC_GRID
-    g = pseudospectrum_grid(cubic, *CUBIC_GRID, request.param, DOUBLE)
+    chunks = []
+    panel_qr = sigma._panel_qr
+
+    def recording(blocks, diag, z, *args):
+        chunks.append(len(z))
+        return panel_qr(blocks, diag, z, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sigma, "BATCH_BYTES", 1 << 18)
+        patch.setattr(sigma, "_panel_qr", recording)
+        g = pseudospectrum_grid(cubic, *CUBIC_GRID, request.param, DOUBLE)
+    assert sum(chunks) == nx * ny and len(chunks) > 1 and max(chunks) <= 8
     nodes = [complex(r, i) for i in np.linspace(im_min, im_max, ny)
              for r in np.linspace(re_min, re_max, nx)]
     return request.param, nodes, g.values.ravel()
@@ -359,6 +374,25 @@ def test_grid_matches_dense_svd(cubic, cubic_grid):
         s = np.linalg.svd(rectangular(cubic, z, N, DOUBLE),
                           compute_uv=False)
         assert s[-1] - 100 * 2.0 ** -52 * s[0] <= v <= s[-1] * (1 + 1e-7), z
+
+
+def test_grid_is_independent_of_the_blas_thread_count(tmp_path):
+    # the grid's CSV is the same byte for byte with one OpenBLAS thread
+    # and with two
+    region, (nx, ny) = CUBIC_GRID
+    argv = [sys.executable, "-m", "specgate.cli", "pseudospectrum",
+            "--op", "cubic", "--region", *map(repr, region),
+            "--resolution", str(nx), str(ny), "--N", "450"]
+    src = os.path.dirname(os.path.dirname(specgate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    csv = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"grid-{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(argv + ["--output", str(out)], env=env, check=True,
+                       timeout=300)
+        csv.append(out.read_bytes())
+    assert csv[0].count(b"\n") == 1 + nx * ny and csv[0] == csv[1]
 
 
 @pytest.mark.parametrize("N", [10, 450])
