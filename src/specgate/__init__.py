@@ -6,7 +6,7 @@ inside a rigorous enclosure by combining interval-arithmetic residual
 bounds with per-operator resolvent inversion constants.
 """
 
-from .intervals import CIBox, Interval, IntervalError
+from .intervals import IntervalError
 from .ltp import (GAP_FLOOR_CUBIC, GapMembershipError, LTPModel, c_of_m,
                   cubic_ltp_model, dist_bound, harmonic_ltp_model,
                   kappa_bound, lambda_asymptotic, lattice_ltp_model,
@@ -27,7 +27,7 @@ from .verify import (Bound, CertificationError, Enclosure, certify_eigenvalue,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CIBox", "Interval", "IntervalError",
+    "IntervalError",
     "GAP_FLOOR_CUBIC", "GapMembershipError", "LTPModel", "c_of_m",
     "cubic_ltp_model", "dist_bound", "harmonic_ltp_model", "kappa_bound",
     "lambda_asymptotic", "lattice_ltp_model", "model_for_operator",

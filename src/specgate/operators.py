@@ -33,8 +33,7 @@ import mpmath
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import (CIBox, Interval, MPIntervalScope, _down, _up,
-                        fixed_bits, _fx_ctimes, _fx_enclose, _fx_lib,
+from .intervals import (CIBox, MPIntervalScope, _fx_ctimes, _fx_enclose,
                         _fx_round)
 from .precision import PrecisionContext
 
@@ -51,11 +50,11 @@ class StructureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# numeric adapters: one coefficient formula, four arithmetics
+# numeric adapters: one coefficient formula, three arithmetics
 # ---------------------------------------------------------------------------
 #
-# Doubles and mpf for entry, double intervals and the fixed-point grid of
-# intervals._fx_lib for entry_box.
+# Doubles and mpf for entry, the fixed-point grid of intervals._fx_lib for
+# entry_box.
 
 class _FloatLib:
     @staticmethod
@@ -85,54 +84,8 @@ class _MPLib:
         return mpmath.sin(x)
 
 
-class _BoxDoubleLib:
-    """Interval arithmetic over doubles (outward one-ulp rounding)."""
-
-    @staticmethod
-    def num(x):
-        # a value no double holds (such as 2^-1099) is rounded to nearest,
-        # so one ulp either side encloses it
-        f = float(x)
-        return Interval.point(f) if f == x else Interval(_down(f), _up(f))
-
-    @staticmethod
-    def sqrt(x):
-        return x.sqrt()
-
-    @staticmethod
-    def sin(x):
-        # Exact-point argument; libm sine is correctly rounded to < 1 ulp on
-        # supported platforms, widened two ulps outward to be safe.
-        if x.lo != x.hi:
-            raise StructureError("double-interval sine only for point arguments")
-        s = math.sin(x.lo)
-        return Interval(_down(_down(s)), _up(_up(s)))
-
-    @staticmethod
-    def cos(x):
-        if x.lo != x.hi:
-            raise ExpressionError("double-interval cosine only for point arguments")
-        c = math.cos(x.lo)
-        return Interval(_down(_down(c)), _up(_up(c)))
-
-    @staticmethod
-    def exp(x):
-        return x.exp()
-
-    @staticmethod
-    def pi():
-        return Interval(_down(math.pi), _up(math.pi))
-
-
 FLOAT_LIB = _FloatLib()
 MP_LIB = _MPLib()
-BOX_DOUBLE_LIB = _BoxDoubleLib()
-
-
-def _box_lib_for_ctx(ctx: PrecisionContext):
-    """Double intervals, or the fixed-point grid of scale 2^-p with
-    p = ``fixed_bits(ctx.digits)``."""
-    return BOX_DOUBLE_LIB if ctx.is_double else _fx_lib(fixed_bits(ctx.digits))
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +99,14 @@ class OperatorSpec:
     ``entry(i, j, ctx)`` evaluates one matrix element in the given precision
     context; ``entry_box(i, j, lib)`` returns a rigorous enclosure of the
     same element, a :class:`~specgate.intervals.CIBox`, in the interval
-    arithmetic selected by ``lib``: double intervals, or for big-float
-    bands the fixed-point int intervals of ``intervals._fx_lib``, on the
-    grid the residual reads.  Entry evaluation is pure, so specs are safe
-    to share across threads.
+    arithmetic ``lib``: the fixed-point int intervals of
+    ``intervals._fx_lib`` at the scale of the band, on the grid the
+    residual reads, at every precision.  Entry evaluation is pure, so specs
+    are safe to share across threads.
 
     ``hints`` holds optional operator-specific fast paths by name; the one
     read today is ``mp_residual_rows(z, V, col_start, pad, p)``, the
-    big-float rows of (H - z) v over the padded block, which
+    interval rows of (H - z) v over the padded block, which
     :func:`specgate.verify.verified_residual` reads in place of the band.
     It works on the fixed-point intervals of :mod:`specgate.intervals`:
     z as (re, im) int intervals and v as exact (re, im) ints at scale 2^-p
@@ -466,9 +419,11 @@ BUILTIN_OPERATORS = {
 #           | FUNC "(" expr ")" | "(" expr ")" ;
 #   FUNC    = "sqrt" | "sin" | "cos" | "exp" ;
 #
-# Coefficient expressions are evaluated at the row index n.  In interval
-# mode, "^" accepts integer exponents and sqrt/sin/cos/exp require real
-# arguments; anything else is rejected as not enclosable.
+# Coefficient expressions are evaluated at the row index n.  A decimal
+# NUMBER stands for the exact ratio it spells (0.1 is 1/10): doubles round
+# it once, big floats at working precision, and intervals enclose it.  In
+# interval mode, "^" accepts integer exponents and sqrt/sin/cos/exp require
+# real arguments; anything else is rejected as not enclosable.
 
 _FUNCS = ("sqrt", "sin", "cos", "exp")
 
@@ -570,7 +525,12 @@ def parse_expression(text: str):
         if tok in ("n", "pi", "i"):
             return (tok,)
         try:
-            return ("lit", float(tok)) if "." in tok else ("lit-int", int(tok))
+            if "." not in tok:
+                return ("lit-int", int(tok))
+            # a decimal is the exact ratio it spells, not its nearest
+            # double; int() rejects a second "." and an empty token
+            whole, _, frac = tok.partition(".")
+            return ("lit", int(whole + frac), 10 ** len(frac))
         except ValueError as exc:
             raise ExpressionError(f"bad literal {tok!r}") from exc
 
@@ -585,7 +545,9 @@ def _eval_scalar(node, n: int, use_mp: bool):
     def ev(nd):
         tag = nd[0]
         if tag == "lit":
-            return mpmath.mpc(nd[1]) if use_mp else complex(nd[1])
+            # int / int is the correctly rounded double, as float(token) is
+            return mpmath.mpc(mpmath.mpf(nd[1]) / nd[2]) if use_mp else \
+                complex(nd[1] / nd[2])
         if tag == "lit-int":
             return mpmath.mpc(nd[1]) if use_mp else complex(nd[1])
         if tag == "n":
@@ -627,7 +589,9 @@ def _eval_box(node, n: int, lib):
 
     def ev(nd):
         tag = nd[0]
-        if tag in ("lit", "lit-int"):
+        if tag == "lit":
+            return CIBox(lib.num(nd[1]) / nd[2], zero)
+        if tag == "lit-int":
             return CIBox(lib.num(nd[1]), zero)
         if tag == "n":
             return CIBox(lib.num(n), zero)
@@ -636,8 +600,7 @@ def _eval_box(node, n: int, lib):
         if tag == "i":
             return CIBox(zero, lib.num(1))
         if tag == "neg":
-            b = ev(nd[1])
-            return CIBox(-b.re, -b.im)
+            return -ev(nd[1])
         if tag in ("+", "-", "*", "/"):
             a, b = ev(nd[1]), ev(nd[2])
             if tag == "+":

@@ -17,8 +17,8 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from .operators import (INTEGERS, NATURALS, OperatorSpec, StructureError,
-                        _box_lib_for_ctx)
+from .intervals import _fx_lib, fixed_bits
+from .operators import INTEGERS, NATURALS, OperatorSpec, StructureError
 from .precision import PrecisionContext
 
 PAD_LIMIT = 20000
@@ -136,24 +136,24 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
     One list of (array row, value) pairs per column: the band rows of a
     banded spec, every row of the padded block of a long-range one.
 
-    * ``box`` in doubles: ``op.entry_box`` enclosures in double intervals.
-    * ``box`` in big floats: ``op.entry_box`` run on the fixed-point grid
-      of scale 2^-p, p = ``fixed_bits(ctx.digits)``, so each value is an
-      int interval at that scale: (lo, hi) for a real value and
+    * ``box`` (big floats only): ``op.entry_box`` run on the fixed-point
+      grid of scale 2^-p, p = ``fixed_bits(ctx.digits)``, so each value is
+      an int interval at that scale: (lo, hi) for a real value and
       (re lo, re hi, im lo, im hi) for a complex one.  This is the one
       big-float build per (op, N, p); the residual reads its intervals,
-      Gauss-Newton and big-float sigma its :func:`_fx_midpoints`.
+      Gauss-Newton and big-float sigma its :func:`_fx_midpoints`.  A double
+      context's residual reads the band of ``bigfloat(DOUBLE_DIGITS)``.
     * otherwise (doubles only): ``op.entry`` values.
 
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
-    soon as one of them is not exactly real.  Cached per (op, N,
-    arithmetic, digits, rotated).
+    soon as one of them is not exactly real.  Cached per (op, N, box,
+    digits, rotated).
     """
-    if not (box or ctx.is_double):
-        raise ValueError("a big-float band is a box band")
-    kind = ("box-" if box else "") + ("double" if ctx.is_double else "fx")
-    return _cached(op, ("band", N, kind, ctx.digits, rotated),
+    if box == ctx.is_double:
+        raise ValueError("a big-float band is a box band, and a double "
+                         "band is not")
+    return _cached(op, ("band", N, box, ctx.digits, rotated),
                    lambda: _build_band(op, N, ctx, box, rotated))
 
 
@@ -173,12 +173,11 @@ def _fx_midpoints(op: OperatorSpec, N: int, ctx: PrecisionContext,
 
 
 def _build_band(op, N, ctx, box, rotated):
-    """The band of :func:`_band`, uncached; ``box`` or a double context."""
+    """The band of :func:`_band`, uncached."""
     rows, cols, row0, col0, _, _ = _block_geometry(op, N)
     every_row = range(row0, row0 + rows)
-    fixed = box and not ctx.is_double
     if box:
-        lib = _box_lib_for_ctx(ctx)
+        lib = _fx_lib(fixed_bits(ctx.digits))
         zero = lib.num(0)
     else:
         zero = 0
@@ -197,7 +196,7 @@ def _build_band(op, N, ctx, box, rotated):
                 if not im == zero:
                     return None
                 parts = (v,)
-            if fixed:
+            if box:
                 v = tuple(e for x in parts for e in x)
             col.append((i - row0, v))
         out.append(col)

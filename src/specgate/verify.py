@@ -11,12 +11,12 @@ formula of :mod:`specgate.ltp` then turns it into a radius around z that
 provably contains a spectral point.  Certification fails closed: no finite
 radius, no enclosure.
 
-A double context evaluates the ratio in double intervals (one ulp outward
-per operation).  A big-float context evaluates it in the fixed-point int
-intervals of :mod:`specgate.intervals`, at scale 2^-p for p a little above
-the context's digits: v is rounded to that grid (any nonzero v will do) and
-z enclosed on it, so the products in a row are exact; each row is rounded
-outward once and squared exactly.  The band's entries are enclosed on
+Every context evaluates the ratio in the fixed-point int intervals of
+:mod:`specgate.intervals`, at scale 2^-p for p a little above the context's
+digits, ``DOUBLE_DIGITS`` at a double context: v is rounded to that grid
+(any nonzero v will do) and z enclosed on it, so the products in a row are
+exact; each row is rounded outward once and squared exactly, and the
+endpoints of the result are mpmath floats.  The band's entries are enclosed on
 that same grid (``intervals._fx_lib``), by integer floors and ceilings.
 ``mpmath.iv`` still runs in three places, none of them per row: the
 transcendental entries (sin, cos, exp, pi) at no fewer than p bits, once
@@ -36,12 +36,12 @@ import numpy as np
 from mpmath import iv as _iv
 from mpmath import mp
 
-from .intervals import (CIBox, Interval, MPIntervalScope, fixed_bits,
-                        _fx_ctimes, _fx_enclose, _fx_ratio, _fx_round, _fx_square,
-                        _fx_times, _fx_vector, iv_lower, iv_upper)
+from .intervals import (MPIntervalScope, fixed_bits, _fx_ctimes, _fx_enclose,
+                        _fx_ratio, _fx_round, _fx_square, _fx_times,
+                        _fx_vector, iv_lower, iv_upper)
 from .ltp import (GapMembershipError, LTPModel, dist_bound)
 from .operators import INTEGERS, OperatorSpec, StructureError
-from .precision import PrecisionContext
+from .precision import DOUBLE_DIGITS, PrecisionContext, bigfloat
 from .truncation import _band, _block_geometry, _rotate
 
 
@@ -51,7 +51,7 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bound:
-    """A two-endpoint rigorous bound; endpoints are floats or mpmath floats."""
+    """A two-endpoint rigorous bound; the endpoints are mpmath floats."""
 
     lo: object
     hi: object
@@ -84,93 +84,25 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
     The upper endpoint rigorously bounds the inverse resolvent norm at z.
     v spans the first N columns of the operator (over the integers the 2N+1
     columns -N..N), so its length fixes the truncation.  Every row of the
-    truncation's block is evaluated in interval arithmetic: exactly the
-    band of a banded spec; for a long-range spec, the padded block, with
-    the certified tail bound (at most 2^-N) folded in additively.
+    truncation's block is evaluated on the grid of ``fixed_bits(digits)``
+    (see the module notes): exactly the band of a banded spec; for a
+    long-range spec, the padded block, with the certified tail bound (at
+    most 2^-N) folded in additively.
+
+    The rows come from the operator's ``mp_residual_rows`` hint when it has
+    one, else from the cached int band.  At a real shift, an operator whose
+    rotated band is real is evaluated in real intervals on the rotated parts
+    a, b of v, v[m] = i^m (a[m] + i b[m]): the rotation is unitary, so
+    ||(H - z) v||^2 = ||(R - z) a||^2 + ||(R - z) b||^2 and
+    ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs in complex intervals.
     """
     if op.entry_box is None:
         raise StructureError(f"{op.id}: entries are not enclosable")
     vals = _as_complex_list(v)
     if not vals or all(t == 0 for t in vals):
         raise ValueError("v must be nonzero")
-
     if ctx.is_double:
-        return _verified_residual_double(op, complex(z), vals, ctx)
-    return _verified_residual_fixed(op, z, vals, ctx)
-
-
-def _verified_residual_double(op, z, vals, ctx):
-    """The residual in double intervals over the cached interval band, plus
-    the tail term.
-
-    At a real shift, an operator whose rotated band is real is evaluated in
-    real intervals on the rotated parts a, b of v, v[m] = i^m (a[m] + i b[m]):
-    the rotation is unitary, so ||(H - z) v||^2 = ||(R - z) a||^2 +
-    ||(R - z) b||^2 and ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs
-    in complex boxes.
-    """
-    N = _half_width(op, len(vals))
-    nrows, _, row0, col0, _, tail = _block_geometry(op, N)
-    band = _band(op, N, ctx, box=True, rotated=True) if z.imag == 0 else None
-    if band is not None:
-        ab = [_rotate(t.real, t.imag, -(col0 + jc)) for jc, t in enumerate(vals)]
-        parts = ([a for a, _ in ab], [b for _, b in ab])
-        point, shift = Interval.point, Interval.point(z.real)
-
-        def reals(x):
-            return (x,)
-    else:
-        band = _band(op, N, ctx, box=True)
-        parts = (vals,)
-        point, shift = CIBox.point, CIBox.point(z)
-
-        def reals(x):
-            return x.re, x.im
-    num2 = den2 = Interval.point(0.0)
-    for part in parts:
-        for row in _band_rows(band, col0 - row0, nrows, shift, part, point):
-            for x in reals(row):
-                num2 = num2 + x.square()
-        for t in part:
-            for x in reals(point(t)):
-                den2 = den2 + x.square()
-    ratio = (num2 / den2).sqrt()
-    if tail:
-        ratio = ratio + Interval(0.0, tail)
-    return Bound(ratio.lo, ratio.hi)
-
-
-def _band_rows(band, d, nrows, shift, part, point):
-    """Interval rows of (A - shift) p for the band of A, in row order.
-
-    The diagonal of column jc sits at array row jc + d.  Exact zeros of p
-    contribute nothing and are skipped; rows nothing reaches are left out.
-    """
-    rows = [None] * nrows
-    for jc, (t, col) in enumerate(zip(part, band)):
-        if t == 0:
-            continue
-        pj = point(t)
-        for ir, coeff in col:
-            term = coeff * pj
-            if ir == jc + d:
-                term = term - shift * pj
-            rows[ir] = term if rows[ir] is None else rows[ir] + term
-    return [r for r in rows if r is not None]
-
-
-def _verified_residual_fixed(op, z, vals, ctx):
-    """The big-float residual in the fixed-point int intervals of
-    :mod:`specgate.intervals`, at scale 2^-p with p = fixed_bits(digits).
-
-    v is rounded to the grid (``_fx_vector``) and z enclosed on it, so every
-    product in a row is exact at scale 2^-2p.  Each row is rounded outward
-    once to 2^-p and squared exactly; ||v||^2 is exact.  The rows come from
-    the operator's ``mp_residual_rows`` hint when it has one, else from the
-    cached int band: real at a real shift when the rotated band is real (as
-    in :func:`_verified_residual_double`), complex otherwise.  The one
-    ``mpmath.iv`` step is the final sqrt(num / den) plus the tail.
-    """
+        ctx = bigfloat(DOUBLE_DIGITS)
     p = fixed_bits(ctx.digits)
     N = _half_width(op, len(vals))
     nrows, _, row0, col0, _, tail = _block_geometry(op, N)
@@ -348,9 +280,10 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
     n + 1 so the bound stays valid on either side of the target eigenvalue).
     ``residual`` is the :func:`verified_residual` bound of this same pair
     at ctx, when the caller has computed it already; otherwise it is
-    computed here.  Fails closed: an infinite distance bound raises instead
-    of producing an enclosure, and so does a given residual whose z is not
-    already its own :func:`enclosure_center`.
+    computed here, at the :func:`enclosure_center` of candidate_z.  Fails
+    closed: an infinite distance bound raises instead of producing an
+    enclosure, and so does a given residual whose z is not already its own
+    :func:`enclosure_center`.
     """
     if index_n is None:
         index_n = m - 1
@@ -359,9 +292,13 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
         raise GapMembershipError(
             f"candidate {candidate_z} is not plausibly in strip {m}; "
             "bootstrap ordering required")
-    given = residual is not None
-    if not given:
-        residual = verified_residual(op, candidate_z, candidate_v, ctx)
+    center = enclosure_center(candidate_z, ctx)
+    if residual is None:
+        residual = verified_residual(op, center, candidate_v, ctx)
+    elif center != candidate_z:
+        raise CertificationError(
+            f"the residual was verified at {candidate_z}, but the center "
+            f"rounds to {center}")
     eps = residual.hi
     radius = dist_bound(eps, m, model, ctx)
     if math.isinf(float(radius)):
@@ -369,11 +306,6 @@ def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,
             f"residual {float(eps):.3e} too large for a finite enclosure "
             f"at strip {m}")
     digits = 16 if ctx.is_double else ctx.digits
-    center = enclosure_center(candidate_z, ctx)
-    if given and center != candidate_z:
-        raise CertificationError(
-            f"the residual was verified at {candidate_z}, but the center "
-            f"rounds to {center}")
     return Enclosure(
         op_id=op.id,
         index_n=index_n,

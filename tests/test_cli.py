@@ -11,7 +11,7 @@ import mpmath
 from specgate.cli import main
 from specgate.verify import Enclosure
 
-from _util import LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK
+from _util import CUBIC_EIGENVALUES, LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK
 
 SCHEMA = json.loads(files("specgate").joinpath(
     "schemas/enclosure.schema.json").read_text())
@@ -186,3 +186,18 @@ def test_certify_junk_candidate_exits_2(tmp_path, capsys):
     cand.write_text(json.dumps({"z": "4.1", "m": 5, "vector": vector}))
     assert main(["certify", "--op", "cubic", "--candidate", str(cand)]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+def test_certify_a_double_candidate(tmp_path):
+    # a 16-digit lambda_1 with its right vector at N = 200, certified at
+    # the default double precision on the grid of DOUBLE_DIGITS
+    cand, out = tmp_path / "lambda1.json", tmp_path / "certify.json"
+    cand.write_text(json.dumps({"z": "1.156267071988113", "m": 2, "n": 1,
+                                "N": 200}))
+    assert main(["certify", "--op", "cubic", "--candidate", str(cand),
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(report, SCHEMA)
+    (enc,) = [Enclosure.from_json(e) for e in report["enclosures"]]
+    assert enc.contains(mpmath.mpf(CUBIC_EIGENVALUES[0]))
+    assert float(enc.radius) < 1e-13

@@ -9,121 +9,97 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgate.intervals import (CIBox, Interval, IntervalError,
-                                MPIntervalScope, _fx_ctimes, _fx_enclose,
-                                _fx_lib, _fx_ratio, _fx_round, _fx_square,
-                                _fx_times, _fx_vector, iv_lower, iv_upper)
-from specgate.operators import BOX_DOUBLE_LIB, _eval_box
+from specgate.intervals import (CIBox, IntervalError, MPIntervalScope,
+                                _fx_ctimes, _fx_enclose, _fx_lib, _fx_ratio,
+                                _fx_round, _fx_square, _fx_times, _fx_vector,
+                                fixed_bits, iv_lower, iv_upper)
+from specgate.precision import DOUBLE_DIGITS
 
 from _util import exact_fraction
 
+# ---------------------------------------------------------------------------
+# the grid of a double context: examples, fuzz and the transcendentals
+# ---------------------------------------------------------------------------
+
+#: p of the grid that a double context's residual reads
+P16 = fixed_bits(DOUBLE_DIGITS)
+LIB16 = _fx_lib(P16)
+
+
+def _box(lo, hi):
+    """The interval [lo, hi] of doubles on the grid of P16."""
+    return LIB16.num(mpmath.iv.mpf([lo, hi]))
+
+
+def _fraction_ends(a):
+    return Fraction(a[0], 2 ** P16), Fraction(a[1], 2 ** P16)
+
 
 def test_add_example():
-    r = Interval(1, 2) + Interval(3, 4)
-    assert r.lo <= 4.0 and r.hi >= 6.0
-    assert r.lo == pytest.approx(4.0, abs=1e-14)
-    assert r.hi == pytest.approx(6.0, abs=1e-14)
+    assert _box(1, 2) + _box(3, 4) == (4 << P16, 6 << P16)
 
 
 def test_sqrt_example():
-    r = Interval(4, 9).sqrt()
-    assert r.lo <= 2.0 <= 3.0 <= r.hi
-    assert r.hi - 3.0 < 1e-14
+    assert LIB16.sqrt(_box(4, 9)) == (2 << P16, 3 << P16)
 
 
 def test_invalid_endpoints():
-    with pytest.raises(IntervalError):
-        Interval(2.0, 1.0)
-    with pytest.raises(IntervalError):
-        Interval(float("nan"), 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(IntervalError):
+            LIB16.num(bad)
 
 
 def test_division_by_zero_interval():
     with pytest.raises(IntervalError):
-        Interval(1, 2) / Interval(-1, 1)
+        _box(1, 2) / _box(-1, 1)
 
 
 def test_negative_sqrt():
     with pytest.raises(IntervalError):
-        Interval(-2, -1).sqrt()
+        LIB16.sqrt(_box(-2, -1))
 
 
 finite = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def intervals(draw):
-    a = draw(finite)
-    b = draw(finite)
-    return Interval(min(a, b), max(a, b))
-
-
-def _member(x, t):
-    """The point at fraction t of x, clamped: lo + t*(hi - lo) can round one
-    ulp past hi."""
-    return min(max(x.lo + t * (x.hi - x.lo), x.lo), x.hi)
-
-
-@given(intervals(), intervals(), st.floats(0, 1), st.floats(0, 1))
+@given(finite, finite, finite, finite, st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=300, deadline=None)
-def test_containment_add_sub_mul(x, y, tx, ty):
-    px = _member(x, tx)
-    py = _member(y, ty)
-    assert (x + y).contains(px + py)
-    assert (x - y).contains(px - py)
-    assert (x * y).contains(px * py)
-
-
-@given(intervals(), st.floats(0, 1))
-@settings(max_examples=200, deadline=None)
-def test_containment_square_abs(x, t):
-    p = _member(x, t)
-    assert x.square().contains(p * p)
-    assert abs(x).contains(abs(p))
-
-
-def _exact_op(op, ax, ay):
-    if op == "add":
-        return ax + ay
-    if op == "sub":
-        return ax - ay
-    if op == "mul":
-        return ax * ay
-    return ax / ay
+def test_containment_add_sub_mul(a, b, c, d, tx, ty):
+    # intervals of doubles, enclosed on the grid, against exact rationals
+    x, y = _box(min(a, b), max(a, b)), _box(min(c, d), max(c, d))
+    (xl, xh), (yl, yh) = _fraction_ends(x), _fraction_ends(y)
+    px = xl + Fraction(tx) * (xh - xl)
+    py = yl + Fraction(ty) * (yh - yl)
+    for r, exact in ((x + y, px + py), (x - y, px - py), (x * y, px * py)):
+        lo, hi = _fraction_ends(r)
+        assert lo <= exact <= hi
 
 
 def test_rational_oracle_fuzz_small():
-    """Sampled version of the exhaustive acceptance fuzz (10^5 cases)."""
-    import random
+    """Random rationals enclosed on the grid: each operation's result
+    contains the exact rational result."""
     rnd = random.Random(20240811)
-    ops = ("add", "sub", "mul", "div")
-    for _ in range(5000):
-        num = rnd.randint(-10**6, 10**6)
-        den = rnd.randint(1, 10**4)
-        num2 = rnd.randint(-10**6, 10**6)
-        den2 = rnd.randint(1, 10**4)
-        fx = Fraction(num, den)
-        fy = Fraction(num2, den2)
-        x = Interval.point(num / den)
-        y = Interval.point(num2 / den2)
-        # the float points differ from the exact rationals; compare against
-        # the rational value of the floats themselves (exactly representable)
-        fx = Fraction(x.lo)
-        fy = Fraction(y.lo)
-        op = ops[rnd.randrange(4)]
-        if op == "div" and fy == 0:
-            continue
-        r = {"add": x + y, "sub": x - y, "mul": x * y,
-             "div": (x / y) if fy != 0 else None}[op]
-        exact = _exact_op(op, fx, fy)
-        assert Fraction(r.lo) <= exact <= Fraction(r.hi), (op, fx, fy)
+    ops = {"add": lambda s, t: s + t, "sub": lambda s, t: s - t,
+           "mul": lambda s, t: s * t, "div": lambda s, t: s / t}
+    with MPIntervalScope(40):
+        for _ in range(5000):
+            fx = Fraction(rnd.randint(-10**6, 10**6), rnd.randint(1, 10**4))
+            fy = Fraction(rnd.randint(-10**6, 10**6), rnd.randint(1, 10**4))
+            op = rnd.choice(sorted(ops))
+            if op == "div" and fy == 0:
+                continue
+            x, y = (LIB16.num(mpmath.iv.mpf(f.numerator) / f.denominator)
+                    for f in (fx, fy))
+            lo, hi = _fraction_ends(ops[op](x, y))
+            assert lo <= ops[op](fx, fy) <= hi, (op, fx, fy)
 
 
 def test_exp_contains():
-    for v in (-3.0, 0.0, 1.0, 10.0):
-        r = Interval.point(v).exp()
-        assert r.lo <= math.exp(v) <= r.hi
+    for v in (-3, 0, 1, 10):
+        lo, hi = LIB16.exp(LIB16.num(v))
+        with mpmath.workdps(50):
+            assert lo <= mpmath.exp(v) * 2 ** P16 <= hi
 
 
 def _libm_arguments(limit):
@@ -137,26 +113,29 @@ def _libm_arguments(limit):
 
 
 @pytest.mark.parametrize("name", ["exp", "sin", "cos"])
-def test_libm_enclosures_contain_50_digit_values(name):
-    # the double-interval exp, sin and cos rest on libm accuracy; every
-    # enclosure must contain the value mpmath computes at 50 digits
-    enclose = {
-        "exp": lambda x: Interval.point(x).exp(),
-        "sin": lambda x: BOX_DOUBLE_LIB.sin(Interval.point(x)),
-        "cos": lambda x: _eval_box(("cos", ("lit", x)), 0, BOX_DOUBLE_LIB).re,
-    }[name]
+def test_fx_lib_transcendentals_contain_50_digit_values(name):
+    # exp, sin and cos of doubles on the grid of a double context: every
+    # enclosure contains the value mpmath computes at 50 digits
+    f = getattr(LIB16, name)
     with mpmath.workdps(50):
         for x in _libm_arguments(200):
-            r = enclose(x)
-            ref = getattr(mpmath, name)(mpmath.mpf(x))
-            assert mpmath.mpf(r.lo) <= ref <= mpmath.mpf(r.hi), (name, x)
+            lo, hi = f(LIB16.num(x))
+            ref = getattr(mpmath, name)(mpmath.mpf(x)) * 2 ** P16
+            assert lo <= ref <= hi, (name, x)
 
 
 def test_cibox_mult_contains():
-    z1 = complex(1.25, -0.5)
-    z2 = complex(-0.75, 2.0)
-    b = CIBox.point(z1) * CIBox.point(z2)
-    assert b.contains(z1 * z2)
+    # dyadic points multiply exactly on the grid; with a non-dyadic factor
+    # the product's box holds the exact complex product
+    z1 = CIBox(LIB16.num(1.25), LIB16.num(-0.5))
+    b = z1 * CIBox(LIB16.num(-0.75), LIB16.num(2))
+    assert (b.re, b.im) == (LIB16.num(0.0625), LIB16.num(2.875))
+    with MPIntervalScope(40):
+        third = LIB16.num(mpmath.iv.mpf(1) / 3)
+    b = z1 * CIBox(third, third)  # (1.25 - 0.5i)(1 + i) / 3
+    for part, exact in ((b.re, Fraction(7, 12)), (b.im, Fraction(1, 4))):
+        lo, hi = _fraction_ends(part)
+        assert lo < exact < hi
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,12 @@ from numpy.polynomial.hermite import hermgauss
 
 from specgate import DOUBLE, bigfloat
 from specgate.intervals import fixed_bits, _fx_lib
-from specgate.operators import (BOX_DOUBLE_LIB, ExpressionError,
+from specgate.operators import (ExpressionError, _eval_scalar,
                                 harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator,
                                 load_plugin_operator, parse_expression)
+from specgate.precision import DOUBLE_DIGITS
 
 
 @pytest.fixture(scope="module")
@@ -120,9 +121,15 @@ def test_lattice_tail_monotone(lattice):
 
 
 def test_entry_box_contains_entry(cubic, lattice):
-    for (i, j) in ((3, 5), (5, 5), (8, 5), (2, 5)):
-        box = cubic.entry_box(i, j, BOX_DOUBLE_LIB)
-        assert box.contains(cubic.entry(i, j, DOUBLE))
+    # on the grid of a double context: each box is at most two units of
+    # 2^-p wide around the entry's 60-digit value
+    p = fixed_bits(DOUBLE_DIGITS)
+    with mpmath.workdps(60):
+        for (i, j) in ((3, 5), (5, 5), (8, 5), (2, 5)):
+            box = cubic.entry_box(i, j, _fx_lib(p))
+            value = cubic.entry(i, j, bigfloat(60)) * 2 ** p
+            for (lo, hi), x in ((box.re, value.real), (box.im, value.imag)):
+                assert lo <= x <= hi <= lo + 2, (i, j)
     # on the fixed-point grid: 49/10 by floor and ceiling, 2 sin 7 within
     # a few grid units around its 60-digit value
     p = fixed_bits(30)
@@ -134,13 +141,15 @@ def test_entry_box_contains_entry(cubic, lattice):
 
 
 def test_double_box_encloses_hops_below_the_smallest_double(lattice):
-    # the hop 2^(1-d) is no double past d = 1075: its double interval is
-    # one ulp either side of the nearest double; up to 1075 it is a point
-    hop = lattice.entry_box(0, 1100, BOX_DOUBLE_LIB).re
-    assert hop.lo <= mpmath.ldexp(1, -1099) <= hop.hi
-    for d in (1, 2, 60, 1000, 1074, 1075):
-        hop = lattice.entry_box(0, d, BOX_DOUBLE_LIB).re
-        assert hop.lo == hop.hi == math.ldexp(1, 1 - d), d
+    # the hop 2^(1-d) is no double past d = 1075; on a grid of p >= 1100
+    # bits it is the exact point 2^(p+1-d), and the grid of a double
+    # context encloses 2^-1099 by [0, 1] units
+    for p in (1100, 1300):
+        for d in (1, 2, 60, 1000, 1074, 1075, 1100):
+            hop = lattice.entry_box(0, d, _fx_lib(p)).re
+            assert hop == (2 ** (p + 1 - d),) * 2, (p, d)
+    assert lattice.entry_box(0, 1100, _fx_lib(fixed_bits(DOUBLE_DIGITS))).re \
+        == (0, 1)
 
 
 def test_bigfloat_entries_match_double(cubic):
@@ -162,7 +171,6 @@ def test_adjoint(cubic):
 # ---------------------------------------------------------------------------
 
 def test_parse_and_eval_expression():
-    from specgate.operators import _eval_scalar
     node = parse_expression("2*n + sqrt(n) - 1/4")
     assert _eval_scalar(node, 4, use_mp=False) == pytest.approx(8 + 2 - 0.25)
     node = parse_expression("i*sin(n) + cos(n)")
@@ -170,6 +178,22 @@ def test_parse_and_eval_expression():
     assert v == pytest.approx(complex(math.cos(2), math.sin(2)))
     node = parse_expression("exp(-(n^2)/2)")
     assert _eval_scalar(node, 1, use_mp=False) == pytest.approx(math.exp(-0.5))
+
+
+def test_decimal_literals_are_exact_ratios():
+    # 0.1 is 1/10, not its nearest double: the grid box holds 1/10, big
+    # floats carry it to working precision, and doubles keep float(token)
+    op = load_plugin_operator({"id": "tenth", "bands": [
+        {"offset": 0, "coefficient": "0.1*n"}]})
+    p = fixed_bits(30)
+    lo, hi = op.entry_box(1, 1, _fx_lib(p)).re
+    assert 10 * lo < 2 ** p < 10 * hi
+    with mpmath.workdps(60):
+        assert abs(op.entry(1, 1, bigfloat(30)) - mpmath.mpf(1) / 10) < 1e-30
+    assert op.entry(1, 1, DOUBLE) == complex(0.1)
+    for tok in ("0.1", "2.675", ".5", "3.", "123456789.987654321"):
+        value = _eval_scalar(parse_expression(tok), 0, use_mp=False)
+        assert value == complex(float(tok)), tok
 
 
 def test_expression_rejects_unknown():
@@ -195,8 +219,9 @@ def test_plugin_operator_roundtrip(tmp_path):
     assert op.banded and op.lower_bandwidth == 0
     assert op.entry(3, 3, DOUBLE) == pytest.approx(7.5)
     assert op.entry(2, 3, DOUBLE) == 0
-    box = op.entry_box(3, 3, BOX_DOUBLE_LIB)
-    assert box.contains(complex(7.5, 0))
+    p = fixed_bits(DOUBLE_DIGITS)
+    box = op.entry_box(3, 3, _fx_lib(p))
+    assert box.re == (15 << (p - 1),) * 2 and box.im == (0, 0)
 
 
 def test_plugin_rejects_unknown_keys():
@@ -211,4 +236,4 @@ def test_plugin_interval_power_restriction():
     # float path works; the enclosure path rejects non-integer powers
     assert op.entry(4, 4, DOUBLE) == pytest.approx(2.0)
     with pytest.raises(ExpressionError):
-        op.entry_box(4, 4, BOX_DOUBLE_LIB)
+        op.entry_box(4, 4, _fx_lib(fixed_bits(DOUBLE_DIGITS)))

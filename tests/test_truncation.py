@@ -158,6 +158,14 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
                     assert unit ** (j - i) * v == r
 
 
+def test_band_kind_follows_the_context(cubic):
+    # a box band is a big-float band, and an entry band a double one
+    with pytest.raises(ValueError):
+        _band(cubic, 10, DOUBLE, box=True)
+    with pytest.raises(ValueError):
+        _band(cubic, 10, bigfloat(20))
+
+
 @pytest.mark.parametrize("digits", [27, 60])
 def test_fixed_band_is_two_grid_units_wide(cubic, digits):
     # the big-float box band of the rotated cubic at N = 200: every entry

@@ -21,6 +21,7 @@ from specgate.operators import (_lattice_diagonal,
                                 harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
+from specgate.precision import DOUBLE_DIGITS
 from specgate.sigma import right_vector, sigma_min
 from specgate.truncation import _band, tail_padding
 from specgate.verify import (CertificationError, Enclosure,
@@ -48,8 +49,8 @@ def test_exact_eigenpair_residual(harmonic):
     v = np.zeros(8, dtype=complex)
     v[0] = 1.0
     b = verified_residual(harmonic, 1.0, v, DOUBLE)
-    assert b.hi <= 1e-15
-    assert b.lo >= 0.0
+    # the grid holds the entry 1, the shift and v exactly: no rounding
+    assert b.lo == b.hi == 0
 
 
 def test_residual_rows_straddling_zero():
@@ -63,6 +64,20 @@ def test_residual_rows_straddling_zero():
     v[1] = 1.0
     b = verified_residual(op, z, v, bigfloat(30))
     assert 0 <= b.lo <= b.hi < 1e-29
+
+
+def test_double_residual_encloses_computed_transcendental_arguments():
+    # sqrt(n+2), cos(n) and exp(n) take computed arguments: a double
+    # context encloses them on its grid, as a big-float one does, and the
+    # two residuals of one (z, v) agree
+    op = band_plugin({-1: "sin(n)*pi", 0: "n + cos(n) + pi + exp(n)",
+                      1: "sqrt(n+2)/5"})
+    z = 2.0
+    v = right_vector(op, z, 20, DOUBLE)
+    b = verified_residual(op, z, v, DOUBLE)
+    ref = verified_residual(op, z, v, bigfloat(30))
+    assert 0 <= b.lo <= b.hi
+    assert abs(b.hi - ref.hi) <= 1e-12 * ref.hi
 
 
 def test_residual_refuses_a_non_finite_vector(cubic):
@@ -102,11 +117,13 @@ def test_residual_zero_vector_rejected(cubic):
 
 def test_residual_rotated_vs_box_paths_agree(cubic, monkeypatch):
     # the real-rotated route and the complex-box route enclose the same
-    # quantity on the same (z, v), in both interval backends
+    # quantity on the same (z, v), at a double context (which reads the
+    # band of bigfloat(DOUBLE_DIGITS)) and in big floats
     z = 3.0
     v = right_vector(cubic, z, 30, DOUBLE)
-    for ctx in (DOUBLE, bigfloat(25)):
-        assert _band(cubic, 30, ctx, box=True, rotated=True) is not None
+    for ctx, band_ctx in ((DOUBLE, bigfloat(DOUBLE_DIGITS)),
+                          (bigfloat(25), bigfloat(25))):
+        assert _band(cubic, 30, band_ctx, box=True, rotated=True) is not None
         fast = verified_residual(cubic, z, v, ctx)
         boxy = box_route_residual(monkeypatch, cubic, z, v, ctx)
         assert abs(float(fast.hi) - float(boxy.hi)) < \
@@ -151,6 +168,19 @@ def test_certify_lambda1_double(cubic):
         assert enc.contains(mpmath.mpf(LAMBDA_1))
     assert "kappa-bound" in enc.conditional_on
     assert enc.gap_index_m == 2
+
+
+def test_certify_verifies_the_center(cubic):
+    # a 30-digit z at a double context: the disk is centered at its double,
+    # and its residual is the one verified there
+    with mp.workdps(30):
+        z = mpmath.mpf(LAMBDA_1)
+    v = right_vector(cubic, float(z), 200, DOUBLE)
+    enc = certify_eigenvalue(cubic, cubic_ltp_model(), z, v, 2, DOUBLE,
+                             index_n=1)
+    assert enc.center == float(z) != z
+    assert enc.residual_upper == verified_residual(cubic, float(z), v,
+                                                   DOUBLE).hi
 
 
 def test_certify_fails_closed_on_large_residual(cubic):
