@@ -8,10 +8,12 @@ The certification flow for operators with real spectra (bootstrap order):
    The first interior local minimum (dip) brackets the candidate.  The
    asymptotics only size the census top; no rigor rests on them, whose
    remainder constant is unquantified;
-2. zoom into that bracket by censuses of 16 sub-steps until it is at most
-   1e-9 wide, then refine the pair (z, v) that minimizes the rectangular
-   residual by bordered Gauss-Newton (one double factorization, residuals
-   in big floats at the guard-digit working precision);
+2. zoom into that bracket by censuses of 16 sub-steps until its half-width
+   is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
+   (or it is at most 1e-9 wide), a start inside Gauss-Newton's basin, then
+   refine the pair (z, v) that minimizes the rectangular residual by
+   bordered Gauss-Newton (one double factorization, residuals in big
+   floats at the guard-digit working precision);
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -134,19 +136,32 @@ def _census(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
     return ts, g, dips
 
 
+#: The dip zoom of :func:`_locate_dip` stops once the bracket's half-width
+#: is at most this fraction of the slope s of gamma_N at the dip: the start
+#: only has to lie inside Gauss-Newton's basin, not at the floor of gamma.
+#: Near a simple eigenvalue lam, gamma_N is V-shaped, gamma(t) ~ s |t - lam|.
+#: With lam between the dip's neighbours t[k-1] and t[k+1], their values sum
+#: to g[k-1] + g[k+1] = s w for the bracket width w = t[k+1] - t[k-1], so
+#: w / 2 <= C s reads w^2 <= 2 C (g[k-1] + g[k+1]).  The 1e-9 floor of the
+#: width stays, so no dip is zoomed more rounds than at that width alone.
+ZOOM_SLOPE_FRACTION = 1e-2
+
+
 def _locate_dip(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
                 N: int):
     """(z, gamma_N(z)) at the first dip of the census from lo to hi.
 
     The dip's bracket (its two neighbours) is re-censused with 16 sub-steps
-    until it is at most 1e-9 wide; each round keeps the deepest interior
-    node.  No dip raises :class:`GapScanError`.
+    until its half-width is at most ``ZOOM_SLOPE_FRACTION`` times the slope
+    of gamma_N at the dip, or it is at most 1e-9 wide; each round keeps the
+    deepest interior node.  No dip raises :class:`GapScanError`.
     """
     ts, g, dips = _census(op, model, lo, hi, N)
     if not dips:
         raise GapScanError(f"no dip of gamma_{N} in ({lo}, {hi})", None)
     k = dips[0]
-    while ts[k + 1] - ts[k - 1] > 1e-9:
+    while (ts[k + 1] - ts[k - 1] > 1e-9 and (ts[k + 1] - ts[k - 1]) ** 2
+           > 2 * ZOOM_SLOPE_FRACTION * (g[k - 1] + g[k + 1])):
         ts, g, _ = _census(op, model, ts[k - 1], ts[k + 1], N, count=17)
         k = 1 + int(np.argmin(g[1:-1]))
     return float(ts[k]), float(g[k])
@@ -326,8 +341,13 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     the residual verifies (scale 2^-p, p = ``fixed_bits(digits_v)``), so
     both read one band build.  v, z and c sit on the grid of scale 2^-p,
     and F is evaluated in exact integers at scale 2^-(2p+1).  The steps
-    stop when F vanishes, when one fails to halve ||F||_inf (the floor of
-    the truncation or of the grid), or after NEWTON_MAXIT.
+    stop when F vanishes, when one fails to halve ||F||_2 (the floor of
+    the truncation or of the grid), or after NEWTON_MAXIT.  ||F||_2 is the
+    norm that Gauss-Newton lowers and the residual norm that is verified.
+    At the floor ||F||_inf is flat while the frozen-Jacobian steps still
+    move z by units of 1e-15, so a test on ||F||_inf would leave the end
+    point of a start far from the floor to rounding in the pseudo-inverse,
+    which depends on the BLAS thread count.
 
     On the real rotated band (W^-1 H W, W = diag(i^m)), when the operator
     has one, v0 is rotated in and divided by the phase of its largest entry
@@ -404,14 +424,14 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
                               in zip(cg, v)) - one))
             r.append(2 * sum(a * y + b * x for (a, b), (x, y)
                              in zip(cg, v)))
-        return r, max(map(abs, r))
+        return r, max(map(abs, r)), sum(t * t for t in r)
 
     def shift(x, s, rn):
         """x minus the grid value of the double s times rn 2^-(2p+1)."""
         a, b = float(s).as_integer_ratio()
         return x - (a * rn) // (b * unit)
 
-    r, rn = residual(v, z)
+    r, rn, ss = residual(v, z)
     for _ in range(NEWTON_MAXIT):
         if not rn > 0:
             break
@@ -428,11 +448,11 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
                      for (x, y), s in zip(v, step)]
             z_new = (shift(z[0], step[cols].real, rn),
                      shift(z[1], step[cols].imag, rn))
-        r_new, rn_new = residual(v_new, z_new)
-        if not rn_new < rn:
+        r_new, rn_new, ss_new = residual(v_new, z_new)
+        if not ss_new < ss:
             break
-        halved = 2 * rn_new <= rn
-        v, z, r, rn = v_new, z_new, r_new, rn_new
+        halved = 4 * ss_new <= ss
+        v, z, r, rn, ss = v_new, z_new, r_new, rn_new, ss_new
         if not halved:
             break
     # the z the bootstrap verifies is the center it reports
@@ -455,8 +475,8 @@ def _refine_complex_pair(op, N, z0, v0):
     c = conj(v0) / ||v0||, over the dense double truncation T (E puts the
     identity in the square block's rows).  The Jacobian
     J = [[T - z E, -E v], [c^T, 0]] is refreshed and pseudo-inverted at
-    every step.  The steps stop as in :func:`_refine_eigenpair`: when F
-    vanishes, when one fails to halve ||F||_inf, or after NEWTON_MAXIT.
+    every step.  The steps stop when F vanishes, when one fails to halve
+    ||F||_inf, or after NEWTON_MAXIT.
 
     A z more than 0.05 from z0 has left its seed's neighbourhood, and the
     refinement fails closed.  Nothing here is trusted: the caller certifies

@@ -129,30 +129,29 @@ def _rotate(re, im, k: int):
     return im, -re
 
 
-def _band(op: OperatorSpec, N: int, ctx: PrecisionContext, box: bool = False,
+def _band(op: OperatorSpec, N: int, ctx: PrecisionContext,
           rotated: bool = False):
     """Unshifted band of the rectangular truncation of a spec.
 
     One list of (array row, value) pairs per column: the band rows of a
-    banded spec, every row of the padded block of a long-range one.
+    banded spec, every row of the padded block of a long-range one.  The
+    context fixes the kind of value:
 
-    * ``box`` (big floats only): ``op.entry_box`` run on the fixed-point
+    * big floats: the box band, ``op.entry_box`` run on the fixed-point
       grid of scale 2^-p, p = ``fixed_bits(ctx.digits)``, so each value is
       an int interval at that scale: (lo, hi) for a real value and
       (re lo, re hi, im lo, im hi) for a complex one.  This is the one
       big-float build per (op, N, p); the residual reads its intervals,
       Gauss-Newton and big-float sigma its :func:`_fx_midpoints`.  A double
       context's residual reads the band of ``bigfloat(DOUBLE_DIGITS)``.
-    * otherwise (doubles only): ``op.entry`` values.
+    * doubles: the entry band, ``op.entry`` values.
 
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
     the values i^(c-r) H[r, c] as reals (or real intervals), or None as
-    soon as one of them is not exactly real.  Cached per (op, N, box,
+    soon as one of them is not exactly real.  Cached per (op, N, kind,
     digits, rotated).
     """
-    if box == ctx.is_double:
-        raise ValueError("a big-float band is a box band, and a double "
-                         "band is not")
+    box = not ctx.is_double
     return _cached(op, ("band", N, box, ctx.digits, rotated),
                    lambda: _build_band(op, N, ctx, box, rotated))
 
@@ -163,7 +162,7 @@ def _fx_midpoints(op: OperatorSpec, N: int, ctx: PrecisionContext,
     scale 2^-(p+1), p = ``fixed_bits(ctx.digits)``: lo + hi for each real
     value of the rotated band, a pair (re, im) for each complex value of
     the unrotated one.  None where the box band is None."""
-    band = _band(op, N, ctx, box=True, rotated=rotated)
+    band = _band(op, N, ctx, rotated=rotated)
     if band is None:
         return None
     if rotated:

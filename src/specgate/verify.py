@@ -112,7 +112,7 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
     hint = op.hints.get("mp_residual_rows")
     band = None
     if hint is None and zim == (0, 0):
-        band = _band(op, N, ctx, box=True, rotated=True)
+        band = _band(op, N, ctx, rotated=True)
     if hint is not None:
         rows = [x for row in hint((zre, zim), V, col0, d, p) for x in row]
     elif band is not None:
@@ -120,8 +120,7 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
         rows = [x for k in (0, 1) for x in
                 _real_rows(band, d, nrows, zre, [t[k] for t in ab], p)]
     else:
-        rows = _complex_rows(_band(op, N, ctx, box=True), d, nrows,
-                             zre, zim, V, p)
+        rows = _complex_rows(_band(op, N, ctx), d, nrows, zre, zim, V, p)
     num_lo = num_hi = 0
     for x in rows:
         lo, hi = _fx_square(x)

@@ -94,8 +94,8 @@ def box_route_residual(monkeypatch, op, z, v, ctx):
     shift, too, runs through complex boxes."""
     band = verify._band
     with monkeypatch.context() as patch:
-        patch.setattr(verify, "_band", lambda op, N, ctx, box=False,
-                      rotated=False: None if rotated else band(op, N, ctx, box))
+        patch.setattr(verify, "_band", lambda op, N, ctx, rotated=False:
+                      None if rotated else band(op, N, ctx))
         return verify.verified_residual(op, z, v, ctx)
 
 

@@ -257,7 +257,7 @@ def test_derived_rotation_on_plugins(bands, real_band, monkeypatch):
     op = band_plugin(bands)
     ctx, N, z = bigfloat(30), 40, 2.3
     assert (_mp_band(op, N, ctx, rotated=True) is not None) == real_band
-    assert (_band(op, N, ctx, box=True, rotated=True) is not None) == real_band
+    assert (_band(op, N, ctx, rotated=True) is not None) == real_band
     _check_against_lapack(op, z, N, ctx, rel=1e-9)
     v = right_vector(op, z, N, ctx)
     for rctx in (DOUBLE, bigfloat(25)):

@@ -61,10 +61,39 @@ def test_locate_dip_harmonic(harmonic):
 
 
 def test_locate_dip_cubic_lambda1(cubic, cubic_model):
+    # the zoom stops inside Gauss-Newton's basin, not at the floor of gamma:
+    # the start is near lambda_1, and refining it lands on lambda_1
     z, _ = _locate_dip(cubic, cubic_model, 0.5, 2.6, 200)
-    assert abs(z - LAMBDA_1) < 1e-8
+    assert abs(z - LAMBDA_1) < 1e-4
     v = right_vector(cubic, z, 200, DOUBLE)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
+    zr, vr = _refine_eigenpair(cubic, 200, z, v, 30)
+    with mp.workdps(40):
+        assert abs(zr - mpmath.mpf(CUBIC_EIGENVALUES[0])) < 1e-14
+    assert verified_residual(cubic, zr, vr, bigfloat(30)).hi < 1e-15
+
+
+#: Radii of bootstrap_certify(cubic, 3) when every dip was zoomed to 1e-9.
+ZOOMED_TO_1E9_RADII = (6.6207289954693225e-15, 2.3861240639285133e-13,
+                       3.4819677512488314e-12)
+
+
+def test_zoom_stops_inside_the_newton_basin(cubic, cubic_model, monkeypatch):
+    # stopping the zoom at 1 percent of the dip's slope takes at most 15
+    # censuses for the first three eigenvalues (36 with a 1e-9 zoom) and
+    # widens no radius by more than 1e-6 relative
+    calls = []
+    census = solver._census
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_census", counted)
+    encs = bootstrap_certify(cubic, cubic_model, 3, DOUBLE)
+    assert len(calls) <= 15
+    for e, zoomed in zip(encs, ZOOMED_TO_1E9_RADII):
+        assert float(e.radius) <= (1 + 1e-6) * zoomed, e.index_n
 
 
 def test_dip_census_finds_both_dips(cubic, cubic_model):
@@ -205,7 +234,7 @@ def test_bootstrap_harmonic_oracle(harmonic):
 def cubic_encs(cubic):
     """bootstrap_certify(cubic, 8) at double precision, shared by the tests
     below.  From index 5 on, N escalates and c_m binds the residual target.
-    The call takes about 8 s."""
+    The call takes about 2 s."""
     return bootstrap_certify(cubic, cubic_ltp_model(), 8, DOUBLE)
 
 
@@ -395,6 +424,25 @@ def test_grid_is_independent_of_the_blas_thread_count(tmp_path):
     assert csv[0].count(b"\n") == 1 + nx * ny and csv[0] == csv[1]
 
 
+def test_cubic_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # the eigs report of the first three cubic eigenvalues is the same with
+    # one OpenBLAS thread and with two, its timestamp aside
+    argv = [sys.executable, "-m", "specgate.cli", "eigs", "--op", "cubic",
+            "--n", "3"]
+    src = os.path.dirname(os.path.dirname(specgate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"eigs-{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(argv + ["--output", str(out)], env=env, check=True,
+                       timeout=300)
+        report = json.loads(out.read_text())
+        del report["generated_at"]
+        reports.append(report)
+    assert len(reports[0]["enclosures"]) == 3 and reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("N", [10, 450])
 def test_grid_exact_zero_pivots_take_the_single_shift_path(harmonic, N):
     # nodes 1 and 3 are eigenvalues of the diagonal oracle: the batch meets
@@ -473,8 +521,9 @@ def test_square_spectrum_demo(cubic, harmonic):
 
 
 def test_residual_decay_slope(cubic, cubic_model):
-    # the least gamma_N the census sees near lambda_5: at its zoomed dip,
-    # or at its least node where gamma_N has no dip there yet (N = 40)
+    # the least gamma_N the census sees near lambda_5: at its dip, zoomed
+    # until the start lies inside Gauss-Newton's basin, or at its least
+    # node where gamma_N has no dip there yet (N = 40)
     Ns = list(range(40, 201, 40))
     logs = []
     for N in Ns:

@@ -159,11 +159,21 @@ def test_band_holds_entries_at_each_precision(cubic, lattice):
 
 
 def test_band_kind_follows_the_context(cubic):
-    # a box band is a big-float band, and an entry band a double one
-    with pytest.raises(ValueError):
-        _band(cubic, 10, DOUBLE, box=True)
-    with pytest.raises(ValueError):
-        _band(cubic, 10, bigfloat(20))
+    # a double context builds the entry band (complex doubles, and floats
+    # once rotated), a big-float one the box band (int intervals: (lo, hi)
+    # rotated, (re lo, re hi, im lo, im hi) otherwise)
+    values = [v for col in _band(cubic, 10, DOUBLE) for _, v in col]
+    assert all(type(v) is complex for v in values)
+    values = [v for col in _band(cubic, 10, DOUBLE, rotated=True)
+              for _, v in col]
+    assert all(type(v) is float for v in values)
+    for rotated, width in ((True, 2), (False, 4)):
+        band = _band(cubic, 10, bigfloat(20), rotated=rotated)
+        for col in band:
+            for _, v in col:
+                assert len(v) == width
+                assert all(type(e) is int for e in v)
+                assert all(lo <= hi for lo, hi in zip(v[0::2], v[1::2]))
 
 
 @pytest.mark.parametrize("digits", [27, 60])
@@ -173,7 +183,7 @@ def test_fixed_band_is_two_grid_units_wide(cubic, digits):
     # enclosures it replaces reached 2.2e12 units) around the value
     # i^(c-r) H[r, c] computed at 2p bits
     p = fixed_bits(digits)
-    band = _band(cubic, 200, bigfloat(digits), box=True, rotated=True)
+    band = _band(cubic, 200, bigfloat(digits), rotated=True)
     ref = bigfloat(math.ceil(2 * p / math.log2(10)))
     unit = mpmath.mpc(0, 1)
     with ref.workprec():

@@ -123,7 +123,7 @@ def test_residual_rotated_vs_box_paths_agree(cubic, monkeypatch):
     v = right_vector(cubic, z, 30, DOUBLE)
     for ctx, band_ctx in ((DOUBLE, bigfloat(DOUBLE_DIGITS)),
                           (bigfloat(25), bigfloat(25))):
-        assert _band(cubic, 30, band_ctx, box=True, rotated=True) is not None
+        assert _band(cubic, 30, band_ctx, rotated=True) is not None
         fast = verified_residual(cubic, z, v, ctx)
         boxy = box_route_residual(monkeypatch, cubic, z, v, ctx)
         assert abs(float(fast.hi) - float(boxy.hi)) < \
