@@ -39,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _truncation_size(text: str) -> int:
+    """The value of --N: an integer of at least 1."""
+    try:
+        N = int(text)
+    except ValueError:
+        N = 0
+    if N < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}")
+    return N
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="specgate",
                 description="certified spectra of non-Hermitian operators")
@@ -58,7 +70,7 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--n", type=int, default=5, help="how many eigenvalues")
     sp.add_argument("--target-radius", type=float, default=None)
-    sp.add_argument("--N", type=int, default=None,
+    sp.add_argument("--N", type=_truncation_size, default=None,
                     help="override the truncation-size schedule")
     sp.add_argument("--candidates-out",
                     help="also write the float-stage candidates for certify")
@@ -69,7 +81,7 @@ def _build_parser() -> _Parser:
                     metavar=("RE_MIN", "RE_MAX", "IM_MIN", "IM_MAX"))
     sp.add_argument("--resolution", type=int, nargs=2, default=(40, 40),
                     metavar=("NX", "NY"))
-    sp.add_argument("--N", type=int, default=150)
+    sp.add_argument("--N", type=_truncation_size, default=150)
     sp.add_argument("--parallelism", type=int, default=0,
                     help="ignored: the grid is batched in one thread; "
                          "kept until the benchmark's command line stops "
@@ -81,7 +93,7 @@ def _build_parser() -> _Parser:
                     help="candidate JSON: {z, m, vector?, N?, digits?}; "
                          "a candidate is checked at no fewer than its "
                          "digits")
-    sp.add_argument("--N", type=int, default=None,
+    sp.add_argument("--N", type=_truncation_size, default=None,
                     help="truncation size when the vector must be recomputed")
 
     sp = sub.add_parser("condition", help="eigenvalue condition numbers")
@@ -89,7 +101,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--n", type=int, default=10)
     sp.add_argument("--n-min", type=int, default=1,
                     help="report indices starting here")
-    sp.add_argument("--N", type=int, default=None)
+    sp.add_argument("--N", type=_truncation_size, default=None)
 
     sp = sub.add_parser("eigenfunction", help="sample a certified eigenfunction")
     common(sp)
@@ -163,7 +175,7 @@ def cmd_eigs(args) -> int:
     if model is None:
         raise UsageError("plugin certification needs --model")
     ctx = parse_precision(args.precision)
-    schedule = (lambda n: args.N) if args.N else None
+    schedule = (lambda n: args.N) if args.N is not None else None
     encs = bootstrap_certify(op, model, args.n, ctx, N_schedule=schedule,
                              target_radius=args.target_radius)
     report = enclosures_to_report(encs, op.id, ctx.describe(),
@@ -219,7 +231,8 @@ def _certify_candidates(op, model, data: dict, base, N=None) -> list:
                 v = [mpmath.mpc(mpmath.mpf(re), mpmath.mpf(im))
                      for re, im in entry["vector"]]
         else:
-            v = right_vector(op, z, N or int(entry.get("N", 200)), ctx)
+            size = int(entry.get("N", 200)) if N is None else N
+            v = right_vector(op, z, size, ctx)
         encs.append(certify_eigenvalue(op, model, z, v, m, ctx,
                                        index_n=entry.get("n", m - 1)))
     return encs
@@ -247,7 +260,8 @@ def cmd_condition(args) -> int:
     for enc in encs:
         if enc.index_n < args.n_min:
             continue
-        N = args.N or _half_width(op, len(enc.vector))
+        N = args.N if args.N is not None else \
+            _half_width(op, len(enc.vector))
         res = condition_number(op, enc, N, ctx)
         n = enc.index_n
         rescaled = res.kappa * math.exp(-n * math.pi / math.sqrt(3.0)) \

@@ -101,8 +101,12 @@ class OperatorSpec:
     same element, a :class:`~specgate.intervals.CIBox`, in the interval
     arithmetic ``lib``: the fixed-point int intervals of
     ``intervals._fx_lib`` at the scale of the band, on the grid the
-    residual reads, at every precision.  Entry evaluation is pure, so specs
-    are safe to share across threads.
+    residual reads, at every precision.  The pipeline reads big-float
+    entries only through ``entry_box`` on that grid (``truncation._band``);
+    it reads ``entry`` at doubles, for the double band and the dense
+    truncations.  ``entry`` at a big-float context remains as the tests'
+    reference for the grid boxes.  Entry evaluation is pure, so specs are
+    safe to share across threads.
 
     ``hints`` holds optional operator-specific fast paths by name; the one
     read today is ``mp_residual_rows(z, V, col_start, pad, p)``, the

@@ -13,7 +13,9 @@ arithmetic - so the methods are free to be fast:
 * banded specs, big-float shifts: a banded Givens-QR with inverse iteration
   over the midpoints of the cached fixed-point box band (``banded_sigma``
   over ``_mp_band``);
-* otherwise LAPACK SVD in doubles, and a one-sided Jacobi SVD in big floats.
+* long-range specs, double shifts: LAPACK SVD of the dense truncation.
+  They have no big-float route: their padded block is dense, and big-float
+  sigma reads only the band of a banded spec.
 
 At a real big-float shift an operator whose rotated band is real (the
 cubic and harmonic oscillators among them) runs in real arithmetic, which
@@ -29,10 +31,10 @@ import numpy as np
 from mpmath import mp
 
 from .intervals import fixed_bits, _fx_mpf
-from .operators import COMPLEX_SYMMETRIC, OperatorSpec
+from .operators import COMPLEX_SYMMETRIC, OperatorSpec, StructureError
 from .precision import DOUBLE, PrecisionContext
-from .truncation import (_band, _block_geometry, _cached, _fx_midpoints,
-                         _rotate, rectangular)
+from .truncation import (_band, _block_geometry, _fx_midpoints, _rotate,
+                         rectangular)
 
 # ---------------------------------------------------------------------------
 # banded Givens QR + inverse iteration
@@ -94,10 +96,7 @@ _COMPLEX_MP = _ComplexMPArith()
 
 
 def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
-    """(sigma, unit right vector) of a banded matrix; see the notes above.
-
-    sigma is None when inverse iteration breaks down at its first step.
-    """
+    """(sigma, unit right vector) of a banded matrix; see the notes above."""
     zero, one, conj, hypot, norm = (arith.zero, arith.one, arith.conj,
                                     arith.hypot, arith.norm)
     ncols = len(columns)
@@ -170,9 +169,8 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
             for j in range(i + 1, min(i + bw + 1, ncols)):
                 acc -= R[i][j - i + OFF] * x[j]
             x[i] = acc / R[i][OFF]
+        # no pivot is zero and w is not, so neither is x
         nx = norm(x)
-        if nx == zero:
-            break
         w = [t / nx for t in x]
         sig = matvec_norm(w)
         converged = sig_prev is not None and sig_prev != zero and \
@@ -364,8 +362,8 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int,
             if want_vectors:
                 vectors[a:a + chunk] = w
     for i in np.flatnonzero(~np.isfinite(out)):
-        T = _shifted_double(op, zs[i], N)
-        v = smallest_singular(T, DOUBLE)[1]
+        T = rectangular(op, zs[i], N)
+        v = smallest_singular(T)[1]
         out[i] = np.linalg.norm(T @ v)
         if want_vectors:
             vectors[i] = v
@@ -373,85 +371,18 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int,
 
 
 # ---------------------------------------------------------------------------
-# one-sided Jacobi SVD (dense big-float fallback)
-# ---------------------------------------------------------------------------
-
-def jacobi_smallest_singular(A, max_sweeps: int = 30):
-    """Smallest singular value/vector of a dense mpmath matrix.
-
-    One-sided Jacobi rotations orthogonalize the columns; no machine-epsilon
-    assumptions are baked in, so the method works at any precision.
-    """
-    m, n = A.rows, A.cols
-    W = A.copy()
-    V = mpmath.eye(n)
-    tol = mpmath.mpf(10) ** (-mp.dps + 2)
-    for _ in range(max_sweeps):
-        off = mpmath.mpf(0)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = mp.fsum([abs(W[i, p]) ** 2 for i in range(m)])
-                aqq = mp.fsum([abs(W[i, q]) ** 2 for i in range(m)])
-                apq = mp.fsum([mpmath.conj(W[i, p]) * W[i, q] for i in range(m)])
-                denom = mpmath.sqrt(app * aqq)
-                if denom == 0 or abs(apq) <= tol * denom:
-                    continue
-                off = max(off, abs(apq) / denom)
-                phase = apq / abs(apq)
-                tau = (aqq - app) / (2 * abs(apq))
-                t = (1 if tau >= 0 else -1) / (abs(tau) + mpmath.sqrt(1 + tau * tau))
-                c = 1 / mpmath.sqrt(1 + t * t)
-                s = c * t
-                for i in range(m):
-                    wp = W[i, p]
-                    wq = W[i, q]
-                    W[i, p] = c * wp - s * mpmath.conj(phase) * wq
-                    W[i, q] = s * phase * wp + c * wq
-                for i in range(n):
-                    vp = V[i, p]
-                    vq = V[i, q]
-                    V[i, p] = c * vp - s * mpmath.conj(phase) * vq
-                    V[i, q] = s * phase * vp + c * vq
-        if off <= tol:
-            break
-    norms = [mpmath.sqrt(mp.fsum([abs(W[i, j]) ** 2 for i in range(m)]))
-             for j in range(n)]
-    jmin = min(range(n), key=lambda j: norms[j])
-    v = [V[i, jmin] for i in range(n)]
-    u = None
-    if norms[jmin] > 0:
-        u = [W[i, jmin] / norms[jmin] for i in range(m)]
-    return norms[jmin], v, u
-
-
-# ---------------------------------------------------------------------------
 # dispatch over truncations and operators
 # ---------------------------------------------------------------------------
 
-def smallest_singular(A, ctx: PrecisionContext):
-    """(sigma, right singular vector) of the smallest singular value of A.
+def smallest_singular(A):
+    """(sigma, right singular vector) of the smallest singular value of the
+    dense matrix A, by LAPACK SVD in doubles.
 
-    Dense: LAPACK SVD in doubles, one-sided Jacobi in big floats.  The
-    certified pipeline never trusts this value.  Degenerate smallest
+    The certified pipeline never trusts this value.  Degenerate smallest
     singular values return an arbitrary unit vector of the minimizing space.
     """
-    if ctx.is_double:
-        _, s, vh = np.linalg.svd(np.asarray(A, dtype=complex))
-        return float(s[-1]), vh[-1].conj()
-    with ctx.workprec():
-        mat = A if not isinstance(A, np.ndarray) else mpmath.matrix(A.tolist())
-        sig, v, _ = jacobi_smallest_singular(mat)
-        return sig, v
-
-
-def _shifted_double(op: OperatorSpec, z: complex, N: int):
-    """Double truncation at z from the cached unshifted one."""
-    T0 = _cached(op, ("dense", N), lambda: rectangular(op, 0.0, N, DOUBLE))
-    _, cols, row0, col0, _, _ = _block_geometry(op, N)
-    mat = T0.copy()
-    diag = np.arange(cols)
-    mat[diag + (col0 - row0), diag] -= z
-    return mat
+    _, s, vh = np.linalg.svd(np.asarray(A, dtype=complex))
+    return float(s[-1]), vh[-1].conj()
 
 
 def _mp_band(op: OperatorSpec, N: int, ctx: PrecisionContext,
@@ -503,30 +434,34 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     """sigma_min of the rectangular truncation, optionally with the vector.
 
     Returns (sigma, right_vector_or_None); the vector is in the operator's
-    original basis, indexed from the truncation's first column.  A double
-    shift on a banded spec is a batch of one (:func:`banded_sigma_batch`)
-    that iterates until sigma stops changing, at most MAXIT steps.
+    original basis, indexed from the truncation's first column.  One route
+    per precision and structure:
+
+    * a double shift on a banded spec is a batch of one
+      (:func:`banded_sigma_batch`) that iterates until sigma stops
+      changing, at most MAXIT steps;
+    * a double shift on a long-range spec runs LAPACK on its dense
+      truncation (:func:`~specgate.truncation.rectangular`);
+    * a big-float shift runs :func:`banded_sigma` over the grid band
+      (:func:`_mp_band`).  A long-range spec has no band, and big-float
+      sigma refuses it with :class:`~specgate.operators.StructureError`.
     """
-    if ctx.is_double:
-        z = complex(z)
-        if op.banded:
-            sig, w = banded_sigma_batch(op, [z], N, want_vectors=True,
-                                        rtol=0.0)
-            return float(sig[0]), (w[0] if want_vector else None)
-        T = _shifted_double(op, z, N)
-        if not want_vector:
-            s = np.linalg.svd(T, compute_uv=False)
-            return float(s[-1]), None
-    else:
+    if not ctx.is_double:
+        if not op.banded:
+            raise StructureError(
+                f"{op.id}: big-float sigma_min runs on the band of a banded "
+                "spec, and this spec is long-range; use double precision")
         with ctx.workprec():
-            z = mpmath.mpc(z)
-            if op.banded:
-                sig, w = _banded_sigma_min(op, z, N, ctx)
-                if sig is not None:
-                    return sig, (w if want_vector else None)
-            T = rectangular(op, z, N, ctx)
-    sig, v = smallest_singular(T, ctx)
-    return sig, (v if want_vector else None)
+            sig, w = _banded_sigma_min(op, mpmath.mpc(z), N, ctx)
+        return sig, (w if want_vector else None)
+    z = complex(z)
+    if op.banded:
+        sig, w = banded_sigma_batch(op, [z], N, want_vectors=True, rtol=0.0)
+        return float(sig[0]), (w[0] if want_vector else None)
+    T = rectangular(op, z, N)
+    if not want_vector:
+        return float(np.linalg.svd(T, compute_uv=False)[-1]), None
+    return smallest_singular(T)
 
 
 def gamma(op: OperatorSpec, z, N: int, ctx: PrecisionContext):

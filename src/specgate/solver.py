@@ -12,8 +12,9 @@ The certification flow for operators with real spectra (bootstrap order):
    is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
    (or it is at most 1e-9 wide), a start inside Gauss-Newton's basin, then
    refine the pair (z, v) that minimizes the rectangular residual by
-   bordered Gauss-Newton (one double factorization, residuals in big
-   floats at the guard-digit working precision);
+   bordered Gauss-Newton (one double factorization, residuals in exact
+   integers on the fixed-point grid of the band that the residual
+   verifies, at the guard-digit precision);
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -49,9 +50,8 @@ from .intervals import fixed_bits, _fx_enclose, _fx_mpc, _fx_mpf
 from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
-from .sigma import (_shifted_double, banded_sigma_batch, gamma, right_vector,
-                    sigma_min)
-from .truncation import _block_geometry, _fx_midpoints, _rotate
+from .sigma import banded_sigma_batch, gamma, right_vector, sigma_min
+from .truncation import _block_geometry, _fx_midpoints, _rotate, rectangular
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, certify_eigenvalue,
                      enclosure_center, verified_residual)
@@ -490,7 +490,7 @@ def _refine_complex_pair(op, N, z0, v0):
     J[rows, :cols] = c
 
     def residual(v, z):
-        A = _shifted_double(op, z, N)
+        A = rectangular(op, z, N)
         r = np.append(A @ v, c @ v - 1)
         return A, r, np.abs(r).max()
 
@@ -534,8 +534,8 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     """
     n_block = N_schedule(0) if N_schedule else 45
     seed_block = min(n_block, 30)
-    S = square_truncation(op, 0.0, seed_block, DOUBLE)
-    eigs = np.linalg.eigvals(np.asarray(S, dtype=complex))
+    S = square_truncation(op, 0.0, seed_block)
+    eigs = np.linalg.eigvals(S)
     eigs = sorted(eigs, key=lambda t: (abs(t), -t.imag))
     digits_v = max(25, 16 if ctx.is_double else ctx.digits)
     tail = _block_geometry(op, n_block)[5]
@@ -704,7 +704,7 @@ def square_spectrum_demo(op: OperatorSpec, N: int,
     the operator's symmetry structure; eigenvalues whose gamma at the doubled
     rectangular truncation stays away from zero are artifacts.
     """
-    S = np.asarray(square_truncation(op, 0.0, N, DOUBLE), dtype=complex)
+    S = square_truncation(op, 0.0, N)
     eigs = np.linalg.eigvals(S)
     order = np.argsort(eigs.real)
     eigs = eigs[order]

@@ -6,7 +6,9 @@ equals the injection modulus of the operator restricted to the span of the
 first N basis states - no interaction is dropped and no spurious coupling
 is introduced.  Over the integers the kept columns are -N..N.  Square
 truncations serve the spurious-mode demonstration and seed the candidates
-of the complex-spectrum pipeline; nothing is certified from them.
+of the complex-spectrum pipeline; nothing is certified from them.  Dense
+truncations are complex double arrays; big floats read only the band
+(:func:`_band`).
 Long-range operators get certified tail padding: the number of extra rows is
 chosen so the operator norm of the neglected block is at most 2^-N.  Every
 block is a function of the operator and N alone (:func:`_block_geometry`).
@@ -14,12 +16,11 @@ block is a function of the operator and N alone (:func:`_block_geometry`).
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
 from .intervals import _fx_lib, fixed_bits
 from .operators import INTEGERS, NATURALS, OperatorSpec, StructureError
-from .precision import PrecisionContext
+from .precision import DOUBLE, PrecisionContext
 
 PAD_LIMIT = 20000
 
@@ -202,58 +203,50 @@ def _build_band(op, N, ctx, box, rotated):
     return out
 
 
-def _zeros(rows: int, cols: int, z, ctx: PrecisionContext):
-    """A zero matrix and the shift z in the context's arithmetic."""
-    if ctx.is_double:
-        return np.zeros((rows, cols), dtype=complex), z
-    return mpmath.zeros(rows, cols), mpmath.mpc(z)
-
-
-def rectangular(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
+def rectangular(op: OperatorSpec, z: complex, N: int):
     """Rectangular truncation of (H - z I) over the first N basis states.
 
-    A numpy array in doubles, an mpmath matrix in big floats; its geometry
-    is :func:`_block_geometry`.  For banded specs the rows cover the full
-    band of every kept column and the truncation is exact.  Long-range
-    specs get padding chosen by :func:`tail_padding` for a tail of 2^-N.
+    A complex numpy array: a shifted copy of the unshifted block, which is
+    assembled from ``op.entry`` at double precision once per (op, N) and
+    cached.  Its geometry is :func:`_block_geometry`.  For banded specs the
+    rows cover the full band of every kept column and the truncation is
+    exact.  Long-range specs get padding chosen by :func:`tail_padding` for
+    a tail of 2^-N.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     rows, cols, row0, col0, _, _ = _block_geometry(op, N)
-    with ctx.workprec():
-        mat, shift = _zeros(rows, cols, z, ctx)
+    every_row = range(row0, row0 + rows)
+
+    def build():
+        mat = np.zeros((rows, cols), dtype=complex)
         for jc in range(cols):
             j = col0 + jc
-            if op.banded:
-                for i in op.band_rows(j):
-                    ir = i - row0
-                    if 0 <= ir < rows:
-                        mat[ir, jc] = op.entry(i, j, ctx)
-            else:
-                for ir in range(rows):
-                    mat[ir, jc] = op.entry(row0 + ir, j, ctx)
-            jr = j - row0
-            if 0 <= jr < rows:
-                mat[jr, jc] -= shift
+            for i in op.band_rows(j) if op.banded else every_row:
+                mat[i - row0, jc] = op.entry(i, j, DOUBLE)
+        return mat
+
+    mat = _cached(op, ("dense", N), build).copy()
+    diag = np.arange(cols)
+    mat[diag + (col0 - row0), diag] -= z
     return mat
 
 
-def square(op: OperatorSpec, z: complex, N: int, ctx: PrecisionContext):
-    """Leading square block of (H - z I).
+def square(op: OperatorSpec, z: complex, N: int):
+    """Leading square block of (H - z I), a complex numpy array.
 
     For the spurious-mode demonstration and the candidate seeds of the
     complex-spectrum pipeline.  Operators over the integers use the
     symmetric block {-N..N}.
     """
     _, size, _, col0, _, _ = _block_geometry(op, N)
-    with ctx.workprec():
-        mat, shift = _zeros(size, size, z, ctx)
-        for jc in range(size):
-            j = col0 + jc
-            indices = op.band_rows(j) if op.banded else range(col0, col0 + size)
-            for i in indices:
-                ic = i - col0
-                if 0 <= ic < size:
-                    mat[ic, jc] = op.entry(i, j, ctx)
-            mat[jc, jc] -= shift
+    mat = np.zeros((size, size), dtype=complex)
+    for jc in range(size):
+        j = col0 + jc
+        indices = op.band_rows(j) if op.banded else range(col0, col0 + size)
+        for i in indices:
+            ic = i - col0
+            if 0 <= ic < size:
+                mat[ic, jc] = op.entry(i, j, DOUBLE)
+        mat[jc, jc] -= z
     return mat

@@ -7,6 +7,7 @@ from importlib.resources import files
 
 import jsonschema
 import mpmath
+import pytest
 
 from specgate.cli import main
 from specgate.verify import Enclosure
@@ -201,3 +202,50 @@ def test_certify_a_double_candidate(tmp_path):
     (enc,) = [Enclosure.from_json(e) for e in report["enclosures"]]
     assert enc.contains(mpmath.mpf(CUBIC_EIGENVALUES[0]))
     assert float(enc.radius) < 1e-13
+
+
+@pytest.mark.parametrize("N", ["0", "-3"])
+@pytest.mark.parametrize("command", [
+    ["eigs", "--op", "cubic", "--n", "1"],
+    ["pseudospectrum", "--op", "cubic", "--region", "0", "4", "-1", "1",
+     "--resolution", "2", "2"],
+    ["certify", "--op", "cubic", "--candidate", "unread.json"],
+    ["condition", "--op", "harmonic", "--n", "1"]],
+    ids=["eigs", "pseudospectrum", "certify", "condition"])
+def test_truncation_size_below_1_exits_1(command, N, capsys):
+    # --N is rejected by the parser, before any work, with a usage message
+    assert main(command + ["--N", N]) == 1
+    err = capsys.readouterr()
+    assert "--N" in err.err and "at least 1" in err.err
+    assert "Traceback" not in err.err and err.out == ""
+
+
+def _grid_values(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "re,im,gamma"
+    return [float(line.split(",")[2]) for line in lines[1:]]
+
+
+def test_bigfloat_pseudospectrum_matches_the_double_grid(tmp_path):
+    # big-float sigma runs the banded Givens QR over the grid band; its
+    # values agree with the double batch's
+    grid = ["pseudospectrum", "--op", "cubic", "--region", "0", "4", "-1", "1",
+            "--resolution", "2", "2", "--N", "30"]
+    outs = {p: tmp_path / f"{p}.csv" for p in ("double", "bigfloat:20")}
+    for precision, out in outs.items():
+        assert main(grid + ["--precision", precision,
+                            "--output", str(out)]) == 0
+    double, big = (_grid_values(out) for out in outs.values())
+    assert len(big) == 4
+    for d, b in zip(double, big):
+        assert abs(b - d) <= 1e-9 * d
+
+
+def test_bigfloat_pseudospectrum_refuses_the_lattice(capsys):
+    # the lattice is long-range: big-float sigma has no band to run on
+    assert main(["pseudospectrum", "--op", "lattice", "--precision",
+                 "bigfloat:20", "--region", "0", "4", "-1", "1",
+                 "--resolution", "2", "2", "--N", "5"]) == 1
+    err = capsys.readouterr()
+    assert "long-range" in err.err and "Traceback" not in err.err
+    assert err.out == ""

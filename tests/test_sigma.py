@@ -5,14 +5,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp
 
 from specgate import DOUBLE, bigfloat, sigma
-from specgate.operators import (harmonic_oscillator_operator,
-                                hermite_cubic_operator)
+from specgate.operators import (StructureError, harmonic_oscillator_operator,
+                                hermite_cubic_operator,
+                                lattice_longrange_operator)
 from specgate.sigma import (_invert_blocks, _mp_band, banded_sigma_batch,
-                            gamma, jacobi_smallest_singular, left_null_vector,
-                            right_vector, sigma_min, smallest_singular)
+                            gamma, left_null_vector, right_vector, sigma_min,
+                            smallest_singular)
 from specgate.truncation import _band, rectangular
 from specgate.verify import verified_residual
 
@@ -34,8 +34,8 @@ def harmonic():
 
 def test_harmonic_sigma_one(harmonic):
     for N in (2, 7, 30):
-        T = rectangular(harmonic, 2.0, N, DOUBLE)
-        sig, _ = smallest_singular(T, DOUBLE)
+        T = rectangular(harmonic, 2.0, N)
+        sig, _ = smallest_singular(T)
         assert sig == pytest.approx(1.0, abs=1e-12)
 
 
@@ -48,14 +48,14 @@ def test_cubic_sigma_small_at_eigenvalue(cubic):
 def test_random_matrix_vs_normal_equations_oracle():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
-    sig, _ = smallest_singular(A, DOUBLE)
+    sig, _ = smallest_singular(A)
     lam = np.linalg.eigvalsh(A.conj().T @ A)[0]
     assert sig == pytest.approx(math.sqrt(lam), rel=1e-10)
 
 
 def test_residual_identity(cubic):
-    T = rectangular(cubic, 4.0, 60, DOUBLE)
-    sig, v = smallest_singular(T, DOUBLE)
+    T = rectangular(cubic, 4.0, 60)
+    sig, v = smallest_singular(T)
     r = np.linalg.norm(T @ v)
     assert r == pytest.approx(sig, rel=1e-12, abs=1e-15)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -135,24 +135,16 @@ def test_kernel_shortcut_exact_shift(harmonic):
     assert mags[2] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_jacobi_svd_matches_lapack():
-    rng = np.random.default_rng(23)
-    A = rng.normal(size=(9, 6)) + 1j * rng.normal(size=(9, 6))
-    s_ref = np.linalg.svd(A, compute_uv=False)[-1]
-    with mp.workdps(30):
-        M = mpmath.matrix([[mpmath.mpc(A[i, j]) for j in range(6)]
-                           for i in range(9)])
-        sig, v, u = jacobi_smallest_singular(M)
-        assert float(sig) == pytest.approx(s_ref, rel=1e-10)
-        # residual identity for the returned vector
-        r = [sum(M[i, j] * v[j] for j in range(6)) for i in range(9)]
-        rn = math.sqrt(sum(abs(complex(t)) ** 2 for t in r))
-        assert rn == pytest.approx(float(sig), rel=1e-8)
+def test_bigfloat_sigma_refuses_a_longrange_spec():
+    # big-float sigma reads only the band of a banded spec; the lattice's
+    # padded block is dense, so it is refused before any work
+    with pytest.raises(StructureError, match="long-range"):
+        sigma_min(lattice_longrange_operator(), 0.5 + 0.5j, 12, bigfloat(30))
 
 
 def _check_against_lapack(op, z, N, ctx, rel):
     sig, v = sigma_min(op, z, N, ctx, want_vector=True)
-    T = rectangular(op, complex(z), N, DOUBLE)
+    T = rectangular(op, complex(z), N)
     s_ref = np.linalg.svd(T, compute_uv=False)[-1]
     assert float(sig) == pytest.approx(s_ref, rel=rel)
     vd = np.array([complex(t) for t in v])
@@ -162,7 +154,7 @@ def _check_against_lapack(op, z, N, ctx, rel):
 
 def test_smallest_singular_banded_double_path(cubic):
     # a double shift on a banded spec runs the batched banded QR
-    T = rectangular(cubic, 2.0, 450, DOUBLE)
+    T = rectangular(cubic, 2.0, 450)
     s_ref = np.linalg.svd(T, compute_uv=False)[-1]
     sig, _ = sigma_min(cubic, 2.0, 450, DOUBLE)
     assert sig == pytest.approx(s_ref, rel=1e-6)

@@ -172,13 +172,11 @@ def test_refine_eigenpair_complex_band():
     op = band_plugin({0: "2*n + 1", 1: "1/2", -1: "1/2"})
     N = 20
     assert _fx_midpoints(op, N, bigfloat(35), rotated=True) is None
-    lam = np.linalg.eigvalsh(square(op, 0.0, N, DOUBLE).real)[1]
+    lam = np.linalg.eigvalsh(square(op, 0.0, N).real)[1]
     z0 = lam + 1e-7
     z, v = _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE), 30)
     assert abs(float(z) - lam) < 1e-12
-    with mp.workdps(40):
-        r = rectangular(op, z, N, bigfloat(40)) * mpmath.matrix(v)
-        assert mpmath.norm(r, mpmath.inf) <= mpmath.mpf("1e-25")
+    assert verified_residual(op, z, v, bigfloat(40)).hi <= 1e-25
 
 
 def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
@@ -400,7 +398,7 @@ def test_grid_matches_dense_svd(cubic, cubic_grid):
     # iteration) and at most rounding noise of ||T - z|| below it
     N, nodes, values = cubic_grid
     for z, v in zip(nodes, values):
-        s = np.linalg.svd(rectangular(cubic, z, N, DOUBLE),
+        s = np.linalg.svd(rectangular(cubic, z, N),
                           compute_uv=False)
         assert s[-1] - 100 * 2.0 ** -52 * s[0] <= v <= s[-1] * (1 + 1e-7), z
 

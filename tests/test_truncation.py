@@ -33,7 +33,7 @@ def lattice():
 
 
 def test_cubic_shape(cubic):
-    T = rectangular(cubic, 0.0, 5, DOUBLE)
+    T = rectangular(cubic, 0.0, 5)
     assert T.shape == (8, 5)
     _, _, _, _, k, defect = _block_geometry(cubic, 5)
     assert k == 3
@@ -41,22 +41,22 @@ def test_cubic_shape(cubic):
 
 
 def test_harmonic_padded_diag(harmonic):
-    T = rectangular(harmonic, 0.0, 3, DOUBLE)
+    T = rectangular(harmonic, 0.0, 3)
     assert T.shape == (3, 3)  # bandwidth 0: no padding rows needed
     assert np.allclose(np.diag(T), [1, 3, 5])
 
 
 def test_shift_subtracted(cubic):
     z = 2.5 + 0.5j
-    T = rectangular(cubic, z, 6, DOUBLE)
-    T0 = rectangular(cubic, 0.0, 6, DOUBLE)
+    T = rectangular(cubic, z, 6)
+    T0 = rectangular(cubic, 0.0, 6)
     assert np.allclose(np.diag(T[:6, :6]),
                        np.diag(T0[:6, :6]) - z)
 
 
 def test_lattice_padding_and_defect(lattice):
     n = 12
-    T = rectangular(lattice, 0.0, n, DOUBLE)
+    T = rectangular(lattice, 0.0, n)
     m = tail_padding(lattice, n, 2.0 ** -n)
     assert T.shape == (2 * (n + m) + 1, 2 * n + 1)
     assert 0 < _block_geometry(lattice, n)[5] <= 2.0 ** -n * (1 + 1e-9)
@@ -83,14 +83,14 @@ def test_tail_padding_eps_validation(lattice):
 
 
 def test_square_examples(harmonic, cubic):
-    S = square(harmonic, 0.0, 2, DOUBLE)
+    S = square(harmonic, 0.0, 2)
     assert np.allclose(S, np.diag([1.0, 3.0]))
-    Sc = np.asarray(square(cubic, 0.0, 40, DOUBLE))
+    Sc = square(cubic, 0.0, 40)
     assert np.allclose(Sc, Sc.T)  # complex symmetric
 
 
 def test_square_spurious_imaginary(cubic):
-    S = np.asarray(square(cubic, 0.0, 60, DOUBLE))
+    S = square(cubic, 0.0, 60)
     eigs = np.linalg.eigvals(S)
     window = eigs[(eigs.real >= 0) & (eigs.real <= 40)]
     assert np.max(np.abs(window.imag)) > 0.1
@@ -101,50 +101,49 @@ def test_nesting_monotone(cubic):
     for _ in range(5):
         z = complex(rng.uniform(0, 15), rng.uniform(-4, 4))
         N = int(rng.integers(10, 60))
-        TN = rectangular(cubic, z, N, DOUBLE)
-        TN1 = rectangular(cubic, z, N + 1, DOUBLE)
+        TN = rectangular(cubic, z, N)
+        TN1 = rectangular(cubic, z, N + 1)
         sN = np.linalg.svd(TN, compute_uv=False)[-1]
         sN1 = np.linalg.svd(TN1, compute_uv=False)[-1]
         assert sN1 <= sN * (1 + 1e-11) + 1e-14
 
 
-def test_bigfloat_rectangular_matches_double(cubic):
-    T = rectangular(cubic, 1.5, 8, bigfloat(30))
-    Td = rectangular(cubic, 1.5, 8, DOUBLE)
-    for i in range(11):
-        for j in range(8):
-            assert abs(complex(T[i, j]) - Td[i, j]) < 1e-14
-
-
-@pytest.mark.parametrize("name", ["cubic", "lattice"])
-def test_bigfloat_square_matches_double(name, cubic, lattice):
-    op = {"cubic": cubic, "lattice": lattice}[name]
+@pytest.mark.parametrize("name, N", [("cubic", 200), ("harmonic", 30),
+                                     ("lattice", 30)])
+def test_square_is_a_block_of_rectangular(name, N, cubic, harmonic, lattice):
+    # the two dense double assemblies agree bit for bit at a complex shift:
+    # the square block is rows d .. d + cols of the rectangular one, where
+    # d = col0 - row0 is the array row of the first column's diagonal
+    op = {"cubic": cubic, "harmonic": harmonic, "lattice": lattice}[name]
     z = 1.5 + 0.5j
-    S = square(op, z, 8, bigfloat(30))
-    Sd = np.asarray(square(op, z, 8, DOUBLE))
-    assert (S.rows, S.cols) == Sd.shape
-    for i in range(S.rows):
-        for j in range(S.cols):
-            assert abs(complex(S[i, j]) - Sd[i, j]) < 1e-14
+    _, cols, row0, col0, _, _ = _block_geometry(op, N)
+    d = col0 - row0
+    assert np.array_equal(square(op, z, N), rectangular(op, z, N)[d:d + cols])
 
 
 def test_band_holds_entries_at_each_precision(cubic, lattice):
     # per operator, one N, three arithmetics in a row: each cached band
     # holds the unshifted rectangular truncation at its own precision (for
-    # the long-range lattice, every row of the padded block), and the
-    # rotated band the exact real values i^(c-r) H[r, c] (none exists for
-    # the lattice, whose diagonal is complex)
+    # the long-range lattice, every row of the padded block): the dense
+    # double truncation, and in big floats op.entry at the context's
+    # precision.  The rotated band holds the exact real values
+    # i^(c-r) H[r, c] (none exists for the lattice, whose diagonal is
+    # complex)
     N = 12
     for op, ctx in itertools.product((cubic, lattice),
                                      (DOUBLE, bigfloat(20), bigfloat(50))):
         read = _band if ctx.is_double else _mp_band
         band = read(op, N, ctx)
         rot = read(op, N, ctx, rotated=True)
-        T = rectangular(op, 0, N, ctx)
-        rows, cols, *_ = _block_geometry(op, N)
+        rows, cols, row0, col0, _, _ = _block_geometry(op, N)
         assert len(band) == cols and (rot is None) == (op is lattice)
         unit = 1j if ctx.is_double else mpmath.mpc(0, 1)
         with ctx.workprec():
+            if ctx.is_double:
+                T = rectangular(op, 0, N)
+            else:
+                T = {(i, j): op.entry(row0 + i, col0 + j, ctx)
+                     for i in range(rows) for j in range(cols)}
             dense = [[0] * cols for _ in range(rows)]
             for j, col in enumerate(band):
                 if op.banded:
