@@ -18,8 +18,7 @@ from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits, parse_p
 from .sigma import gamma, left_null_vector, smallest_singular
 from .solver import (ConditionResult, GridResult, GapScanError,
                      bootstrap_certify, condition_number,
-                     evaluate_eigenfunction, pseudospectrum_grid,
-                     square_spectrum_demo)
+                     evaluate_eigenfunction, pseudospectrum_grid)
 from .truncation import TailError, rectangular, square, tail_padding
 from .verify import (Bound, CertificationError, Enclosure, certify_eigenvalue,
                      eigenvector_error_bound, verified_residual)
@@ -39,7 +38,6 @@ __all__ = [
     "gamma", "left_null_vector", "smallest_singular",
     "ConditionResult", "GridResult", "GapScanError", "bootstrap_certify",
     "condition_number", "evaluate_eigenfunction", "pseudospectrum_grid",
-    "square_spectrum_demo",
     "TailError", "rectangular", "square", "tail_padding",
     "Bound", "CertificationError", "Enclosure", "certify_eigenvalue",
     "eigenvector_error_bound", "verified_residual",

@@ -111,7 +111,8 @@ class OperatorSpec:
     ``hints`` holds optional operator-specific fast paths by name; the one
     read today is ``mp_residual_rows(z, V, col_start, pad, p)``, the
     interval rows of (H - z) v over the padded block, which
-    :func:`specgate.verify.verified_residual` reads in place of the band.
+    ``verify._residual_rows`` reads in place of the band: for the verified
+    residual, and, at their midpoints, for Gauss-Newton's residual.
     It works on the fixed-point intervals of :mod:`specgate.intervals`:
     z as (re, im) int intervals and v as exact (re, im) ints at scale 2^-p
     in, the rows as (re, im) int intervals at that scale out.
@@ -189,8 +190,8 @@ class OperatorSpec:
 #   offset +3 :  i * sqrt((m+1)(m+2)(m+3)) / (2 sqrt 2)
 #
 # The (2m+1)/2 factor (kinetic diagonal, and the x^2-weight inside the odd
-# offsets) is fixed by the Gauss-Hermite quadrature oracle in the test
-# suite; see the build notes for the competing printed variant it rules out.
+# offsets) is fixed by the Gauss-Hermite quadrature oracle
+# tests/test_operators.py::test_cubic_quadrature_oracle.
 #
 # Each off-diagonal entry collapses to +-sqrt(K)/4 with K an integer:
 # K = 18 max(m, m+off)^3 at offset +-1 (the bracket is 3 k^(3/2) / (2 sqrt 2)

@@ -33,8 +33,7 @@ from mpmath import mp
 from .intervals import fixed_bits, _fx_mpf
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, StructureError
 from .precision import DOUBLE, PrecisionContext
-from .truncation import (_band, _block_geometry, _fx_midpoints, _rotate,
-                         rectangular)
+from .truncation import _band, _block_geometry, _rotate, rectangular
 
 # ---------------------------------------------------------------------------
 # banded Givens QR + inverse iteration
@@ -387,21 +386,23 @@ def smallest_singular(A):
 
 def _mp_band(op: OperatorSpec, N: int, ctx: PrecisionContext,
              rotated: bool = False):
-    """The big-float band of a spec: the :func:`~specgate.truncation.
-    _fx_midpoints` of its cached fixed-point box band, rounded to the
-    context's precision, as mpf values (``rotated``) or mpc values.  None
-    where that band is None; not cached."""
-    mids = _fx_midpoints(op, N, ctx, rotated)
-    if mids is None:
+    """The big-float band of a spec: the midpoints of its cached fixed-point
+    box band (:func:`~specgate.truncation._band`), rounded to the context's
+    precision, as mpf values (``rotated``) or mpc values.  None where that
+    band is None; not cached."""
+    band = _band(op, N, ctx, rotated)
+    if band is None:
         return None
+    # lo + hi of an interval at scale 2^-p is its midpoint at 2^-(p+1)
     k = fixed_bits(ctx.digits) + 1
     with ctx.workprec():
         prec = mp.prec
         if rotated:
-            return [[(i, _fx_mpf(a, k, prec)) for i, a in col]
-                    for col in mids]
-        return [[(i, mpmath.mpc(_fx_mpf(a, k, prec), _fx_mpf(b, k, prec)))
-                 for i, (a, b) in col] for col in mids]
+            return [[(i, _fx_mpf(a[0] + a[1], k, prec)) for i, a in col]
+                    for col in band]
+        return [[(i, mpmath.mpc(_fx_mpf(a[0] + a[1], k, prec),
+                                _fx_mpf(a[2] + a[3], k, prec)))
+                 for i, a in col] for col in band]
 
 
 def _banded_sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext):

@@ -12,9 +12,9 @@ The certification flow for operators with real spectra (bootstrap order):
    is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
    (or it is at most 1e-9 wide), a start inside Gauss-Newton's basin, then
    refine the pair (z, v) that minimizes the rectangular residual by
-   bordered Gauss-Newton (one double factorization, residuals in exact
-   integers on the fixed-point grid of the band that the residual
-   verifies, at the guard-digit precision);
+   bordered Gauss-Newton (one double factorization; the residual's rows
+   are the midpoints of the interval rows that the verifier sums, on the
+   fixed-point grid at the guard-digit precision);
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -30,9 +30,10 @@ The certification flow for operators with real spectra (bootstrap order):
 
 Operators with genuinely complex spectra (the lattice model) instead seed
 candidates from a square-truncation eigensolve, refine each seed with its
-double singular vector by bordered Gauss-Newton in complex doubles (one
-pseudo-inverse per step, a few steps), and certify each disk; the census
-does not apply, but pairwise separation of the certified disks is enforced.
+double singular vector by the same Gauss-Newton at a complex z (its rows
+from the lattice's residual hint, or from the complex box band), and
+certify each disk; the census does not apply, but pairwise separation of
+the certified disks is enforced.
 """
 
 from __future__ import annotations
@@ -46,15 +47,17 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .intervals import fixed_bits, _fx_enclose, _fx_mpc, _fx_mpf
+from .intervals import fixed_bits, _fx_enclose, _fx_mpc
 from .ltp import LTPModel, dist_bound, model_for_operator
-from .operators import COMPLEX_SYMMETRIC, OperatorSpec, REAL_SPECTRUM
+from .operators import (COMPLEX_SYMMETRIC, INTEGERS, OperatorSpec,
+                        PT_SYMMETRIC, REAL_SPECTRUM)
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
-from .sigma import banded_sigma_batch, gamma, right_vector, sigma_min
-from .truncation import _block_geometry, _fx_midpoints, _rotate, rectangular
+from .sigma import (banded_sigma_batch, gamma, left_null_vector, right_vector,
+                    sigma_min)
+from .truncation import _band, _block_geometry, _rotate, rectangular
 from .truncation import square as square_truncation
-from .verify import (CertificationError, Enclosure, certify_eigenvalue,
-                     enclosure_center, verified_residual)
+from .verify import (CertificationError, Enclosure, _residual_rows,
+                     certify_eigenvalue, enclosure_center, verified_residual)
 
 DOUBLE_N_CAP = 5000
 BIGFLOAT_N_CAP = 3000
@@ -314,76 +317,92 @@ def _locate_candidate(op, model, lo, hi, N, digits_v, z_prev):
     from lo to hi (:func:`_locate_dip`); an escalated attempt starts from
     the previous attempt's center.  Either start, with the double right
     singular vector at size N, is refined by bordered Gauss-Newton
-    (:func:`_refine_eigenpair`).  Nothing here is trusted: the caller
+    (:func:`_refine_eigenpair`), and z is its real part, rounded to the
+    center that the bootstrap reports.  Nothing here is trusted: the caller
     verifies the residual on the rectangular truncation.
     """
     z0 = _locate_dip(op, model, lo, hi, N)[0] if z_prev is None \
         else float(z_prev)
-    return _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE),
+    z, v = _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE),
                              digits_v)
+    # the z the bootstrap verifies is the center it reports
+    return enclosure_center(z.real, bigfloat(digits_v)), v
 
 
 #: Gauss-Newton steps of :func:`_refine_eigenpair`, at most.
 NEWTON_MAXIT = 10
 
+#: Exact powers of i, by exponent mod 4.
+_PHASES = np.array([1, 1j, -1, -1j])
+
 
 def _refine_eigenpair(op, N, z0, v0, digits_v):
-    """Candidate (Re z, v) at truncation size N, refined from the double
-    start (z0, v0) by Gauss-Newton.
+    """Candidate (z, v) at truncation size N, refined from the double start
+    (z0, v0) by Gauss-Newton.
 
     (v, z) minimizes ||F||, F = [(T - z E) v ; c^T v - 1] with c = conj(v0),
     over the rectangular truncation T of H (E puts the identity in the
-    square block's rows).  That is the residual the bootstrap verifies,
-    spill rows included; the square block's eigenpair leaves 2.7 times the
-    minimum there at the cubic's fourth eigenvalue (N = 200).  The Jacobian
-    is frozen at J0 = [[T - z0 E, -E v0], [c^T, 0]] and pseudo-inverted
-    once in doubles.  T is the midpoint of the fixed-point box band that
-    the residual verifies (scale 2^-p, p = ``fixed_bits(digits_v)``), so
-    both read one band build.  v, z and c sit on the grid of scale 2^-p,
-    and F is evaluated in exact integers at scale 2^-(2p+1).  The steps
-    stop when F vanishes, when one fails to halve ||F||_2 (the floor of
-    the truncation or of the grid), or after NEWTON_MAXIT.  ||F||_2 is the
-    norm that Gauss-Newton lowers and the residual norm that is verified.
-    At the floor ||F||_inf is flat while the frozen-Jacobian steps still
-    move z by units of 1e-15, so a test on ||F||_inf would leave the end
-    point of a start far from the floor to rounding in the pseudo-inverse,
-    which depends on the BLAS thread count.
+    square block's rows).  That is the residual that is verified, spill
+    rows included; the square block's eigenpair leaves 2.7 times the
+    minimum there at the cubic's fourth eigenvalue (N = 200).  v, z and c
+    sit on the fixed-point grid of scale 2^-p, p = ``fixed_bits(digits_v)``,
+    and the rows of F are the midpoints of the interval rows that
+    :func:`~specgate.verify.verified_residual` sums
+    (:func:`~specgate.verify._residual_rows`): one band build, or the
+    operator's hint, serves both.  The Jacobian is frozen at
+    J0 = [[T - z0 E, -E v0], [c^T, 0]] and pseudo-inverted once in doubles,
+    for T the double truncation that the float stage has cached at N: the
+    census's entry band of a banded spec, the dense block
+    (:func:`~specgate.truncation.rectangular`) of a long-range one.  The
+    steps stop when F vanishes, when one fails to halve ||F||_2 (the floor
+    of the truncation or of the grid), or after NEWTON_MAXIT.  ||F||_2 is
+    the norm that Gauss-Newton lowers and the residual norm that is
+    verified.  At the floor ||F||_inf is flat while the frozen-Jacobian
+    steps still move z by units of 1e-15, so a test on ||F||_inf would
+    leave the end point of a start far from the floor to rounding in the
+    pseudo-inverse, which depends on the BLAS thread count.
 
-    On the real rotated band (W^-1 H W, W = diag(i^m)), when the operator
-    has one, v0 is rotated in and divided by the phase of its largest entry
-    before its real part is taken; otherwise z is complex.  v comes back in
-    the operator's basis as exact mpc values of the grid.
+    v0 is divided by the phase of its largest entry.  At a real z0, on
+    the real rotated band (W^-1 H W, W = diag(i^m)) when the operator has
+    one and no residual hint, J0 is rotated by the exact phases i^(c-r),
+    v0 is rotated in before that division and its real part taken after
+    it, and z stays real.  Otherwise z is complex.  z comes back as an
+    exact mpc, and v in the operator's basis as exact mpc values of the
+    grid.
     """
     ctx = bigfloat(digits_v)
     p = fixed_bits(digits_v)
     rows, cols, row0, col0, _, _ = _block_geometry(op, N)
     d = col0 - row0  # array row of column jc's diagonal entry is jc + d
-    mids = _fx_midpoints(op, N, ctx, rotated=True)
-    rotated = mids is not None
-    if not rotated:
-        mids = _fx_midpoints(op, N, ctx)
+    z0 = complex(z0)
+    rotated = ("mp_residual_rows" not in op.hints and z0.imag == 0
+               and _band(op, N, ctx, rotated=True) is not None)
     unit = 1 << (p + 1)
 
+    diag = np.arange(cols)
     w0 = np.asarray(v0, dtype=complex)
     if rotated:
-        w0 = np.array([complex(*_rotate(t.real, t.imag, -(col0 + m)))
-                       for m, t in enumerate(w0)])
+        w0 = w0 * _PHASES[-(col0 + diag) % 4]
     big = w0[np.argmax(np.abs(w0))]
     w0 = w0 * (abs(big) / big)
     if rotated:
         w0 = w0.real
     w0 = w0 / np.linalg.norm(w0)
     c = w0.conj()
-    diag = np.arange(cols)
     # complex also for the real rotated band: the double stage's other
     # LAPACK calls are complex, and a real SVD pages in a second set of
     # kernels (0.9 MB more resident memory for eigs --op cubic --n 3)
     J0 = np.zeros((rows + 1, cols + 1), dtype=complex)
-    for jc, col in enumerate(mids):
-        for i, a in col:
-            J0[i, jc] = a / unit if rotated else complex(a[0] / unit,
-                                                         a[1] / unit)
-    J0[diag + d, diag] -= z0
+    if op.banded:
+        for jc, col in enumerate(_band(op, N, DOUBLE)):
+            for i, a in col:
+                J0[i, jc] = a
+        J0[diag + d, diag] -= z0
+    else:
+        J0[:rows, :cols] = rectangular(op, z0, N)
+    if rotated:
+        phase = _PHASES[(diag + d - np.arange(rows)[:, None]) % 4]
+        J0[:rows, :cols] = (J0[:rows, :cols] * phase).real
     J0[diag + d, cols] = -w0
     J0[rows, :cols] = c
     J0pinv = np.linalg.pinv(J0)
@@ -391,37 +410,27 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     def grid(x):
         return _fx_enclose(float(x), p)[0]
 
-    if rotated:
-        cg = [grid(t) for t in c]
-        v = [grid(t) for t in w0]
-        z = grid(z0)
-    else:
-        cg = [(grid(t.real), grid(t.imag)) for t in c]
-        v = [(grid(t.real), grid(t.imag)) for t in w0]
-        z = (grid(z0.real), grid(z0.imag))
+    cg = [(grid(t.real), grid(t.imag)) for t in c]
+    v = [(grid(t.real), grid(t.imag)) for t in w0]
+    z = (grid(z0.real), grid(z0.imag))
     one = 1 << (2 * p)
 
+    def in_basis(v):
+        """v in the operator's basis, as (re, im) ints at scale 2^-p."""
+        if not rotated:
+            return v
+        return [_rotate(x, y, col0 + m) for m, (x, y) in enumerate(v)]
+
     def residual(v, z):
-        """The components of F at scale 2^-(2p+1), real and imaginary
-        parts in turn for a complex band, and their largest modulus."""
-        if rotated:
-            r = [0] * rows
-            for jc, (t, col) in enumerate(zip(v, mids)):
-                for i, a in col:
-                    r[i] += a * t
-                r[jc + d] -= 2 * z * t
-            r.append(2 * (sum(a * t for a, t in zip(cg, v)) - one))
-        else:
-            (zr, zi), r = z, [0] * (2 * rows)
-            for jc, ((tr, ti), col) in enumerate(zip(v, mids)):
-                for i, (ar, ai) in col:
-                    r[2 * i] += ar * tr - ai * ti
-                    r[2 * i + 1] += ar * ti + ai * tr
-                k = 2 * (jc + d)
-                r[k] -= 2 * (zr * tr - zi * ti)
-                r[k + 1] -= 2 * (zr * ti + zi * tr)
-            r.append(2 * (sum(a * x - b * y for (a, b), (x, y)
-                              in zip(cg, v)) - one))
+        """The components of F at scale 2^-(2p+1), real and imaginary parts
+        in turn for a complex z, their largest modulus and their sum of
+        squares.  Each row's part is lo + hi of its interval at 2^-p."""
+        r = [(lo + hi) << p for row in _residual_rows(
+            op, N, ctx, tuple((t, t) for t in z), in_basis(v))
+            for lo, hi in row]
+        r.append(2 * (sum(a * x - b * y for (a, b), (x, y)
+                          in zip(cg, v)) - one))
+        if not rotated:
             r.append(2 * sum(a * y + b * x for (a, b), (x, y)
                              in zip(cg, v)))
         return r, max(map(abs, r)), sum(t * t for t in r)
@@ -441,13 +450,10 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
             break
         if rotated:
             step = step.real
-            v_new = [shift(t, s, rn) for t, s in zip(v, step)]
-            z_new = shift(z, step[cols], rn)
-        else:
-            v_new = [(shift(x, s.real, rn), shift(y, s.imag, rn))
-                     for (x, y), s in zip(v, step)]
-            z_new = (shift(z[0], step[cols].real, rn),
-                     shift(z[1], step[cols].imag, rn))
+        v_new = [(shift(x, s.real, rn), shift(y, s.imag, rn))
+                 for (x, y), s in zip(v, step)]
+        z_new = (shift(z[0], step[cols].real, rn),
+                 shift(z[1], step[cols].imag, rn))
         r_new, rn_new, ss_new = residual(v_new, z_new)
         if not ss_new < ss:
             break
@@ -455,68 +461,12 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
         v, z, r, rn, ss = v_new, z_new, r_new, rn_new, ss_new
         if not halved:
             break
-    # the z the bootstrap verifies is the center it reports
-    zc = enclosure_center(_fx_mpf(z if rotated else z[0], p), ctx)
-    if rotated:
-        return zc, [_fx_mpc(*_rotate(t, 0, col0 + m), p)
-                    for m, t in enumerate(v)]
-    return zc, [_fx_mpc(x, y, p) for x, y in v]
+    return _fx_mpc(*z, p), [_fx_mpc(x, y, p) for x, y in in_basis(v)]
 
 
 # ---------------------------------------------------------------------------
 # complex-spectrum pipeline (square-truncation seeds + Gauss-Newton)
 # ---------------------------------------------------------------------------
-
-def _refine_complex_pair(op, N, z0, v0):
-    """Candidate (z, v) at truncation size N, refined from the double start
-    (z0, v0) by bordered Gauss-Newton in complex doubles.
-
-    (v, z) minimizes ||F||, F = [(T - z E) v ; c^T v - 1] with
-    c = conj(v0) / ||v0||, over the dense double truncation T (E puts the
-    identity in the square block's rows).  The Jacobian
-    J = [[T - z E, -E v], [c^T, 0]] is refreshed and pseudo-inverted at
-    every step.  The steps stop when F vanishes, when one fails to halve
-    ||F||_inf, or after NEWTON_MAXIT.
-
-    A z more than 0.05 from z0 has left its seed's neighbourhood, and the
-    refinement fails closed.  Nothing here is trusted: the caller certifies
-    the pair from its verified residual.
-    """
-    rows, cols, row0, col0, _, _ = _block_geometry(op, N)
-    diag = np.arange(cols) + (col0 - row0)
-    v = np.asarray(v0, dtype=complex)
-    c = v.conj() / np.linalg.norm(v)
-    J = np.zeros((rows + 1, cols + 1), dtype=complex)
-    J[rows, :cols] = c
-
-    def residual(v, z):
-        A = rectangular(op, z, N)
-        r = np.append(A @ v, c @ v - 1)
-        return A, r, np.abs(r).max()
-
-    z = complex(z0)
-    A, r, rn = residual(v, z)
-    for _ in range(NEWTON_MAXIT):
-        if not rn > 0:
-            break
-        J[:rows, :cols] = A
-        J[diag, cols] = -v
-        step = np.linalg.pinv(J) @ r
-        v_new = v - step[:cols]
-        z_new = z - step[cols]
-        A_new, r_new, rn_new = residual(v_new, z_new)
-        if not rn_new < rn:
-            break
-        halved = rn_new <= rn / 2
-        v, z, A, r, rn = v_new, z_new, A_new, r_new, rn_new
-        if not halved:
-            break
-    if abs(z - z0) > 0.05:
-        raise CertificationError(
-            f"Gauss-Newton from the seed {complex(z0)} ended at {z}, "
-            "more than 0.05 away")
-    return z, v
-
 
 def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
                               target_radius) -> list[Enclosure]:
@@ -525,12 +475,18 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     Each seed z0 whose gamma at the working size exceeds 0.05 is a
     square-truncation artifact and is skipped; the others are refined from
     (z0, the double right singular vector at z0) by bordered Gauss-Newton
-    (:func:`_refine_complex_pair`), then certified from the refined pair's
-    verified residual.  Eigenvalues are indexed by increasing modulus;
-    complex-pair partners get consecutive indices and mirrored certificates
-    (the verification of the conjugate candidate produces the exact mirror
-    up to outward rounding).  Completeness of the enumeration is not
-    certified on this path - each enclosure individually is.
+    (:func:`_refine_eigenpair`), then certified from the refined pair's
+    verified residual.  A refined z more than 0.05 from its seed has left
+    the seed's neighbourhood, and the pipeline fails closed.  Eigenvalues
+    are indexed by increasing modulus.  Completeness of the enumeration is
+    not certified on this path - each enclosure individually is.
+
+    A PT-symmetric spec over the integers maps an eigenvector v of z to one
+    of conj(z) by the parity n -> -n of l^2(Z) and a conjugation, which on
+    the block -N..N is a flip and a conjugation.  There the lower-half
+    seeds are skipped, and each non-real refined pair's mirror is certified
+    under the next index (its verification produces the exact mirror of
+    the first disk up to outward rounding).
     """
     n_block = N_schedule(0) if N_schedule else 45
     seed_block = min(n_block, 30)
@@ -539,6 +495,7 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     eigs = sorted(eigs, key=lambda t: (abs(t), -t.imag))
     digits_v = max(25, 16 if ctx.is_double else ctx.digits)
     tail = _block_geometry(op, n_block)[5]
+    mirror = PT_SYMMETRIC in op.symmetry_flags and op.index_domain == INTEGERS
 
     enclosures: list[Enclosure] = []
     used: list[complex] = []
@@ -546,7 +503,7 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     for z0 in eigs:
         if len(enclosures) >= n_max:
             break
-        if z0.imag < -1e-9:
+        if mirror and z0.imag < -1e-9:
             continue  # lower-half partner is emitted as a mirror
         if any(abs(z0 - u) < 1e-6 for u in used):
             continue
@@ -554,12 +511,14 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
                             want_vector=True)
         if sig + tail > 0.05:
             continue  # square-truncation artifact
-        z_ref, v = _refine_complex_pair(op, n_block, complex(z0), v0)
-        used.append(z_ref)
+        z_ref, v = _refine_eigenpair(op, n_block, z0, v0, digits_v)
+        if abs(complex(z_ref) - z0) > 0.05:
+            raise CertificationError(
+                f"Gauss-Newton from the seed {complex(z0)} ended at "
+                f"{complex(z_ref)}, more than 0.05 away")
+        used.append(complex(z_ref))
         is_real = abs(z_ref.imag) < 1e-9
-        if is_real:
-            z_ref = complex(z_ref.real, 0.0)
-        enc = certify_eigenvalue(op, model, z_ref if not is_real else z_ref.real,
+        enc = certify_eigenvalue(op, model, z_ref.real if is_real else z_ref,
                                  v, 1, bigfloat(digits_v), index_n=index)
         if target_radius is not None and float(enc.radius) > target_radius:
             raise CertificationError(
@@ -567,20 +526,14 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
                 f"above target {target_radius:.1e}")
         enclosures.append(enc)
         index += 1
-        if not is_real and len(enclosures) < n_max:
-            v_mirror = _mirror_vector(v)
-            enc_m = certify_eigenvalue(op, model, z_ref.conjugate(), v_mirror,
-                                       1, bigfloat(digits_v), index_n=index)
+        if mirror and not is_real and len(enclosures) < n_max:
+            enc_m = certify_eigenvalue(
+                op, model, z_ref.conjugate(), [t.conjugate() for t in v[::-1]],
+                1, bigfloat(digits_v), index_n=index)
             enclosures.append(enc_m)
             index += 1
     _check_separation(enclosures)
     return enclosures
-
-
-def _mirror_vector(v):
-    """Candidate for the conjugate eigenvalue: flip the block and conjugate."""
-    arr = np.asarray(v)
-    return np.conj(arr[::-1])
 
 
 def _check_separation(enclosures: Sequence[Enclosure]):
@@ -596,7 +549,7 @@ def _check_separation(enclosures: Sequence[Enclosure]):
 
 
 # ---------------------------------------------------------------------------
-# condition numbers, eigenfunctions, spurious modes
+# condition numbers and eigenfunctions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -630,7 +583,6 @@ def condition_number(op: OperatorSpec, enclosure: Enclosure, N: int,
                 denom = abs(mp.fsum([t * t for t in v]))
                 nrm = mp.fsum([abs(t) ** 2 for t in v])
         if COMPLEX_SYMMETRIC not in op.symmetry_flags:
-            from .sigma import left_null_vector
             w = left_null_vector(op, z, nn, ctx)
             arrw = np.asarray([complex(t) for t in w])
             arrv = np.asarray([complex(t) for t in v])
@@ -683,30 +635,3 @@ def evaluate_eigenfunction(coeffs, xs) -> EigenfunctionSamples:
             acc += c[m + 1] * u_cur
         out[ix] = acc
     return EigenfunctionSamples(xs, out, under)
-
-
-@dataclass(frozen=True)
-class SpuriousModeReport:
-    eigenvalues: np.ndarray
-    gammas: np.ndarray
-    spurious_threshold: float
-
-    @property
-    def spurious(self) -> np.ndarray:
-        return self.gammas > self.spurious_threshold
-
-
-def square_spectrum_demo(op: OperatorSpec, N: int,
-                         threshold: float = 1e-2) -> SpuriousModeReport:
-    """Dense spectrum of the square truncation with gamma_{2N} annotations.
-
-    Square truncations drop the interactions leaving the block, which breaks
-    the operator's symmetry structure; eigenvalues whose gamma at the doubled
-    rectangular truncation stays away from zero are artifacts.
-    """
-    S = square_truncation(op, 0.0, N)
-    eigs = np.linalg.eigvals(S)
-    order = np.argsort(eigs.real)
-    eigs = eigs[order]
-    gam = np.array([float(gamma(op, complex(z), 2 * N, DOUBLE)) for z in eigs])
-    return SpuriousModeReport(eigs, gam, threshold)

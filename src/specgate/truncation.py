@@ -5,10 +5,9 @@ so for banded operators the smallest singular value of the finite matrix
 equals the injection modulus of the operator restricted to the span of the
 first N basis states - no interaction is dropped and no spurious coupling
 is introduced.  Over the integers the kept columns are -N..N.  Square
-truncations serve the spurious-mode demonstration and seed the candidates
-of the complex-spectrum pipeline; nothing is certified from them.  Dense
-truncations are complex double arrays; big floats read only the band
-(:func:`_band`).
+truncations seed the candidates of the complex-spectrum pipeline; nothing
+is certified from them.  Dense truncations are complex double arrays; big
+floats read only the band (:func:`_band`).
 Long-range operators get certified tail padding: the number of extra rows is
 chosen so the operator norm of the neglected block is at most 2^-N.  Every
 block is a function of the operator and N alone (:func:`_block_geometry`).
@@ -142,9 +141,9 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext,
       grid of scale 2^-p, p = ``fixed_bits(ctx.digits)``, so each value is
       an int interval at that scale: (lo, hi) for a real value and
       (re lo, re hi, im lo, im hi) for a complex one.  This is the one
-      big-float build per (op, N, p); the residual reads its intervals,
-      Gauss-Newton and big-float sigma its :func:`_fx_midpoints`.  A double
-      context's residual reads the band of ``bigfloat(DOUBLE_DIGITS)``.
+      big-float build per (op, N, p); the residual and Gauss-Newton read
+      its intervals, big-float sigma their midpoints.  A double context's
+      residual reads the band of ``bigfloat(DOUBLE_DIGITS)``.
     * doubles: the entry band, ``op.entry`` values.
 
     ``rotated`` gives the band of W^-1 H W for the unitary W = diag(i^m):
@@ -155,21 +154,6 @@ def _band(op: OperatorSpec, N: int, ctx: PrecisionContext,
     box = not ctx.is_double
     return _cached(op, ("band", N, box, ctx.digits, rotated),
                    lambda: _build_band(op, N, ctx, box, rotated))
-
-
-def _fx_midpoints(op: OperatorSpec, N: int, ctx: PrecisionContext,
-                  rotated: bool = False):
-    """Midpoints of the big-float box band of :func:`_band`, as ints at
-    scale 2^-(p+1), p = ``fixed_bits(ctx.digits)``: lo + hi for each real
-    value of the rotated band, a pair (re, im) for each complex value of
-    the unrotated one.  None where the box band is None."""
-    band = _band(op, N, ctx, rotated=rotated)
-    if band is None:
-        return None
-    if rotated:
-        return [[(i, a[0] + a[1]) for i, a in col] for col in band]
-    return [[(i, (a[0] + a[1], a[2] + a[3])) for i, a in col]
-            for col in band]
 
 
 def _build_band(op, N, ctx, box, rotated):
@@ -235,9 +219,8 @@ def rectangular(op: OperatorSpec, z: complex, N: int):
 def square(op: OperatorSpec, z: complex, N: int):
     """Leading square block of (H - z I), a complex numpy array.
 
-    For the spurious-mode demonstration and the candidate seeds of the
-    complex-spectrum pipeline.  Operators over the integers use the
-    symmetric block {-N..N}.
+    For the candidate seeds of the complex-spectrum pipeline.  Operators
+    over the integers use the symmetric block {-N..N}.
     """
     _, size, _, col0, _, _ = _block_geometry(op, N)
     mat = np.zeros((size, size), dtype=complex)

@@ -37,9 +37,9 @@ from mpmath import iv as _iv
 from mpmath import mp
 
 from .intervals import (MPIntervalScope, fixed_bits, _fx_ctimes, _fx_enclose,
-                        _fx_ratio, _fx_round, _fx_square, _fx_times,
-                        _fx_vector, iv_lower, iv_upper)
-from .ltp import (GapMembershipError, LTPModel, dist_bound)
+                        _fx_ratio, _fx_round, _fx_square, _fx_vector,
+                        iv_lower, iv_upper)
+from .ltp import GapMembershipError, LTPModel, dist_bound, model_for_operator
 from .operators import INTEGERS, OperatorSpec, StructureError
 from .precision import DOUBLE_DIGITS, PrecisionContext, bigfloat
 from .truncation import _band, _block_geometry, _rotate
@@ -89,12 +89,8 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
     long-range spec, the padded block, with the certified tail bound (at
     most 2^-N) folded in additively.
 
-    The rows come from the operator's ``mp_residual_rows`` hint when it has
-    one, else from the cached int band.  At a real shift, an operator whose
-    rotated band is real is evaluated in real intervals on the rotated parts
-    a, b of v, v[m] = i^m (a[m] + i b[m]): the rotation is unitary, so
-    ||(H - z) v||^2 = ||(R - z) a||^2 + ||(R - z) b||^2 and
-    ||v||^2 = ||a||^2 + ||b||^2.  Everything else runs in complex intervals.
+    The rows come from :func:`_residual_rows`, which Gauss-Newton reads
+    too.
     """
     if op.entry_box is None:
         raise StructureError(f"{op.id}: entries are not enclosable")
@@ -105,54 +101,81 @@ def verified_residual(op: OperatorSpec, z, v, ctx: PrecisionContext) -> Bound:
         ctx = bigfloat(DOUBLE_DIGITS)
     p = fixed_bits(ctx.digits)
     N = _half_width(op, len(vals))
-    nrows, _, row0, col0, _, tail = _block_geometry(op, N)
-    d = col0 - row0
+    tail = _block_geometry(op, N)[5]
     V = _fx_vector(vals, p)
-    zre, zim = _fx_enclose(z.real, p), _fx_enclose(z.imag, p)
-    hint = op.hints.get("mp_residual_rows")
-    band = None
-    if hint is None and zim == (0, 0):
-        band = _band(op, N, ctx, rotated=True)
-    if hint is not None:
-        rows = [x for row in hint((zre, zim), V, col0, d, p) for x in row]
-    elif band is not None:
-        ab = [_rotate(re, im, -(col0 + jc)) for jc, (re, im) in enumerate(V)]
-        rows = [x for k in (0, 1) for x in
-                _real_rows(band, d, nrows, zre, [t[k] for t in ab], p)]
-    else:
-        rows = _complex_rows(_band(op, N, ctx), d, nrows, zre, zim, V, p)
+    z = (_fx_enclose(z.real, p), _fx_enclose(z.imag, p))
     num_lo = num_hi = 0
-    for x in rows:
-        lo, hi = _fx_square(x)
-        num_lo += lo
-        num_hi += hi
+    for row in _residual_rows(op, N, ctx, z, V):
+        for x in row:
+            lo, hi = _fx_square(x)
+            num_lo += lo
+            num_hi += hi
     den = sum(re * re + im * im for re, im in V)
     with MPIntervalScope(ctx.digits):
         ratio = _fx_ratio((num_lo, num_hi), den, tail)
         return Bound(iv_lower(ratio), iv_upper(ratio))
 
 
+def _residual_rows(op: OperatorSpec, N: int, ctx: PrecisionContext, z, V):
+    """The rows of (H - z) v over the rectangular truncation at size N, each
+    a tuple of its parts, int intervals at scale 2^-p,
+    p = ``fixed_bits(ctx.digits)``; ||(H - z) v||^2 is the sum of their
+    squares.
+
+    z is a pair of int intervals (re, im) and V a list of exact (re, im)
+    ints, both at that scale, v in the operator's basis.  The rows come
+    from the operator's ``mp_residual_rows`` hint when it has one, else
+    from the cached box band (:func:`~specgate.truncation._band` at the
+    big-float ctx): as (re, im) of each row, except at a real shift on an
+    operator whose rotated band is real.  That band is evaluated in real
+    intervals on the rotated parts a, b of v, v[m] = i^m (a[m] + i b[m]),
+    and each row is the pair of its rows of (R - z) a and (R - z) b, or
+    the 1-tuple of the first where b = 0: the rotation is unitary, so
+    ||(H - z) v||^2 = ||(R - z) a||^2 + ||(R - z) b||^2, and the pair is
+    row r of W^-1 (H - z) v, W = diag(i^m).  Everything else runs in
+    complex intervals.
+    """
+    p = fixed_bits(ctx.digits)
+    nrows, _, row0, col0, _, _ = _block_geometry(op, N)
+    d = col0 - row0
+    zre, zim = z
+    hint = op.hints.get("mp_residual_rows")
+    if hint is not None:
+        return hint(z, V, col0, d, p)
+    band = _band(op, N, ctx, rotated=True) if zim == (0, 0) else None
+    if band is None:
+        return _complex_rows(_band(op, N, ctx), d, nrows, zre, zim, V, p)
+    ab = [_rotate(re, im, -(col0 + jc)) for jc, (re, im) in enumerate(V)]
+    parts = [[t[k] for t in ab] for k in (0, 1)]
+    if not any(parts[1]):
+        del parts[1]  # a real vector: each row is the 1-tuple of its a row
+    return list(zip(*(_real_rows(band, d, nrows, zre, part, p)
+                      for part in parts)))
+
+
 def _real_rows(band, d, nrows, z, part, p):
     """Rows of (A - z) part at scale 2^-p, for a real band A of int
     intervals, a real shift interval z and exact ints part; the diagonal of
     column jc sits at array row jc + d."""
+    # intervals._fx_times inlined: the hot loop of the residual and of
+    # Gauss-Newton's rows
     lo, hi = [0] * nrows, [0] * nrows
     for jc, (t, col) in enumerate(zip(part, band)):
         if not t:
             continue
-        for ir, a in col:
+        for ir, (x, y) in col:
             if ir == jc + d:
-                a = (a[0] - z[1], a[1] - z[0])
-            x, y = _fx_times(a, t)
-            lo[ir] += x
-            hi[ir] += y
+                x, y = x - z[1], y - z[0]
+            if t < 0:
+                x, y = y, x
+            lo[ir] += x * t
+            hi[ir] += y * t
     return [_fx_round(r, p) for r in zip(lo, hi)]
 
 
 def _complex_rows(band, d, nrows, zre, zim, V, p):
-    """Real and imaginary parts of the rows of (A - z) v at scale 2^-p, as
-    one flat list, for a complex band A of int intervals; as
-    :func:`_real_rows` otherwise."""
+    """(re, im) of the rows of (A - z) v at scale 2^-p, for a complex band
+    A of int intervals; as :func:`_real_rows` otherwise."""
     acc = [[0, 0, 0, 0] for _ in range(nrows)]
     for jc, ((vr, vi), col) in enumerate(zip(V, band)):
         if not (vr or vi):
@@ -167,7 +190,7 @@ def _complex_rows(band, d, nrows, zre, zim, V, p):
             row[1] += rh
             row[2] += il
             row[3] += ih
-    return [_fx_round(part, p) for row in acc for part in (row[:2], row[2:])]
+    return [(_fx_round(row[:2], p), _fx_round(row[2:], p)) for row in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +385,6 @@ def eigenvector_error_bound(enclosure: Enclosure, residual_upper,
     required), and d_k = |c_k - c_n| - r_k - r_n is their certified separation, which
     must be positive.
     """
-    from .ltp import model_for_operator
     if model is None:
         model = model_for_operator(enclosure.op_id)
     prev_enc, next_enc = neighbor_data

@@ -97,6 +97,29 @@ def test_plugin_eigs_with_a_constant_model_exits_1(tmp_path, capsys):
     assert "lambda_asymptotic" in err and "Traceback" not in err
 
 
+def test_non_pt_plugin_is_not_mirrored(tmp_path):
+    # the plugin's spectrum is exactly {n + i}: a non-real disk gets a
+    # conjugate partner only on a PT-symmetric spec over the integers.
+    # Its Gauss-Newton runs on the complex box band (the lattice reads its
+    # residual hint)
+    plugin, out = tmp_path / "plugin.json", tmp_path / "shifted.json"
+    plugin.write_text(json.dumps({
+        "id": "shifted", "domain": "naturals",
+        "bands": [{"offset": 0, "coefficient": "n + i"},
+                  {"offset": 1, "coefficient": "1/4"}]}))
+    assert main(["eigs", "--plugin", str(plugin), "--model",
+                 '{"type": "constant", "id": "shifted", "kappa": 2.0, '
+                 '"c": 0.0, "gap_floor": 1.0}', "--n", "3",
+                 "--output", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    jsonschema.validate(report, SCHEMA)
+    encs = [Enclosure.from_json(e) for e in report["enclosures"]]
+    assert [e.index_n for e in encs] == [1, 2, 3]
+    for e, value in zip(encs, (1j, 1 + 1j, 2 + 1j)):
+        assert e.contains(value)
+        assert float(e.radius) < 1e-20
+
+
 def _disks(path):
     return [(e["n"], e["center"], e["radius"]) for e in
             json.loads(path.read_text(encoding="utf-8"))["enclosures"]]

@@ -14,18 +14,18 @@ from mpmath import mp
 import specgate
 from specgate import DOUBLE, bigfloat, sigma, solver
 from specgate.cli import _candidates, _certify_candidates
-from specgate.ltp import cubic_ltp_model, dist_bound, harmonic_ltp_model
+from specgate.ltp import (cubic_ltp_model, dist_bound, harmonic_ltp_model,
+                          model_from_json)
 from specgate.operators import (harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
 from specgate.solver import (DIP_CENSUS_TAG, GapScanError, _census,
-                             _gap_check, _locate_dip, _refine_complex_pair,
-                             _refine_eigenpair, _residual_target,
-                             bootstrap_certify, condition_number,
-                             evaluate_eigenfunction, pseudospectrum_grid,
-                             square_spectrum_demo)
-from specgate.truncation import _fx_midpoints, rectangular, square
+                             _gap_check, _locate_dip, _refine_eigenpair,
+                             _residual_target, bootstrap_certify,
+                             condition_number, evaluate_eigenfunction,
+                             pseudospectrum_grid)
+from specgate.truncation import _band, rectangular, square
 from specgate.verify import CertificationError, verified_residual
 
 from _util import (CUBIC_EIGENVALUES, CUBIC_PRINT_SLACK,
@@ -171,10 +171,11 @@ def test_refine_eigenpair_complex_band():
     # N = 20, so it reaches the square block's eigenvalue
     op = band_plugin({0: "2*n + 1", 1: "1/2", -1: "1/2"})
     N = 20
-    assert _fx_midpoints(op, N, bigfloat(35), rotated=True) is None
+    assert _band(op, N, bigfloat(35), rotated=True) is None
     lam = np.linalg.eigvalsh(square(op, 0.0, N).real)[1]
     z0 = lam + 1e-7
     z, v = _refine_eigenpair(op, N, z0, right_vector(op, z0, N, DOUBLE), 30)
+    z = z.real
     assert abs(float(z) - lam) < 1e-12
     assert verified_residual(op, z, v, bigfloat(40)).hi <= 1e-25
 
@@ -198,18 +199,23 @@ def test_refine_complex_pair_oracle(tilt):
     op, N = band_plugin({0: "n + i"}), 10
     z0 = 3 + 1j + 1e-3
     _, v0 = sigma_min(op, z0, N, DOUBLE, want_vector=True)
-    z, v = _refine_complex_pair(op, N, z0, v0 + tilt)
+    z, v = _refine_eigenpair(op, N, z0, v0 + tilt, 30)
     assert abs(z - (3 + 1j)) < 1e-13
     assert max(abs(t) for m, t in enumerate(v) if m != 3) < 1e-12 * abs(v[3])
 
 
-def test_refine_complex_pair_fails_closed_off_its_seed():
-    # from 3.3 + i Gauss-Newton converges to 3 + i, 0.3 from the seed
-    op, N = band_plugin({0: "n + i"}), 10
-    z0 = 3.3 + 1j
-    _, v0 = sigma_min(op, z0, N, DOUBLE, want_vector=True)
+def test_refine_complex_pair_fails_closed_off_its_seed(monkeypatch):
+    # a square truncation that seeds 3.1 + i for the plugin n + i with a
+    # subdiagonal of ones, whose eigenvalues are n + i: gamma_45 there is
+    # below 0.05, so the seed is refined, and Gauss-Newton converges to
+    # 3 + i, 0.1 from the seed
+    op = band_plugin({0: "n + i", 1: "1"})
+    assert sigma_min(op, 3.1 + 1j, 45, DOUBLE)[0] < 0.05
+    monkeypatch.setattr(solver, "square_truncation",
+                        lambda op, z, N: np.array([[3.1 + 1j]]))
+    model = model_from_json({"type": "constant", "id": op.id, "kappa": 2.0})
     with pytest.raises(CertificationError, match="0.05"):
-        _refine_complex_pair(op, N, z0, v0)
+        bootstrap_certify(op, model, 1)
 
 
 # -- bootstrap --------------------------------------------------------------
@@ -508,14 +514,6 @@ def test_condition_number_cubic_above_one(cubic):
     encs = bootstrap_certify(cubic, cubic_ltp_model(), 1, DOUBLE)
     res = condition_number(cubic, encs[0], 150, DOUBLE)
     assert res.kappa > 1.0 + 1e-3
-
-
-def test_square_spectrum_demo(cubic, harmonic):
-    rep_h = square_spectrum_demo(harmonic, 12)
-    assert not rep_h.spurious.any()
-    rep_c = square_spectrum_demo(cubic, 60)
-    assert rep_c.spurious.any()
-    assert rep_c.gammas[rep_c.spurious].max() > 1e-2
 
 
 def test_residual_decay_slope(cubic, cubic_model):
