@@ -214,6 +214,19 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
 BATCH_BYTES = 2 << 20
 
 
+def _double_band(op: OperatorSpec, N: int):
+    """(band, up, kd) of the double truncation of a banded spec at N:
+    band[k, j] = T0[j + k - up, j] for the unshifted block T0 in array rows,
+    up its upper bandwidth there, and kd the band row of the diagonal."""
+    rows, ncols, row0, col0, _, _ = _block_geometry(op, N)
+    up = op.upper_bandwidth - (col0 - row0)
+    band = np.zeros((rows - ncols + up + 1, ncols), dtype=complex)
+    for j, col in enumerate(_band(op, N, DOUBLE)):
+        for i, v in col:
+            band[i - j + up, j] = v
+    return band, up, op.upper_bandwidth
+
+
 def _panels(band, up: int, kd: int, ncols: int, panel: int):
     """Unshifted panel blocks of the padded truncation, and the mask of
     their diagonal entries (where the shift goes)."""
@@ -334,16 +347,9 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int,
     the shifts are chunked.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
-    rows, ncols, row0, col0, _, _ = _block_geometry(op, N)
-    lo = rows - ncols                         # bandwidths in array rows
-    up = op.upper_bandwidth - (col0 - row0)
-    bw = lo + up
-    # band[k, j] = T0[j + k - up, j]
-    band = np.zeros((bw + 1, ncols), dtype=complex)
-    for j, col in enumerate(_band(op, N, DOUBLE)):
-        for i, v in col:
-            band[i - j + up, j] = v
-    kd = op.upper_bandwidth                   # band row of the diagonal
+    band, up, kd = _double_band(op, N)
+    bw, ncols = band.shape[0] - 1, band.shape[1]
+    lo = bw - up
     panel = max(2 * bw, 8)
     blocks, diag = _panels(band, up, kd, ncols, panel)
     chunk = max(1, BATCH_BYTES // (16 * len(blocks) * (panel ** 2 + bw ** 2)))
@@ -370,17 +376,122 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int,
 
 
 # ---------------------------------------------------------------------------
+# bordered least squares for Gauss-Newton
+# ---------------------------------------------------------------------------
+#
+# Gauss-Newton's Jacobian J0 = [[T - zE, b], [c^T, 0]] borders the banded
+# T - zE with a dense column b and a dense row c^T.  bordered_lstsq factors
+# J0, its row moved to the top, by banded_sigma_batch's panel Householder
+# QR, and keeps each panel's explicit Q:
+#
+# * b is one more column of each panel;
+# * c^T is one more row carried from panel to panel.  Past a panel, every
+#   row it carries is a multiple of c, kept as its entries over the next
+#   panel's first L+U columns and its coefficient of c.  The panel's Q maps
+#   those coefficients to the next carried rows' and to the rank-one fill
+#   R[k, j] = alpha_k c_j of its own rows of R past the panel.  R is kept
+#   as its diagonal blocks, the L+U columns right of each, alpha and its
+#   last column;
+# * the rows left below the last panel hold only what remains of b, and
+#   their projection on it stands for them all.
+#
+# A solve applies the Q's to the right-hand side, then solves panel by
+# panel from the last, with a running sum of c_j x_j: O(N (L+U)) per
+# solve, and O(N (L+U)^2) per factorization.  Block elimination on T - zE
+# alone breaks down where T - zE is singular to working precision, as at
+# a start on an exact eigenvalue; an orthogonal factorization of J0 does
+# not.
+
+
+def bordered_lstsq(band, up: int, kd: int, z, b, c):
+    """solve(f), the least-squares solution x of J0 x = f for
+    J0 = [[T - z E, b], [c^T, 0]]; see the notes above.
+
+    T is given by its band as :func:`_double_band` returns it, with E
+    putting the identity on band row kd; b runs over T's rows and c over
+    its columns.  x is NaN where J0's R has an exact zero pivot.
+    """
+    bw, ncols = band.shape[0] - 1, band.shape[1]
+    lo = bw - up
+    panel = max(2 * bw, 8)
+    blocks, diag = _panels(band, up, kd, ncols, panel)
+    nb = len(blocks)
+    npad = nb * panel
+    width = panel + lo + 1            # rows of a panel: carried, then new
+    border = np.zeros(npad + lo + 1, dtype=complex)
+    border[1:ncols + lo + 1] = b      # J0's rows, c^T first
+    cpad = np.zeros((nb + 1) * panel, dtype=complex)
+    cpad[:ncols] = c
+    qh = np.empty((nb, width, width), dtype=complex)
+    rdiag = np.empty((nb, panel, panel), dtype=complex)
+    corner = np.empty((nb, panel, bw), dtype=complex)
+    alpha, rlast = np.empty((2, nb, panel), dtype=complex)  # fill, last col
+    # what the first panel carries in: c^T, then the first L rows of T
+    carry = np.zeros((lo + 1, bw + 1), dtype=complex)
+    carry[0, :bw] = cpad[:bw]
+    carry[1:, :bw] = (blocks[0] - z * diag[0])[:lo, :bw]
+    carry[1:, -1] = border[1:lo + 1]
+    coef = np.eye(lo + 1)[0]
+    for p in range(nb):
+        a = np.empty((width, panel + bw + 1), dtype=complex)
+        a[lo + 1:, :-1] = (blocks[p] - z * diag[p])[lo:]
+        a[lo + 1:, -1] = border[p * panel + lo + 1:p * panel + width]
+        a[:lo + 1, :bw] = carry[:, :bw]
+        a[:lo + 1, bw:-1] = coef[:, None] * cpad[p * panel + bw:
+                                                 (p + 1) * panel + bw]
+        a[:lo + 1, -1] = carry[:, -1]
+        q, r = np.linalg.qr(a, mode="complete")
+        qh[p] = q.conj().T
+        rdiag[p] = r[:panel, :panel]
+        corner[p] = r[:panel, panel:-1]
+        coef = qh[p, :, :lo + 1] @ coef
+        alpha[p], rlast[p] = coef[:panel], r[:panel, -1]
+        coef = coef[panel:]
+        carry = r[panel:, panel:]
+    h = carry[:, -1]
+    hh = np.vdot(h, h).real
+    singular = hh == 0 or (rdiag.diagonal(axis1=1, axis2=2) == 0).any()
+    cb = cpad.reshape(nb + 1, panel)
+
+    def solve(f):
+        if singular:
+            return np.full(ncols + 1, np.nan)
+        y = np.zeros(npad + lo + 1, dtype=complex)
+        y[0], y[1:ncols + lo + 1] = f[-1], f[:-1]
+        for p in range(nb):
+            y[p * panel:p * panel + width] = \
+                qh[p] @ y[p * panel:p * panel + width]
+        xb = np.vdot(h, y[npad:]) / hh
+        x = np.zeros((nb + 1, panel), dtype=complex)
+        tail = 0j                     # sum of c_j x_j past panel p
+        for p in range(nb - 1, -1, -1):
+            nxt = x[p + 1, :bw]
+            rhs = y[p * panel:(p + 1) * panel] - corner[p] @ nxt \
+                - alpha[p] * (tail - cb[p + 1, :bw] @ nxt) - rlast[p] * xb
+            x[p] = np.linalg.solve(rdiag[p], rhs)
+            tail += cb[p] @ x[p]
+        return np.append(x.ravel()[:ncols], xb)
+
+    return solve
+
+
+# ---------------------------------------------------------------------------
 # dispatch over truncations and operators
 # ---------------------------------------------------------------------------
 
 def smallest_singular(A):
     """(sigma, right singular vector) of the smallest singular value of the
-    dense matrix A, by LAPACK SVD in doubles.
+    dense matrix A, by LAPACK in doubles: the SVD of A, or of its square R
+    factor when A is tall, which has A's singular values and right vectors
+    and spares the tall left factor.
 
     The certified pipeline never trusts this value.  Degenerate smallest
     singular values return an arbitrary unit vector of the minimizing space.
     """
-    _, s, vh = np.linalg.svd(np.asarray(A, dtype=complex))
+    A = np.asarray(A, dtype=complex)
+    if A.shape[0] > A.shape[1]:
+        A = np.linalg.qr(A, mode="r")
+    _, s, vh = np.linalg.svd(A)
     return float(s[-1]), vh[-1].conj()
 
 

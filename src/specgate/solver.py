@@ -12,7 +12,8 @@ The certification flow for operators with real spectra (bootstrap order):
    is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
    (or it is at most 1e-9 wide), a start inside Gauss-Newton's basin, then
    refine the pair (z, v) that minimizes the rectangular residual by
-   bordered Gauss-Newton (one double factorization; the residual's rows
+   bordered Gauss-Newton (one banded QR of the bordered Jacobian in
+   doubles, each step a banded least-squares solve; the residual's rows
    are the midpoints of the interval rows that the verifier sums, on the
    fixed-point grid at the guard-digit precision);
 3. once the candidate's radius meets the target, take the census again at
@@ -52,8 +53,8 @@ from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import (COMPLEX_SYMMETRIC, INTEGERS, OperatorSpec,
                         PT_SYMMETRIC, REAL_SPECTRUM)
 from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
-from .sigma import (banded_sigma_batch, gamma, left_null_vector, right_vector,
-                    sigma_min)
+from .sigma import (_double_band, banded_sigma_batch, bordered_lstsq, gamma,
+                    left_null_vector, right_vector, sigma_min)
 from .truncation import _band, _block_geometry, _rotate, rectangular
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, _residual_rows,
@@ -350,17 +351,19 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     :func:`~specgate.verify.verified_residual` sums
     (:func:`~specgate.verify._residual_rows`): one band build, or the
     operator's hint, serves both.  The Jacobian is frozen at
-    J0 = [[T - z0 E, -E v0], [c^T, 0]] and pseudo-inverted once in doubles,
-    for T the double truncation that the float stage has cached at N: the
-    census's entry band of a banded spec, the dense block
-    (:func:`~specgate.truncation.rectangular`) of a long-range one.  The
-    steps stop when F vanishes, when one fails to halve ||F||_2 (the floor
-    of the truncation or of the grid), or after NEWTON_MAXIT.  ||F||_2 is
-    the norm that Gauss-Newton lowers and the residual norm that is
-    verified.  At the floor ||F||_inf is flat while the frozen-Jacobian
-    steps still move z by units of 1e-15, so a test on ||F||_inf would
-    leave the end point of a start far from the floor to rounding in the
-    pseudo-inverse, which depends on the BLAS thread count.
+    J0 = [[T - z0 E, -E v0], [c^T, 0]] and factored by QR once in doubles,
+    for T the double truncation that the float stage has cached at N: a
+    banded spec's census band, by :func:`~specgate.sigma.bordered_lstsq`
+    without building J0, a long-range spec's dense block
+    (:func:`~specgate.truncation.rectangular`).  Each step solves J0 s = F
+    by least squares.  The steps stop when F vanishes, when one fails to
+    halve ||F||_2 (the floor of the truncation or of the grid), or after
+    NEWTON_MAXIT.  ||F||_2 is the norm that Gauss-Newton lowers and the
+    residual norm that is verified.  At the floor ||F||_inf is flat while
+    the frozen-Jacobian steps still move z by units of 1e-15, so a test on
+    ||F||_inf would leave the end point of a start far from the floor to
+    rounding in the factorization, which may depend on the BLAS thread
+    count.
 
     v0 is divided by the phase of its largest entry.  At a real z0, on
     the real rotated band (W^-1 H W, W = diag(i^m)) when the operator has
@@ -390,28 +393,31 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     w0 = w0 / np.linalg.norm(w0)
     c = w0.conj()
     # complex also for the real rotated band: the double stage's other
-    # LAPACK calls are complex, and a real SVD pages in a second set of
-    # kernels (0.9 MB more resident memory for eigs --op cubic --n 3)
-    J0 = np.zeros((rows + 1, cols + 1), dtype=complex)
+    # LAPACK calls are complex, and real ones page in a second set of kernels
+    b = np.zeros(rows, dtype=complex)
+    b[diag + d] = -w0
     if op.banded:
-        for jc, col in enumerate(_band(op, N, DOUBLE)):
-            for i, a in col:
-                J0[i, jc] = a
-        J0[diag + d, diag] -= z0
+        band, up, kd = _double_band(op, N)
+        if rotated:
+            band = (band * _PHASES[(kd - np.arange(len(band))) % 4, None]).real
+        solve = bordered_lstsq(band, up, kd, z0, b, c)
     else:
-        J0[:rows, :cols] = rectangular(op, z0, N)
-    if rotated:
-        phase = _PHASES[(diag + d - np.arange(rows)[:, None]) % 4]
-        J0[:rows, :cols] = (J0[:rows, :cols] * phase).real
-    J0[diag + d, cols] = -w0
-    J0[rows, :cols] = c
-    J0pinv = np.linalg.pinv(J0)
+        A = rectangular(op, z0, N)
+        if rotated:
+            A = (A * _PHASES[(diag + d - np.arange(rows)[:, None]) % 4]).real
+        q, r0 = np.linalg.qr(np.block([[A, b[:, None]],
+                                       [c[None], np.zeros((1, 1))]]))
+        qh = q.conj().T
+
+        def solve(f):
+            return np.linalg.solve(r0, qh @ f)
 
     def grid(x):
         return _fx_enclose(float(x), p)[0]
 
-    cg = [(grid(t.real), grid(t.imag)) for t in c]
-    v = [(grid(t.real), grid(t.imag)) for t in w0]
+    # the rotated band's zero imaginary parts are not gridded
+    cg, v = ([(grid(t.real), 0 if rotated else grid(t.imag)) for t in u]
+             for u in (c, w0))
     z = (grid(z0.real), grid(z0.imag))
     one = 1 << (2 * p)
 
@@ -445,13 +451,13 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
         if not rn > 0:
             break
         f = np.array([t / rn for t in r])
-        step = J0pinv @ (f if rotated else f[0::2] + 1j * f[1::2])
+        step = solve(f if rotated else f[0::2] + 1j * f[1::2])
         if not np.isfinite(step).all():
             break
         if rotated:
             step = step.real
-        v_new = [(shift(x, s.real, rn), shift(y, s.imag, rn))
-                 for (x, y), s in zip(v, step)]
+        v_new = [(shift(x, s.real, rn), y if rotated else
+                  shift(y, s.imag, rn)) for (x, y), s in zip(v, step)]
         z_new = (shift(z[0], step[cols].real, rn),
                  shift(z[1], step[cols].imag, rn))
         r_new, rn_new, ss_new = residual(v_new, z_new)

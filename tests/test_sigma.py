@@ -10,8 +10,9 @@ from specgate import DOUBLE, bigfloat, sigma
 from specgate.operators import (StructureError, harmonic_oscillator_operator,
                                 hermite_cubic_operator,
                                 lattice_longrange_operator)
-from specgate.sigma import (_invert_blocks, _mp_band, banded_sigma_batch,
-                            gamma, left_null_vector, right_vector, sigma_min,
+from specgate.sigma import (_double_band, _invert_blocks, _mp_band,
+                            banded_sigma_batch, bordered_lstsq, gamma,
+                            left_null_vector, right_vector, sigma_min,
                             smallest_singular)
 from specgate.truncation import _band, rectangular
 from specgate.verify import verified_residual
@@ -237,6 +238,63 @@ def test_invert_blocks(nb, ns):
     assert np.array_equal(zero, expected)
     assert not np.isfinite(with_zero[-1, -1]).all()
     assert np.array_equal(with_zero[~expected], inv[~expected])
+
+
+def _bordered(A, b, c):
+    """[[A, b], [c^T, 0]] as a dense matrix."""
+    return np.block([[A, b[:, None]], [c[None], np.zeros((1, 1))]])
+
+
+def _assert_lstsq(J, solve, rng):
+    f = rng.normal(size=len(J)) + 1j * rng.normal(size=len(J))
+    x = solve(f)
+    ref = np.linalg.lstsq(J, f, rcond=None)[0]
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 3])
+@pytest.mark.parametrize("up", [0, 3])
+@pytest.mark.parametrize("ncols", [5, 40, 150])
+@pytest.mark.parametrize("zero_column", [False, True],
+                         ids=["regular", "zero-column"])
+def test_bordered_lstsq_matches_lstsq(lo, up, ncols, zero_column):
+    # a random banded block with the naturals' geometry (diagonal on band
+    # row up) under a dense border; with an exactly zero column the block
+    # is singular and only the border keeps J0 of full rank
+    rng = np.random.default_rng(1000 * lo + 10 * up + ncols)
+    bw, rows = lo + up, ncols + lo
+    band = rng.normal(size=(bw + 1, ncols)) \
+        + 1j * rng.normal(size=(bw + 1, ncols))
+    band[up] += 8.0
+    ix = np.arange(bw + 1)[:, None] + np.arange(ncols) - up  # array rows
+    band[ix < 0] = 0
+    z = 0.3 - 0.2j
+    if zero_column:
+        band[:, ncols // 2] = 0
+        z = 0.0
+    b = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+    c = rng.normal(size=ncols) + 1j * rng.normal(size=ncols)
+    A = np.zeros((rows, ncols), dtype=complex)
+    A[ix[ix >= 0], np.broadcast_to(np.arange(ncols), ix.shape)[ix >= 0]] = \
+        band[ix >= 0]
+    A[np.arange(ncols), np.arange(ncols)] -= z
+    _assert_lstsq(_bordered(A, b, c), bordered_lstsq(band, up, up, z, b, c),
+                  rng)
+
+
+@pytest.mark.parametrize("z", [0.7 + 0.1j, 2.0])
+def test_bordered_lstsq_integer_domain(z):
+    # over the integers the block keeps every row of its columns' bands,
+    # so its top band row lies above the diagonal's (up = 0 in array rows)
+    op, N = band_plugin({-2: "1/3", 0: "n", 1: "1/2"}, domain="integers"), 12
+    band, up, kd = _double_band(op, N)
+    assert up == 0 and kd == op.upper_bandwidth > 0
+    A = rectangular(op, z, N)
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=len(A)) + 1j * rng.normal(size=len(A))
+    c = rng.normal(size=A.shape[1]) + 1j * rng.normal(size=A.shape[1])
+    _assert_lstsq(_bordered(A, b, c), bordered_lstsq(band, up, kd, z, b, c),
+                  rng)
 
 
 @pytest.mark.parametrize("bands, real_band", [

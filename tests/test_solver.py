@@ -281,6 +281,21 @@ def test_grid_entries_tighten_the_deep_radii(cubic_encs):
         assert float(e.radius) <= 1e-2 * wide, e.index_n
 
 
+def test_cubic_bootstrap_runs_no_svd(cubic, cubic_model, monkeypatch):
+    # the census, the zoom and Gauss-Newton of a banded spec factor by
+    # banded QR: the bootstrap certifies with the dense SVD refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense SVD or pseudo-inverse")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "pinv", refuse)
+    encs = bootstrap_certify(cubic, cubic_model, 3, DOUBLE)
+    assert [e.index_n for e in encs] == [1, 2, 3]
+    with mp.workdps(40):
+        for e, ref in zip(encs, CUBIC_EIGENVALUES):
+            assert float(e.radius) <= 1e-8 and e.contains(mpmath.mpf(ref))
+
+
 def test_bootstrap_enclosures_are_ordered(cubic_encs):
     encs = cubic_encs
     centers = [float(e.center) for e in encs]
@@ -428,11 +443,11 @@ def test_grid_is_independent_of_the_blas_thread_count(tmp_path):
     assert csv[0].count(b"\n") == 1 + nx * ny and csv[0] == csv[1]
 
 
-def test_cubic_report_is_independent_of_the_blas_thread_count(tmp_path):
-    # the eigs report of the first three cubic eigenvalues is the same with
-    # one OpenBLAS thread and with two, its timestamp aside
-    argv = [sys.executable, "-m", "specgate.cli", "eigs", "--op", "cubic",
-            "--n", "3"]
+def _eigs_reports_at_one_and_two_threads(tmp_path, op, n):
+    """The eigs reports of the first n eigenvalues of op at one OpenBLAS
+    thread and at two, their timestamps dropped."""
+    argv = [sys.executable, "-m", "specgate.cli", "eigs", "--op", op,
+            "--n", str(n)]
     src = os.path.dirname(os.path.dirname(specgate.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     reports = []
@@ -444,7 +459,21 @@ def test_cubic_report_is_independent_of_the_blas_thread_count(tmp_path):
         report = json.loads(out.read_text())
         del report["generated_at"]
         reports.append(report)
+    return reports
+
+
+def test_cubic_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # the eigs report of the first three cubic eigenvalues is the same with
+    # one OpenBLAS thread and with two, its timestamp aside
+    reports = _eigs_reports_at_one_and_two_threads(tmp_path, "cubic", 3)
     assert len(reports[0]["enclosures"]) == 3 and reports[0] == reports[1]
+
+
+def test_lattice_report_is_independent_of_the_blas_thread_count(tmp_path):
+    # likewise for eleven lattice eigenvalues: dense SVD seeds, and the
+    # dense QR of the bordered Jacobian
+    reports = _eigs_reports_at_one_and_two_threads(tmp_path, "lattice", 11)
+    assert len(reports[0]["enclosures"]) == 11 and reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("N", [10, 450])
