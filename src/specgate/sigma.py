@@ -9,7 +9,8 @@ arithmetic - so the methods are free to be fast:
 * banded specs, double shifts, one or many at once: a banded QR in numpy
   over panels of columns, stacked over the shifts, whose diagonal blocks
   are inverted together by one vectorized back substitution, and inverse
-  iteration one panel per step (``banded_sigma_batch``);
+  iteration one panel per step, over one pool of shift slots that each
+  shift leaves as soon as it stops (``banded_sigma_batch``);
 * banded specs, big-float shifts: a banded Givens-QR with inverse iteration
   over the midpoints of the cached fixed-point box band (``banded_sigma``
   over ``_mp_band``);
@@ -33,7 +34,8 @@ from mpmath import mp
 from .intervals import fixed_bits, _fx_mpf
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, StructureError
 from .precision import DOUBLE, PrecisionContext
-from .truncation import _band, _block_geometry, _rotate, rectangular
+from .truncation import (_band, _block_geometry, _build_band, _cached,
+                         _rotate, rectangular)
 
 # ---------------------------------------------------------------------------
 # banded Givens QR + inverse iteration
@@ -197,34 +199,53 @@ def banded_sigma(columns: list, nrows: int, lower: int, upper: int, arith):
 #   that couple each block to the next, which lie above R's diagonal.  Both
 #   are stored panel-major, (panel, shift, ...), so each step of the two
 #   triangular solves of inverse iteration reads one contiguous slab.
-# * ||T w|| comes from the shared unshifted band minus z w on the
-#   diagonal; no shifted copy of T is made.
+# * inverse iteration: each step solves R^H y = w, then R x = y, and
+#   takes w = x / ||x||.  rho = ||y|| / ||x|| equals ||T w|| of the new w
+#   in exact arithmetic, so it serves banded_sigma's stop test (RTOL, or
+#   the caller's rtol, or MAXIT steps) at no extra cost.  Once a shift
+#   stops, ||T w|| of its last w comes once from the shared unshifted band
+#   minus z w on the diagonal, so the reported value stays an upper bound
+#   for sigma_min; no shifted copy of T is made.
 #
 # The columns are padded to whole panels with unit columns in rows below
 # the truncation's last row.  They share no row with T, and the start
-# vector is zero on them, so they stay zero.  Each shift stops on
-# banded_sigma's test (RTOL, or the caller's rtol) and is then frozen,
-# value and vector, so neither depends on the other shifts of its batch.
-# Shifts go in chunks whose inverted blocks and corners take about
-# BATCH_BYTES.  A shift that meets an exact zero pivot (an exact kernel),
-# or ends on a value that is not finite, takes the right singular vector v
-# of a dense SVD of its shifted truncation instead, and reports ||T v||
-# like every other shift.
+# vector is zero on them, so they stay zero.
+#
+# The shifts share one pool of slots, allocated once per call: as many as
+# fit BATCH_BYTES of inverted blocks and corners, and at most one per
+# shift.  The live slots form a prefix, and each step runs on that prefix
+# only.  A shift that stops leaves its slot, and the last live slots move
+# into the holes.  Once at most half the slots are live, the QR factors the
+# next shifts straight into the free ones.  Every norm of a shift runs over
+# its own row, so neither its value nor its vector depends on its slot,
+# its neighbours or the refills.  A shift that meets an exact zero pivot
+# (an exact kernel) leaves at once; it, and any shift that ends on a value
+# that is not finite, takes the right singular vector v of a dense SVD of
+# its shifted truncation instead, and reports ||T v|| like every other
+# shift.
 
-BATCH_BYTES = 2 << 20
+BATCH_BYTES = 3 << 20
 
 
 def _double_band(op: OperatorSpec, N: int):
     """(band, up, kd) of the double truncation of a banded spec at N:
     band[k, j] = T0[j + k - up, j] for the unshifted block T0 in array rows,
-    up its upper bandwidth there, and kd the band row of the diagonal."""
+    up its upper bandwidth there, and kd the band row of the diagonal.
+
+    band is read-only and cached per (op, N) in place of the entry band it
+    is built from, so it takes one slot of the truncation cache."""
     rows, ncols, row0, col0, _, _ = _block_geometry(op, N)
     up = op.upper_bandwidth - (col0 - row0)
-    band = np.zeros((rows - ncols + up + 1, ncols), dtype=complex)
-    for j, col in enumerate(_band(op, N, DOUBLE)):
-        for i, v in col:
-            band[i - j + up, j] = v
-    return band, up, op.upper_bandwidth
+
+    def build():
+        band = np.zeros((rows - ncols + up + 1, ncols), dtype=complex)
+        for j, col in enumerate(_build_band(op, N, DOUBLE, False, False)):
+            for i, v in col:
+                band[i - j + up, j] = v
+        band.flags.writeable = False
+        return band
+
+    return _cached(op, ("double band", N), build), up, op.upper_bandwidth
 
 
 def _panels(band, up: int, kd: int, ncols: int, panel: int):
@@ -264,13 +285,12 @@ def _invert_blocks(d, bw: int):
     return zero
 
 
-def _panel_qr(blocks, diag, z, lo: int, bw: int):
-    """(inverted diagonal blocks, coupling corners, exact-zero-pivot mask)
-    of R for each shift in z; the blocks and corners panel-major."""
+def _panel_qr(blocks, diag, z, lo: int, bw: int, dinv, corner):
+    """Factor R for each shift in z into dinv, its inverted diagonal
+    blocks, and corner, its coupling corners, both panel-major (panel,
+    shift, ...): (dinv, corner, exact-zero-pivot mask)."""
     nb, _, width = blocks.shape
     panel = width - bw
-    dinv = np.empty((nb, len(z), panel, panel), dtype=complex)
-    corner = np.empty((nb, len(z), bw, bw), dtype=complex)
     carry = None
     for p in range(nb):
         a = blocks[p] - z[:, None, None] * diag[p]
@@ -296,44 +316,27 @@ def _band_norm(band, kd: int, z, w):
     return np.linalg.norm(out, axis=1)
 
 
-def _inverse_iteration(band, kd: int, z, dinv, corner, ncols: int, rtol):
-    """banded_sigma's inverse iteration, one shift per row: (sigma, unit
-    right vector)."""
+def _inverse_step(dinv, corner, w):
+    """One step of banded_sigma's inverse iteration, one shift per row of
+    the unit vectors w: (next unit vectors, rho = ||y|| / ||x||)."""
     nb, ns, panel, _ = dinv.shape
     bw = corner.shape[-1]
     t = panel - bw
-    w = np.zeros((ns, nb * panel), dtype=complex)
-    w[:, :ncols] = 1.0 / math.sqrt(ncols)
-    sig_prev = np.full(ns, np.nan)
-    sig_out = np.full(ns, np.nan)
-    w_out = w[:, :ncols].copy()
-    done = np.zeros(ns, dtype=bool)
-    for _ in range(MAXIT):
-        # R^H y = w, solved as the row system y^H R = w^H, panel-major
-        yh = w.conj().reshape(ns, nb, panel).transpose(1, 0, 2).copy()
-        for p in range(nb):
-            if p:
-                yh[p, :, :bw] -= (yh[p - 1, :, None, t:]
-                                  @ corner[p - 1])[:, 0]
-            yh[p] = (yh[p, :, None] @ dinv[p])[:, 0]
-        x = yh.conj()
-        for p in range(nb - 1, -1, -1):
-            if p < nb - 1:
-                x[p, :, t:] -= (corner[p] @ x[p + 1, :, :bw, None])[..., 0]
-            x[p] = (dinv[p] @ x[p, :, :, None])[..., 0]
-        x = x.transpose(1, 0, 2).reshape(ns, -1)
-        w = x / np.linalg.norm(x, axis=1)[:, None]
-        sig = _band_norm(band, kd, z, w[:, :ncols])
-        live = ~done
-        sig_out[live] = sig[live]
-        w_out[live] = w[live, :ncols]
-        # a non-finite value stays so (a zero pivot's stack): freeze it
-        done |= (np.abs((sig - sig_prev) / sig_prev) <= rtol) \
-            | ~np.isfinite(sig)
-        sig_prev = sig
-        if done.all():
-            break
-    return sig_out, w_out
+    # R^H y = w, solved as the row system y^H R = w^H, panel-major
+    yh = w.conj().reshape(ns, nb, panel).transpose(1, 0, 2).copy()
+    for p in range(nb):
+        if p:
+            yh[p, :, :bw] -= (yh[p - 1, :, None, t:] @ corner[p - 1])[:, 0]
+        yh[p] = (yh[p, :, None] @ dinv[p])[:, 0]
+    x = yh.conj()
+    for p in range(nb - 1, -1, -1):
+        if p < nb - 1:
+            x[p, :, t:] -= (corner[p] @ x[p + 1, :, :bw, None])[..., 0]
+        x[p] = (dinv[p] @ x[p, :, :, None])[..., 0]
+    # each shift's norms run over its own row, whatever its neighbours
+    y, x = (a.transpose(1, 0, 2).reshape(ns, -1) for a in (yh, x))
+    nx = np.linalg.norm(x, axis=1)
+    return x / nx[:, None], np.linalg.norm(y, axis=1) / nx
 
 
 def banded_sigma_batch(op: OperatorSpec, zs, N: int,
@@ -341,31 +344,67 @@ def banded_sigma_batch(op: OperatorSpec, zs, N: int,
     """Double sigma_min of the rectangular truncation at each shift of zs,
     and with ``want_vectors`` the unit right vectors, one row per shift.
 
-    Banded specs only; see the notes above.  Each shift stops once sigma
-    changes by at most ``rtol`` (relative) between steps.  The values agree
-    with a dense SVD up to rounding and that stop, and do not depend on how
-    the shifts are chunked.
+    Banded specs only; see the notes above.  Each shift stops once its
+    rho changes by at most ``rtol`` (relative) between steps, and reports
+    ||T v|| of its last unit vector v.  The values agree with a dense SVD
+    up to rounding and that stop, and do not depend on which slot of the
+    pool a shift takes or when the pool refills.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     band, up, kd = _double_band(op, N)
     bw, ncols = band.shape[0] - 1, band.shape[1]
-    lo = bw - up
     panel = max(2 * bw, 8)
     blocks, diag = _panels(band, up, kd, ncols, panel)
-    chunk = max(1, BATCH_BYTES // (16 * len(blocks) * (panel ** 2 + bw ** 2)))
-    out = np.empty(len(zs))
+    nb = len(blocks)
+    size = max(1, min(len(zs),
+                      BATCH_BYTES // (16 * nb * (panel ** 2 + bw ** 2))))
+    # the pool: slot s holds shift which[s]; slots below live iterate
+    dinv = np.empty((nb, size, panel, panel), dtype=complex)
+    corner = np.empty((nb, size, bw, bw), dtype=complex)
+    w = np.empty((size, nb * panel), dtype=complex)
+    rho = np.empty(size)
+    steps = np.empty(size, dtype=int)
+    which = np.empty(size, dtype=int)
+    out = np.full(len(zs), np.nan)
     vectors = np.empty((len(zs), ncols), dtype=complex) if want_vectors \
         else None
+
+    def retire(stop, live):  # the last live slots fill the stopped ones
+        keep = live - int(stop.sum())
+        holes = np.flatnonzero(stop[:keep])
+        for h, m in zip(holes, keep + np.flatnonzero(~stop[keep:])):
+            dinv[:, h], corner[:, h] = dinv[:, m], corner[:, m]
+            w[h], rho[h], steps[h], which[h] = w[m], rho[m], steps[m], which[m]
+        return keep
+
+    live = fed = 0
     with np.errstate(all="ignore"):
-        for a in range(0, len(zs), chunk):
-            z = zs[a:a + chunk]
-            dinv, corner, singular = _panel_qr(blocks, diag, z, lo, bw)
-            sig, w = _inverse_iteration(band, kd, z, dinv, corner, ncols,
-                                        rtol)
-            sig[singular] = np.nan
-            out[a:a + chunk] = sig
+        while live or fed < len(zs):
+            if 2 * live <= size and fed < len(zs):
+                z = zs[fed:fed + size - live]
+                new = slice(live, live + len(z))
+                singular = _panel_qr(blocks, diag, z, bw - up, bw,
+                                     dinv[:, new], corner[:, new])[2]
+                which[new] = np.arange(fed, fed + len(z))
+                w[new] = (np.arange(nb * panel) < ncols) / math.sqrt(ncols)
+                rho[new], steps[new] = np.nan, 0
+                fed += len(z)
+                # exact zero pivots: NaN, for the dense fallback below
+                live = retire(np.append(np.zeros(live, dtype=bool),
+                                        singular), new.stop)
+                continue
+            w[:live], r = _inverse_step(dinv[:, :live], corner[:, :live],
+                                        w[:live])
+            steps[:live] += 1
+            # a non-finite rho stays so: stop it, for the dense fallback
+            stop = (np.abs((r - rho[:live]) / rho[:live]) <= rtol) \
+                | ~np.isfinite(r) | (steps[:live] == MAXIT)
+            rho[:live] = r
+            s = np.flatnonzero(stop)
+            out[which[s]] = _band_norm(band, kd, zs[which[s]], w[s, :ncols])
             if want_vectors:
-                vectors[a:a + chunk] = w
+                vectors[which[s]] = w[s, :ncols]
+            live = retire(stop, live)
     for i in np.flatnonzero(~np.isfinite(out)):
         T = rectangular(op, zs[i], N)
         v = smallest_singular(T)[1]
@@ -550,7 +589,7 @@ def sigma_min(op: OperatorSpec, z, N: int, ctx: PrecisionContext,
     per precision and structure:
 
     * a double shift on a banded spec is a batch of one
-      (:func:`banded_sigma_batch`) that iterates until sigma stops
+      (:func:`banded_sigma_batch`) that iterates until its rho stops
       changing, at most MAXIT steps;
     * a double shift on a long-range spec runs LAPACK on its dense
       truncation (:func:`~specgate.truncation.rectangular`);

@@ -213,6 +213,67 @@ def test_zero_pivot_inside_a_batch(monkeypatch):
             assert one[0] == sig[k] and np.array_equal(v[0], vectors[k]), z
 
 
+# cubic shifts near an eigenvalue, which stop after at most 3 steps, among
+# shifts left of the spectrum or off the real axis, which take 8 to 14
+POOL_SHIFTS = [1.16, -2 + 2j, 4.1, 2j, 7.56, -4 + 0j, 11.3, -2j, 15.29,
+               -2 - 4j, 4.2, 4j, 1.2, -2 + 0j]
+
+
+@pytest.fixture(scope="module")
+def pooled(cubic):
+    """(N, refills, pool widths, values, vectors) of POOL_SHIFTS batched
+    through a pool of at most 4 slots."""
+    N, refills, pools = 150, [], []
+    panel_qr = sigma._panel_qr
+
+    def recording(blocks, diag, z, lo, bw, dinv, corner):
+        refills.append(len(z))
+        pools.append(dinv.base.shape[1])
+        return panel_qr(blocks, diag, z, lo, bw, dinv, corner)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sigma, "BATCH_BYTES", 1 << 17)
+        patch.setattr(sigma, "_panel_qr", recording)
+        sig, vectors = banded_sigma_batch(cubic, POOL_SHIFTS, N,
+                                          want_vectors=True)
+    return N, refills, pools, sig, vectors
+
+
+def test_pool_refills_match_single_shifts(cubic, pooled):
+    # slots retire out of order and refill while others still iterate;
+    # each shift keeps its single-shift value and vector bit for bit
+    N, refills, pools, sig, vectors = pooled
+    assert max(pools) <= 4 and sum(refills) == len(POOL_SHIFTS)
+    assert all(k <= pool for k, pool in zip(refills, pools))
+    assert len(refills) >= 3 and min(refills[1:-1]) < pools[0]
+    for k, z in enumerate(POOL_SHIFTS):
+        one, v = banded_sigma_batch(cubic, [z], N, want_vectors=True)
+        assert one[0] == sig[k] and np.array_equal(v[0], vectors[k]), z
+
+
+def test_pool_reports_the_norm_of_its_vector(cubic, pooled):
+    # the stop reads rho = ||y|| / ||x||, but each value is ||T v|| of the
+    # unit vector returned with it: bit for bit the band's product, and
+    # the dense product to 1e-13 relative, past the rounding of the product
+    # itself (which near an eigenvalue is the larger)
+    N, _, _, sig, vectors = pooled
+    band, _, kd = _double_band(cubic, N)
+    for z, s, v in zip(POOL_SHIFTS, sig, vectors):
+        assert sigma._band_norm(band, kd, np.array([z]), v[None])[0] == s
+        T = rectangular(cubic, z, N)
+        rounding = 2.0 ** -52 * np.linalg.norm(np.abs(T) @ np.abs(v))
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
+        assert abs(np.linalg.norm(T @ v) - s) <= 1e-13 * s + rounding, z
+
+
+def test_double_band_is_cached_read_only(cubic):
+    # one slot of the truncation cache per (op, N), holding the array only
+    from specgate.truncation import _base_cache
+    band = _double_band(cubic, 37)[0]
+    assert _double_band(cubic, 37)[0] is band and not band.flags.writeable
+    assert sum(key[0] == id(cubic) and 37 in key for key in _base_cache) == 1
+
+
 @pytest.mark.parametrize("nb, ns", [(1, 1), (2, 7), (5, 3)])
 def test_invert_blocks(nb, ns):
     # upper-triangular blocks of bandwidth 6 in 12 x 12, over random

@@ -389,7 +389,8 @@ CUBIC_GRID = ((0.0, 12.0, -4.0, 4.0), (7, 5))
 @pytest.fixture(scope="module", params=[150, 450])
 def cubic_grid(request, cubic):
     """(N, nodes, values) of a batched cubic grid; at both sizes a small
-    batch budget splits the 35 nodes into chunks of at most 8 shifts."""
+    batch budget feeds the 35 nodes to the pool in refills of at most 8
+    shifts."""
     (re_min, re_max, im_min, im_max), (nx, ny) = CUBIC_GRID
     chunks = []
     panel_qr = sigma._panel_qr
