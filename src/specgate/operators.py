@@ -35,7 +35,7 @@ from mpmath import mp
 
 from .intervals import (CIBox, MPIntervalScope, _fx_ctimes, _fx_enclose,
                         _fx_round)
-from .precision import PrecisionContext
+from .precision import PrecisionContext, exact_conj
 
 NATURALS = "naturals"
 INTEGERS = "integers"
@@ -154,8 +154,7 @@ class OperatorSpec:
         parent = self
 
         def adj_entry(i, j, ctx):
-            v = parent.entry(j, i, ctx)
-            return v.conjugate() if not isinstance(v, mpmath.mpc) else mpmath.conj(v)
+            return exact_conj(parent.entry(j, i, ctx))
 
         adj_box = None
         if parent.entry_box is not None:
@@ -285,18 +284,15 @@ def harmonic_oscillator_operator() -> OperatorSpec:
 #
 # [Hx]_n = (n^2/10 + 2i sin n) x_n + sum_{j>=1} 2^{1-j} (x_{n-j} + x_{n+j}).
 #
-# Per column, the l^2 mass of hops reaching further than m sites is bounded
-# by (8/3) 2^{-m} (geometric sum over both directions, taken in the weaker
-# printed form; the sharp geometric value is (8/3) 4^{-m}).  Aggregating the
-# per-column bounds over a block of 2n+1 columns through the Frobenius norm
-# gives the operator-norm tail bound
+# Per column, the squared l^2 mass of the hops that reach further than m
+# sites is the geometric sum  sum_{d>m} 2 * 4^(1-d) = (8/3) 4^-m  (both
+# directions).  Aggregating it over a block of 2n+1 columns through the
+# Frobenius norm gives the operator-norm tail bound
 #
-#     ||(I - P_{n+m}) H P_n||  <=  sqrt((2n+1) * (8/3)) * 2^{-m/2},
+#     ||(I - P_{n+m}) H P_n||  <=  sqrt((2n+1) * (8/3)) * 2^-m,
 #
-# which tail_padding inverts to pick m for a requested accuracy (m grows by
-# about two sites per bit of accuracy).
-
-_LATTICE_COL_SQ_COEFF = 8.0 / 3.0
+# which tail_padding inverts to pick m for a requested accuracy: m grows by
+# one padding row per bit of accuracy, plus a log term.
 
 
 def _lattice_entry(i: int, j: int, ctx: PrecisionContext):
@@ -320,13 +316,6 @@ def _lattice_entry_box(i: int, j: int, lib):
     # a power of two is exact in binary: on the fixed-point grid num
     # encloses it exactly, past the double range too
     return CIBox(lib.num(mpmath.ldexp(1, 1 - d)), zero)
-
-
-def _lattice_tail_bound(n: int, m: int) -> float:
-    if m < 0:
-        raise ValueError("padding must be >= 0")
-    cols = 2 * n + 1
-    return math.sqrt(cols * _LATTICE_COL_SQ_COEFF) * 2.0 ** (-m / 2.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -396,7 +385,7 @@ def lattice_longrange_operator() -> OperatorSpec:
         entry=_lattice_entry,
         lower_bandwidth=None,
         upper_bandwidth=None,
-        tail_bound=_lattice_tail_bound,
+        tail_bound=make_geometric_tail(8.0 / 3.0, 0.25, INTEGERS),
         symmetry_flags=frozenset({COMPLEX_SYMMETRIC, PT_SYMMETRIC}),
         entry_box=_lattice_entry_box,
         hints={"mp_residual_rows": _lattice_residual_rows},

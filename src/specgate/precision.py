@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import mpf_neg
 
 DOUBLE_KIND = "double"
 BIGFLOAT_KIND = "bigfloat"
@@ -82,3 +83,11 @@ def guard_digits(n: int, extra: int = 10) -> int:
     if n < 1:
         raise ValueError("index must be >= 1")
     return DOUBLE_DIGITS + math.ceil(n * math.pi / (math.sqrt(3.0) * math.log(10.0))) + extra
+
+
+def exact_conj(x):
+    """Complex conjugate with no rounding: an mpc's raw imaginary part is
+    negated, where ``mpmath.conj`` rounds to the process-global precision."""
+    if isinstance(x, mp.mpc):
+        return mp.make_mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
+    return x.conjugate()

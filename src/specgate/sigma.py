@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .intervals import fixed_bits, _fx_mpf
 from .operators import COMPLEX_SYMMETRIC, OperatorSpec, StructureError
-from .precision import DOUBLE, PrecisionContext
+from .precision import DOUBLE, PrecisionContext, exact_conj
 from .truncation import (_band, _block_geometry, _build_band, _cached,
                          _rotate, rectangular)
 
@@ -645,7 +645,7 @@ def left_null_vector(op: OperatorSpec, z, N: int, ctx: PrecisionContext):
         v = right_vector(op, z, N, ctx)
         if isinstance(v, np.ndarray):
             return v.conj()
-        return [mpmath.conj(t) for t in v]
+        return [exact_conj(t) for t in v]
     adj = op.adjoint()
-    zc = complex(z).conjugate() if ctx.is_double else mpmath.conj(mpmath.mpc(z))
+    zc = complex(z).conjugate() if ctx.is_double else exact_conj(z)
     return right_vector(adj, zc, N, ctx)

@@ -52,7 +52,8 @@ from .intervals import fixed_bits, _fx_enclose, _fx_mpc
 from .ltp import LTPModel, dist_bound, model_for_operator
 from .operators import (COMPLEX_SYMMETRIC, INTEGERS, OperatorSpec,
                         PT_SYMMETRIC, REAL_SPECTRUM)
-from .precision import DOUBLE, PrecisionContext, bigfloat, guard_digits
+from .precision import (DOUBLE, PrecisionContext, bigfloat, exact_conj,
+                        guard_digits)
 from .sigma import (_double_band, banded_sigma_batch, bordered_lstsq, gamma,
                     left_null_vector, right_vector, sigma_min)
 from .truncation import _band, _block_geometry, _rotate, rectangular
@@ -491,8 +492,8 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     of conj(z) by the parity n -> -n of l^2(Z) and a conjugation, which on
     the block -N..N is a flip and a conjugation.  There the lower-half
     seeds are skipped, and each non-real refined pair's mirror is certified
-    under the next index (its verification produces the exact mirror of
-    the first disk up to outward rounding).
+    under the next index from the exactly conjugated pair, so that its disk
+    is the exact mirror of the first, radius and all.
     """
     n_block = N_schedule(0) if N_schedule else 45
     seed_block = min(n_block, 30)
@@ -534,7 +535,7 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
         index += 1
         if mirror and not is_real and len(enclosures) < n_max:
             enc_m = certify_eigenvalue(
-                op, model, z_ref.conjugate(), [t.conjugate() for t in v[::-1]],
+                op, model, exact_conj(z_ref), [exact_conj(t) for t in v[::-1]],
                 1, bigfloat(digits_v), index_n=index)
             enclosures.append(enc_m)
             index += 1

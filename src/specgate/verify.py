@@ -253,8 +253,9 @@ class Enclosure:
 
     def to_json(self) -> dict:
         if self.is_complex:
-            center = {"re": self._format_real(mpmath.mpc(self.center).real),
-                      "im": self._format_real(mpmath.mpc(self.center).imag)}
+            # exact parts: mpmath.mpc() rounds to the global precision
+            center = {"re": self._format_real(self.center.real),
+                      "im": self._format_real(self.center.imag)}
         else:
             center = self._format_real(self.center)
         with mp.workdps(20):

@@ -8,8 +8,11 @@ from importlib.resources import files
 import jsonschema
 import mpmath
 import pytest
+from mpmath import mp
 
+import specgate.cli
 from specgate.cli import main
+from specgate.precision import exact_conj
 from specgate.verify import Enclosure
 
 from _util import CUBIC_EIGENVALUES, LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK
@@ -158,6 +161,47 @@ def test_eigs_certifies_every_lattice_reference(tmp_path):
         hits = [e for e in encs if e.intersects(ref, LATTICE_PRINT_SLACK)]
         assert len(hits) == 1, ref
     assert max(float(e.radius) for e in encs) <= 4.4e-13
+
+
+def test_lattice_report_holds_its_exact_centers(tmp_path, monkeypatch):
+    # at N = 60 the radii (about 3e-18) lie below the double spacing of the
+    # centers: each printed disk still contains its in-memory center, each
+    # mirror is certified from the exact conjugate of its partner's pair
+    # (so the radii are equal), and the report does not depend on the
+    # process-global mpmath precision
+    runs, certify = [], specgate.cli.bootstrap_certify
+
+    def recording(*args, **kwargs):
+        runs.append(certify(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(specgate.cli, "bootstrap_certify", recording)
+    reports, saved = [], mp.prec
+    try:
+        for prec in (53, 300):
+            mp.prec = prec
+            out = tmp_path / f"lattice-{prec}.json"
+            assert main(["eigs", "--op", "lattice", "--n", "11", "--N", "60",
+                         "--output", str(out)]) == 0
+            report = json.loads(out.read_text(encoding="utf-8"))
+            del report["generated_at"]
+            reports.append(report)
+    finally:
+        mp.prec = saved
+    assert reports[0] == reports[1]
+    encs = runs[0]
+    assert len(encs) == 11
+    for e, printed in zip(encs, reports[0]["enclosures"]):
+        assert Enclosure.from_json(printed).contains(e.center)
+    mirrors = 0
+    for e in encs:
+        if not e.is_complex or e.center.imag < 0:
+            continue
+        partner = [f for f in encs if f.center == exact_conj(e.center)]
+        assert len(partner) == 1
+        assert partner[0].radius == e.radius
+        mirrors += 1
+    assert mirrors == 4
 
 
 def test_cubic_candidates_round_trip(tmp_path):

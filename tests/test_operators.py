@@ -1,6 +1,7 @@
 """Operator specs: band structure, symmetry, the quadrature oracle, plugins."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -120,6 +121,27 @@ def test_lattice_tail_monotone(lattice):
             assert lattice.tail_bound(n, m) - lattice.tail_bound(n, m + 1) >= 0
 
 
+@pytest.mark.parametrize("n", [3, 8, 20])
+@pytest.mark.parametrize("m", [0, 5, 12, 30])
+def test_lattice_tail_is_sharp(lattice, n, m):
+    # the dropped block (I - P_{n+m}) H P_n, rows out to n + m + 60: its
+    # spectral norm <= its exact Frobenius norm <= tail_bound(n, m), and
+    # the bound is within sqrt(2n + 1) of that Frobenius norm.  The column
+    # mass taken as (8/3) 2^-m instead of the geometric (8/3) 4^-m misses
+    # the last check by a factor 2^(m/2) once m >= 5
+    reach = n + m + 60
+    rows = [i for i in range(-reach, reach + 1) if abs(i) > n + m]
+    block = np.array([[2.0 ** (1 - abs(i - j)) for j in range(-n, n + 1)]
+                      for i in rows])
+    frob_sq = sum(Fraction(4, 3) * (Fraction(1, 4 ** (n + m - j))
+                                    + Fraction(1, 4 ** (n + m + j)))
+                  for j in range(-n, n + 1))
+    frob = math.sqrt(frob_sq)
+    assert np.linalg.norm(block, 2) <= frob <= lattice.tail_bound(n, m)
+    if m >= 5:
+        assert lattice.tail_bound(n, m) <= math.sqrt(2 * n + 1) * frob
+
+
 def test_entry_box_contains_entry(cubic, lattice):
     # on the grid of a double context: each box is at most two units of
     # 2^-p wide around the entry's 60-digit value
@@ -164,6 +186,15 @@ def test_adjoint(cubic):
     adj = cubic.adjoint()
     z = adj.entry(5, 3, DOUBLE)
     assert z == pytest.approx(cubic.entry(3, 5, DOUBLE).conjugate())
+
+
+def test_adjoint_conjugates_big_floats_exactly(lattice):
+    # at the default global precision of 53 bits, the adjoint's 50-digit
+    # entry is the exact conjugate, not one rounded to a double
+    ctx = bigfloat(50)
+    a, b = lattice.adjoint().entry(2, 2, ctx), lattice.entry(2, 2, ctx)
+    with mpmath.workdps(60):
+        assert a.real == b.real and a.imag + b.imag == 0
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,17 @@ def test_left_null_vector_symmetric_shortcut(cubic):
     assert np.allclose(w, np.conj(v))
 
 
+def test_left_null_vector_bigfloat_shortcut_is_exact(cubic):
+    # the 30-digit left vector is the exact conjugate of the right one at
+    # the default global precision of 53 bits
+    z, ctx = mpmath.mpc(3.0, 0.25), bigfloat(30)
+    v = right_vector(cubic, z, 30, ctx)
+    w = left_null_vector(cubic, z, 30, ctx)
+    with mpmath.workdps(60):
+        assert all(a.real == b.real and a.imag + b.imag == 0
+                   for a, b in zip(w, v))
+
+
 def test_left_null_vector_harmonic(harmonic):
     v = right_vector(harmonic, 1.0, 10, DOUBLE)
     w = left_null_vector(harmonic, 1.0, 10, DOUBLE)

@@ -63,11 +63,21 @@ def test_lattice_padding_and_defect(lattice):
 
 
 def test_tail_padding_slope(lattice):
-    # two extra rows of padding per bit of accuracy, plus a log term
+    # one extra row of padding per bit of accuracy, plus a log term
+    # (m = 13, 24, 34, 44)
     ms = [tail_padding(lattice, n, 2.0 ** -n) for n in (10, 20, 30, 40)]
     slopes = [(ms[i + 1] - ms[i]) / 10.0 for i in range(3)]
     for s in slopes:
-        assert 1.5 <= s <= 2.5
+        assert 0.75 <= s <= 1.25
+
+
+def test_lattice_bench_block(lattice):
+    # the eigs default N = 45: 49 padding rows per side (a 189 x 91 block)
+    # and the tail defect sqrt(91 * 8/3) 2^-49, widened by 1e-12
+    assert tail_padding(lattice, 45, 2.0 ** -45) == 49
+    rows, cols, _, _, _, defect = _block_geometry(lattice, 45)
+    assert (rows, cols) == (189, 91)
+    assert defect == 2.767166394230857e-14
 
 
 def test_tail_padding_trivial_and_halving(lattice):

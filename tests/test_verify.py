@@ -23,7 +23,8 @@ from specgate.operators import (_lattice_diagonal,
                                 lattice_longrange_operator)
 from specgate.precision import DOUBLE_DIGITS
 from specgate.sigma import right_vector, sigma_min
-from specgate.truncation import _band, tail_padding
+from specgate.truncation import (_band, _block_geometry, rectangular,
+                                 tail_padding)
 from specgate.verify import (CertificationError, Enclosure,
                              certify_eigenvalue, eigenvector_error_bound,
                              enclosure_center, enclosures_to_report,
@@ -302,22 +303,38 @@ def test_longrange_residual_includes_tail():
                          ids=["real", "complex"])
 def test_lattice_residual_routes(z):
     # the double residual runs over the interval band of the padded block
-    # and brackets the smallest singular value; in big floats the
-    # mp_residual_rows hint and the band route enclose the same quantity
+    # and brackets ||T v|| / ||v|| of LAPACK's vector, taken at 50 digits
+    # over the block's rows; in big floats the mp_residual_rows hint and
+    # the band route enclose the same quantity.  LAPACK's sigma is not
+    # bracketed: nothing makes it at least the exact residual of its own
+    # vector (at N = 8 it falls up to 2.2e-16 below), so it is held to
+    # within 2^-52 ||T||_2 of that residual
     lattice = lattice_longrange_operator()
     N = 8
     sig, v = sigma_min(lattice, z, N, DOUBLE, want_vector=True)
     b = verified_residual(lattice, z, v, DOUBLE)
-    assert b.lo <= sig <= b.hi
+    rows, _, row_start, col_start = _block_geometry(lattice, N)[:4]
+    with mp.workdps(50):
+        ctx = bigfloat(50)
+        vm = [mpmath.mpc(t) for t in v]
+        res = mpmath.sqrt(mp.fsum(
+            abs(mp.fsum(
+                (lattice.entry(i, j, ctx) - (z if i == j else 0)) * t
+                for j, t in enumerate(vm, start=col_start))) ** 2
+            for i in range(row_start, row_start + rows)))
+        res /= mpmath.sqrt(mp.fsum(abs(t) ** 2 for t in vm))
+    assert b.lo <= res <= b.hi
+    norm_t = np.linalg.norm(rectangular(lattice, z, N), 2)
+    assert abs(sig - res) <= 2.0 ** -52 * norm_t
     _assert_hint_matches_band(lattice, z, v)
 
 
 @pytest.mark.parametrize("z", [LATTICE_EIGENVALUES[3].real, 0.7 + 0.3j],
                          ids=["real", "complex"])
 def test_lattice_residual_routes_at_a_larger_N(z):
-    # the hint's sweeps over 149 rows against the band route; the double
-    # bracket is left to N = 8: at N = 24 LAPACK's sigma falls 7e-17 below
-    # the residual of its own vector (eps ||T|| is 1.3e-14 there)
+    # the hint's sweeps over 105 rows against the band route; the double
+    # bracket is left to N = 8: at N = 24 LAPACK's sigma falls 1.7e-16
+    # below the residual of its own vector (eps ||T|| is 1.3e-14 there)
     lattice = lattice_longrange_operator()
     _assert_hint_matches_band(lattice, z, right_vector(lattice, z, 24, DOUBLE))
 
