@@ -10,12 +10,13 @@ The certification flow for operators with real spectra (bootstrap order):
    remainder constant is unquantified;
 2. zoom into that bracket by censuses of 16 sub-steps until its half-width
    is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
-   (or it is at most 1e-9 wide), a start inside Gauss-Newton's basin, then
-   refine the pair (z, v) that minimizes the rectangular residual by
-   bordered Gauss-Newton (one banded QR of the bordered Jacobian in
-   doubles, each step a banded least-squares solve; the residual's rows
-   are the midpoints of the interval rows that the verifier sums, on the
-   fixed-point grid at the guard-digit precision);
+   (or it is at most 1e-9 wide), a start inside the basin of damped
+   Gauss-Newton, then refine the pair (z, v) that minimizes the rectangular
+   residual by bordered Gauss-Newton: each step a banded least-squares
+   solve on the bordered Jacobian in doubles, re-factored by banded QR at
+   each accepted (z, v), and halved up to three times until ||F||_2 falls;
+   the residual's rows are the midpoints of the interval rows that the
+   verifier sums, on the fixed-point grid at the guard-digit precision;
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -142,14 +143,17 @@ def _census(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
 
 
 #: The dip zoom of :func:`_locate_dip` stops once the bracket's half-width
-#: is at most this fraction of the slope s of gamma_N at the dip: the start
-#: only has to lie inside Gauss-Newton's basin, not at the floor of gamma.
-#: Near a simple eigenvalue lam, gamma_N is V-shaped, gamma(t) ~ s |t - lam|.
-#: With lam between the dip's neighbours t[k-1] and t[k+1], their values sum
-#: to g[k-1] + g[k+1] = s w for the bracket width w = t[k+1] - t[k-1], so
-#: w / 2 <= C s reads w^2 <= 2 C (g[k-1] + g[k+1]).  The 1e-9 floor of the
-#: width stays, so no dip is zoomed more rounds than at that width alone.
-ZOOM_SLOPE_FRACTION = 1e-2
+#: is at most this multiple of the slope s of gamma_N at the dip: the start
+#: only has to lie inside the basin of the damped, re-factored Gauss-Newton
+#: of :func:`_refine_eigenpair`, not at the floor of gamma.  Near a simple
+#: eigenvalue lam, gamma_N is V-shaped, gamma(t) ~ s |t - lam|.  With lam
+#: between the dip's neighbours t[k-1] and t[k+1], their values sum to
+#: g[k-1] + g[k+1] = s w for the bracket width w = t[k+1] - t[k-1], so
+#: w / 2 <= C s reads w^2 <= 2 C (g[k-1] + g[k+1]).  On the cubic the first
+#: census meets it at indices 1 and 2, and index 12 after 7 rounds.  The
+#: 1e-9 floor of the width stays, so no dip is zoomed more rounds than at
+#: that width alone.
+ZOOM_SLOPE_FRACTION = 5
 
 
 def _locate_dip(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
@@ -332,7 +336,7 @@ def _locate_candidate(op, model, lo, hi, N, digits_v, z_prev):
 
 
 #: Gauss-Newton steps of :func:`_refine_eigenpair`, at most.
-NEWTON_MAXIT = 10
+NEWTON_MAXIT = 20
 
 #: Exact powers of i, by exponent mod 4.
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -351,24 +355,33 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     and the rows of F are the midpoints of the interval rows that
     :func:`~specgate.verify.verified_residual` sums
     (:func:`~specgate.verify._residual_rows`): one band build, or the
-    operator's hint, serves both.  The Jacobian is frozen at
-    J0 = [[T - z0 E, -E v0], [c^T, 0]] and factored by QR once in doubles,
-    for T the double truncation that the float stage has cached at N: a
-    banded spec's census band, by :func:`~specgate.sigma.bordered_lstsq`
-    without building J0, a long-range spec's dense block
-    (:func:`~specgate.truncation.rectangular`).  Each step solves J0 s = F
-    by least squares.  The steps stop when F vanishes, when one fails to
-    halve ||F||_2 (the floor of the truncation or of the grid), or after
-    NEWTON_MAXIT.  ||F||_2 is the norm that Gauss-Newton lowers and the
-    residual norm that is verified.  At the floor ||F||_inf is flat while
-    the frozen-Jacobian steps still move z by units of 1e-15, so a test on
-    ||F||_inf would leave the end point of a start far from the floor to
-    rounding in the factorization, which may depend on the BLAS thread
-    count.
+    operator's hint, serves both.  Each step solves J s = F by least squares
+    in doubles, J = [[T - z E, -E v], [c^T, 0]], for T the double truncation
+    that the float stage has cached at N.  A banded spec's J is factored by
+    :func:`~specgate.sigma.bordered_lstsq` on the census band, without
+    building J, at (z0, v0) and again at each accepted (z, v).  A
+    long-range spec's dense block (:func:`~specgate.truncation.rectangular`)
+    is factored by QR once, at J0: its square-truncation seeds start at the
+    floor, and each refresh would be one more dense QR of the block.
+
+    A step is tried at 1, 1/2, 1/4 and 1/8 of its length, and the first
+    that lowers ||F||_2 is taken.  The steps stop when F vanishes, when all
+    four fail, or after NEWTON_MAXIT.  Until a step has been halved, they
+    also stop at a full step that raises ||F||_2 at most 2-fold, or that
+    lowers it without halving it: that is the floor of the truncation or of
+    the grid, where the failure is rounding, not curvature.  Once a step has
+    been halved the start lay outside the full-step basin (at the cubic's
+    twelfth index the first full step raises ||F||_2 6-14 fold), and the
+    steps go on until F vanishes, all four fail, or NEWTON_MAXIT.  ||F||_2
+    is the norm that Gauss-Newton lowers and the residual norm that is
+    verified.  At the floor ||F||_inf is flat while the steps still move z
+    by units of 1e-15, so a test on ||F||_inf would leave the end point of
+    a start far from the floor to rounding in the factorization, which may
+    depend on the BLAS thread count.
 
     v0 is divided by the phase of its largest entry.  At a real z0, on
     the real rotated band (W^-1 H W, W = diag(i^m)) when the operator has
-    one and no residual hint, J0 is rotated by the exact phases i^(c-r),
+    one and no residual hint, J is rotated by the exact phases i^(c-r),
     v0 is rotated in before that division and its real part taken after
     it, and z stays real.  Otherwise z is complex.  z comes back as an
     exact mpc, and v in the operator's basis as exact mpc values of the
@@ -421,6 +434,7 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
              for u in (c, w0))
     z = (grid(z0.real), grid(z0.imag))
     one = 1 << (2 * p)
+    scale = 1 << p
 
     def in_basis(v):
         """v in the operator's basis, as (re, im) ints at scale 2^-p."""
@@ -448,25 +462,37 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
         return x - (a * rn) // (b * unit)
 
     r, rn, ss = residual(v, z)
-    for _ in range(NEWTON_MAXIT):
+    damped = False
+    for it in range(NEWTON_MAXIT):
         if not rn > 0:
             break
+        if it and op.banded:
+            # re-factor J at the accepted (z, v); c stays conj(w0)
+            w = np.array([complex(x / scale, y / scale) for x, y in v])
+            b[diag + d] = -w
+            solve = bordered_lstsq(band, up, kd,
+                                   complex(z[0] / scale, z[1] / scale), b, c)
         f = np.array([t / rn for t in r])
         step = solve(f if rotated else f[0::2] + 1j * f[1::2])
         if not np.isfinite(step).all():
             break
         if rotated:
             step = step.real
-        v_new = [(shift(x, s.real, rn), y if rotated else
-                  shift(y, s.imag, rn)) for (x, y), s in zip(v, step)]
-        z_new = (shift(z[0], step[cols].real, rn),
-                 shift(z[1], step[cols].imag, rn))
-        r_new, rn_new, ss_new = residual(v_new, z_new)
+        for k in range(4):  # the step at 1, 1/2, 1/4 and 1/8 of its length
+            s = step * 0.5 ** k
+            v_new = [(shift(x, t.real, rn), y if rotated else
+                      shift(y, t.imag, rn)) for (x, y), t in zip(v, s)]
+            z_new = (shift(z[0], s[cols].real, rn),
+                     shift(z[1], s[cols].imag, rn))
+            r_new, rn_new, ss_new = residual(v_new, z_new)
+            if ss_new < ss or (k == 0 and not damped and ss_new <= 4 * ss):
+                break  # accepted, or a full step at the floor
         if not ss_new < ss:
             break
+        damped = damped or k > 0
         halved = 4 * ss_new <= ss
         v, z, r, rn, ss = v_new, z_new, r_new, rn_new, ss_new
-        if not halved:
+        if not (halved or damped):
             break
     return _fx_mpc(*z, p), [_fx_mpc(x, y, p) for x, y in in_basis(v)]
 
@@ -544,13 +570,12 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
 
 
 def _check_separation(enclosures: Sequence[Enclosure]):
-    for i in range(len(enclosures)):
-        for j in range(i + 1, len(enclosures)):
-            a, b = enclosures[i], enclosures[j]
-            d = abs(complex(a.center) - complex(b.center))
-            if d == 0.0:
-                continue  # conjugate partners of a real-axis pair
-            if d <= float(a.radius) + float(b.radius):
+    """Raise :class:`CertificationError` if two disks meet.  The exact
+    centers are compared at the enclosures' digits: disks far below the
+    double spacing of their centers may round to one double center."""
+    for i, a in enumerate(enclosures):
+        for b in enclosures[i + 1:]:
+            if a.intersects(b.center, b.radius):
                 raise CertificationError(
                     f"enclosures {a.index_n} and {b.index_n} overlap")
 

@@ -38,7 +38,7 @@ from mpmath import mp
 
 from .intervals import (MPIntervalScope, fixed_bits, _fx_ctimes, _fx_enclose,
                         _fx_ratio, _fx_round, _fx_square, _fx_vector,
-                        iv_lower, iv_upper)
+                        _raw, iv_lower, iv_upper)
 from .ltp import GapMembershipError, LTPModel, dist_bound, model_for_operator
 from .operators import INTEGERS, OperatorSpec, StructureError
 from .precision import DOUBLE_DIGITS, PrecisionContext, bigfloat
@@ -252,14 +252,20 @@ class Enclosure:
             return mpmath.nstr(mpmath.mpf(x), sig, strip_zeros=False)
 
     def to_json(self) -> dict:
-        if self.is_complex:
-            # exact parts: mpmath.mpc() rounds to the global precision
-            center = {"re": self._format_real(self.center.real),
-                      "im": self._format_real(self.center.imag)}
-        else:
-            center = self._format_real(self.center)
+        # exact parts: mpmath.mpc() rounds to the global precision
+        parts = (self.center.real, self.center.imag) if self.is_complex \
+            else (self.center,)
+        printed = [self._format_real(x) for x in parts]
+        center = dict(zip(("re", "im"), printed)) if self.is_complex \
+            else printed[0]
+        # the printed disk holds the certified one: the radius grows by the
+        # printed center's error (|d re| + |d im| >= |d|), rounded up
+        num, den = _exact(self.radius)
+        for t, x in zip(printed, parts):
+            (a, b), (c, d) = _exact(t), _exact(x)
+            num, den = num * b * d + abs(a * d - c * b) * den, den * b * d
+        radius = _decimal_up(num, den)
         with mp.workdps(20):
-            radius = mpmath.nstr(mpmath.mpf(self.radius), 4)
             resid = mpmath.nstr(mpmath.mpf(self.residual_upper), 4)
         return {
             "op": self.op_id,
@@ -291,6 +297,34 @@ class Enclosure:
                 precision_digits=digits,
                 conditional_on=tuple(data.get("conditional_on", ())),
             )
+
+
+def _exact(x) -> tuple:
+    """(num, den), den > 0, of the exact value of an int, a double, an mpf
+    or a decimal string as mpmath prints it."""
+    if isinstance(x, str):
+        mant, _, exp10 = x.partition("e")
+        whole, _, frac = mant.partition(".")
+        num, e = int(whole + frac), int(exp10 or 0) - len(frac)
+        return (num * 10 ** e, 1) if e >= 0 else (num, 10 ** -e)
+    sign, man, exp, _ = _raw(x)
+    num = -man if sign else man
+    return (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
+
+
+def _decimal_up(num: int, den: int, digits: int = 4) -> str:
+    """The least decimal of ``digits`` significant digits that is at least
+    num / den >= 0, in mpmath's print form ("0.0" for 0)."""
+    if num == 0:
+        return "0.0"
+    # num / (den 10^k) lies in [10^(digits-1), 10^(digits+1)); q is its
+    # ceiling, and ceil(ceil(x) / 10) = ceil(x / 10) drops a digit
+    k = len(str(num)) - len(str(den)) - digits
+    q = -(-num * 10 ** -k // den) if k < 0 else -(-num // (den * 10 ** k))
+    while q >= 10 ** digits:
+        q, k = -(-q // 10), k + 1
+    with mp.workdps(20):
+        return mpmath.nstr(mpmath.mpf(f"{q}e{k}"), digits)
 
 
 def certify_eigenvalue(op: OperatorSpec, model: LTPModel, candidate_z,

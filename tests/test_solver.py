@@ -21,12 +21,13 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import banded_sigma_batch, gamma, right_vector, sigma_min
 from specgate.solver import (DIP_CENSUS_TAG, GapScanError, _census,
-                             _gap_check, _locate_dip, _refine_eigenpair,
+                             _check_separation, _gap_check, _locate_dip,
+                             _refine_eigenpair,
                              _residual_target, bootstrap_certify,
                              condition_number, evaluate_eigenfunction,
                              pseudospectrum_grid)
 from specgate.truncation import _band, rectangular, square
-from specgate.verify import CertificationError, verified_residual
+from specgate.verify import CertificationError, Enclosure, verified_residual
 
 from _util import (CUBIC_EIGENVALUES, CUBIC_PRINT_SLACK,
                    LATTICE_EIGENVALUES, LATTICE_PRINT_SLACK, band_plugin,
@@ -60,11 +61,25 @@ def test_locate_dip_harmonic(harmonic):
     assert g < 1e-9
 
 
-def test_locate_dip_cubic_lambda1(cubic, cubic_model):
+def test_locate_dip_cubic_lambda1(cubic, cubic_model, monkeypatch):
     # the zoom stops inside Gauss-Newton's basin, not at the floor of gamma:
-    # the start is near lambda_1, and refining it lands on lambda_1
+    # lambda_1 lies within half the last census's bracket w of the start,
+    # w meets the stop rule w^2 <= 2 C (g[k-1] + g[k+1]), and refining the
+    # start lands on lambda_1
+    last = []
+    census = solver._census
+
+    def recorded(*args, **kwargs):
+        last[:] = census(*args, **kwargs)
+        return tuple(last)
+
+    monkeypatch.setattr(solver, "_census", recorded)
     z, _ = _locate_dip(cubic, cubic_model, 0.5, 2.6, 200)
-    assert abs(z - LAMBDA_1) < 1e-4
+    ts, g, _ = last
+    k = int(np.flatnonzero(ts == z)[0])
+    w = ts[k + 1] - ts[k - 1]
+    assert w ** 2 <= 2 * solver.ZOOM_SLOPE_FRACTION * (g[k - 1] + g[k + 1])
+    assert abs(z - LAMBDA_1) < w / 2
     v = right_vector(cubic, z, 200, DOUBLE)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-10)
     zr, vr = _refine_eigenpair(cubic, 200, z, v, 30)
@@ -79,9 +94,10 @@ ZOOMED_TO_1E9_RADII = (6.6207289954693225e-15, 2.3861240639285133e-13,
 
 
 def test_zoom_stops_inside_the_newton_basin(cubic, cubic_model, monkeypatch):
-    # stopping the zoom at 1 percent of the dip's slope takes at most 15
-    # censuses for the first three eigenvalues (36 with a 1e-9 zoom) and
-    # widens no radius by more than 1e-6 relative
+    # stopping the zoom at 5 times the dip's slope, inside the basin of the
+    # damped Gauss-Newton, takes at most 7 censuses for the first three
+    # eigenvalues (36 with a 1e-9 zoom) and widens no radius by more than
+    # 1e-6 relative
     calls = []
     census = solver._census
 
@@ -91,7 +107,7 @@ def test_zoom_stops_inside_the_newton_basin(cubic, cubic_model, monkeypatch):
 
     monkeypatch.setattr(solver, "_census", counted)
     encs = bootstrap_certify(cubic, cubic_model, 3, DOUBLE)
-    assert len(calls) <= 15
+    assert len(calls) <= 7
     for e, zoomed in zip(encs, ZOOMED_TO_1E9_RADII):
         assert float(e.radius) <= (1 + 1e-6) * zoomed, e.index_n
 
@@ -191,6 +207,67 @@ def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
     assert verified_residual(cubic, z, v, bigfloat(30)).hi < 1e-15
 
 
+#: lambda_12 of the cubic to 40 digits.  Not a cited value: it was computed
+#: at a re-anchor by banded square-truncation RQI at 70 digits, N = 500 to
+#: 900, and N = 500 and 800 agree in all 40 digits (ROADMAP.md, "Reference
+#: values").
+LAMBDA_12 = "47.12310557391329824062367823302007228362"
+
+
+def test_refine_damps_from_the_index_12_census_start(cubic):
+    # the census start of index 12 at N = 480 lies 2.2e-6 from lambda_12,
+    # outside the full-step basin: each full step raises ||F||_2 6-14 fold,
+    # and the undamped refiner stays at 3.3e-14.  Halved steps with the
+    # Jacobian re-factored at each accepted step end at 1.32e-30
+    z0 = 47.12310340690898
+    z, v = _refine_eigenpair(cubic, 480, z0, right_vector(cubic, z0, 480,
+                                                          DOUBLE), 49)
+    assert verified_residual(cubic, z, v, bigfloat(49)).hi < 2e-30
+    with mp.workdps(60):
+        assert abs(z - mpmath.mpf(LAMBDA_12)) < 1e-36
+
+
+#: Counts the refiner's F evaluations and the dense QRs of one eigs run, in
+#: a fresh process, and prints them.
+_COUNT_LATTICE_WORK = """
+import sys
+import numpy as np
+from specgate import cli, solver
+counts = {"F": 0, "qr": 0}
+rows, qr = solver._residual_rows, np.linalg.qr
+
+def counted_rows(*args):
+    counts["F"] += 1
+    return rows(*args)
+
+def counted_qr(*args, **kwargs):
+    counts["qr"] += 1
+    return qr(*args, **kwargs)
+
+solver._residual_rows, np.linalg.qr = counted_rows, counted_qr
+cli.main(["eigs", "--op", "lattice", "--n", "11", "--output", sys.argv[1]])
+print(counts["F"], counts["qr"])
+"""
+
+
+def test_lattice_refiner_work_does_not_grow(tmp_path):
+    # the lattice's seeds start at the floor: on eigs --op lattice --n 11 at
+    # one OpenBLAS thread the refiner evaluates F 20 times, and the run
+    # makes 14 dense QRs (7 sigma_min calls and the one J0 of each refine).
+    # At two threads the dense factorizations round differently and one
+    # refine takes one more F evaluation, with or without the damping
+    src = os.path.dirname(os.path.dirname(specgate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _COUNT_LATTICE_WORK,
+                          str(tmp_path / "lattice.json")], env=env,
+                         check=True, timeout=300, capture_output=True,
+                         text=True).stdout
+    evals, qrs = map(int, out.split()[-2:])
+    assert evals <= 20
+    assert qrs <= 14
+
+
 @pytest.mark.parametrize("tilt", [0.0, 1e-3], ids=["singular", "tilted"])
 def test_refine_complex_pair_oracle(tilt):
     # the diagonal plugin n + i has the eigenvalues n + i exactly, with
@@ -216,6 +293,27 @@ def test_refine_complex_pair_fails_closed_off_its_seed(monkeypatch):
     model = model_from_json({"type": "constant", "id": op.id, "kappa": 2.0})
     with pytest.raises(CertificationError, match="0.05"):
         bootstrap_certify(op, model, 1)
+
+
+# -- separation of certified disks ------------------------------------------
+
+def _disk(center, radius, index):
+    return Enclosure("lattice", index, center, mpmath.mpf(radius), 0.0, 1, 25)
+
+
+def test_separation_rejects_two_disks_on_one_center():
+    c = mpmath.mpc(0.5, 0.25)
+    with pytest.raises(CertificationError, match="overlap"):
+        _check_separation([_disk(c, 1e-13, 1), _disk(c, 1e-13, 2)])
+
+
+def test_separation_compares_the_exact_centers():
+    # two 1e-27 disks 1e-20 apart, whose centers round to one double
+    with mp.workdps(40):
+        a = mpmath.mpc(0.5, 0.25)
+        b = a + mpmath.mpf("1e-20")
+    assert complex(a) == complex(b)
+    _check_separation([_disk(a, 1e-27, 1), _disk(b, 1e-27, 2)])
 
 
 # -- bootstrap --------------------------------------------------------------

@@ -241,6 +241,21 @@ def test_enclosure_json_roundtrip_and_schema(cubic):
     jsonschema.validate(report, schema)
 
 
+def test_printed_disk_holds_the_certified_one():
+    # lattice index 1 at N = 90 has radius 2.342123e-27, which rounds to
+    # nearest as 2.342e-27: a point on the certified edge, away from the
+    # printed center, must still lie inside the printed disk
+    from specgate.solver import bootstrap_certify
+    enc, = bootstrap_certify(lattice_longrange_operator(), None, 1,
+                             N_schedule=lambda n: 90)
+    assert 2.342e-27 < float(enc.radius) < 2.3422e-27
+    back = Enclosure.from_json(enc.to_json())
+    with mp.workdps(60):
+        away = enc.center - back.center
+        unit = away / abs(away) if away else 1
+        assert back.contains(enc.center + enc.radius * unit)
+
+
 def test_enclosure_decimal_digit_rule():
     enc = Enclosure("cubic", 1, 1.23456789, 1e-6, 1e-8, 2, 16, ("kappa-bound",))
     out = enc.to_json()
