@@ -10,13 +10,13 @@ The certification flow for operators with real spectra (bootstrap order):
    remainder constant is unquantified;
 2. zoom into that bracket by censuses of 16 sub-steps until its half-width
    is at most ``ZOOM_SLOPE_FRACTION`` times the slope of gamma_N at the dip
-   (or it is at most 1e-9 wide), a start inside the basin of damped
+   (or it is at most 1e-9 wide), a start inside the basin of full-step
    Gauss-Newton, then refine the pair (z, v) that minimizes the rectangular
-   residual by bordered Gauss-Newton: each step a banded least-squares
-   solve on the bordered Jacobian in doubles, re-factored by banded QR at
-   each accepted (z, v), and halved up to three times until ||F||_2 falls;
-   the residual's rows are the midpoints of the interval rows that the
-   verifier sums, on the fixed-point grid at the guard-digit precision;
+   residual by bordered Gauss-Newton: each step a full banded least-squares
+   step on the bordered Jacobian in doubles, re-factored by banded QR at
+   each iterate, keeping the iterate of least ||F||_2; the residual's rows
+   are the midpoints of the interval rows that the verifier sums, on the
+   fixed-point grid at the guard-digit precision;
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -144,15 +144,17 @@ def _census(op: OperatorSpec, model: LTPModel, lo: float, hi: float,
 
 #: The dip zoom of :func:`_locate_dip` stops once the bracket's half-width
 #: is at most this multiple of the slope s of gamma_N at the dip: the start
-#: only has to lie inside the basin of the damped, re-factored Gauss-Newton
+#: only has to lie inside the basin of the full-step, re-factored Gauss-Newton
 #: of :func:`_refine_eigenpair`, not at the floor of gamma.  Near a simple
 #: eigenvalue lam, gamma_N is V-shaped, gamma(t) ~ s |t - lam|.  With lam
 #: between the dip's neighbours t[k-1] and t[k+1], their values sum to
 #: g[k-1] + g[k+1] = s w for the bracket width w = t[k+1] - t[k-1], so
 #: w / 2 <= C s reads w^2 <= 2 C (g[k-1] + g[k+1]).  On the cubic the first
-#: census meets it at indices 1 and 2, and index 12 after 7 rounds.  The
-#: 1e-9 floor of the width stays, so no dip is zoomed more rounds than at
-#: that width alone.
+#: census meets it at indices 1 and 2, and indices 10 to 17 after 7 rounds.
+#: Without the zoom, index 3's start lies 0.125 away, its step lowers
+#: ||F||_2 without halving it, and the bootstrap escalates N.  The 1e-9
+#: floor of the width stays, so no dip is zoomed more rounds than at that
+#: width alone.
 ZOOM_SLOPE_FRACTION = 5
 
 
@@ -359,25 +361,24 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
     in doubles, J = [[T - z E, -E v], [c^T, 0]], for T the double truncation
     that the float stage has cached at N.  A banded spec's J is factored by
     :func:`~specgate.sigma.bordered_lstsq` on the census band, without
-    building J, at (z0, v0) and again at each accepted (z, v).  A
-    long-range spec's dense block (:func:`~specgate.truncation.rectangular`)
+    building J, at (z0, v0) and again at each iterate.  A long-range
+    spec's dense block (:func:`~specgate.truncation.rectangular`)
     is factored by QR once, at J0: its square-truncation seeds start at the
     floor, and each refresh would be one more dense QR of the block.
 
-    A step is tried at 1, 1/2, 1/4 and 1/8 of its length, and the first
-    that lowers ||F||_2 is taken.  The steps stop when F vanishes, when all
-    four fail, or after NEWTON_MAXIT.  Until a step has been halved, they
-    also stop at a full step that raises ||F||_2 at most 2-fold, or that
-    lowers it without halving it: that is the floor of the truncation or of
-    the grid, where the failure is rounding, not curvature.  Once a step has
-    been halved the start lay outside the full-step basin (at the cubic's
-    twelfth index the first full step raises ||F||_2 6-14 fold), and the
-    steps go on until F vanishes, all four fail, or NEWTON_MAXIT.  ||F||_2
-    is the norm that Gauss-Newton lowers and the residual norm that is
-    verified.  At the floor ||F||_inf is flat while the steps still move z
-    by units of 1e-15, so a test on ||F||_inf would leave the end point of
-    a start far from the floor to rounding in the factorization, which may
-    depend on the BLAS thread count.
+    Every step is taken at full length, with one evaluation of F, and the
+    iterate of least ||F||_2 is returned.  Far from the solution ||F||_2 is
+    a poor merit function: from the cubic's census starts at indices 12 and
+    13 the first step raises it 14 to 35 fold, and the steps then converge
+    quadratically.  So they stop at a step that does not lower ||F||_2 once
+    one has, and at one that lowers it without halving it (the floor of the
+    truncation or of the grid) unless an earlier step raised it; z still
+    converges at the floor.  They also stop when F vanishes, at a
+    non-finite step, or after NEWTON_MAXIT.  ||F||_2 is the norm that
+    Gauss-Newton lowers and the residual norm that is verified; at the
+    floor ||F||_inf is flat while the steps still move z by units of 1e-15,
+    so a test on it would leave the end point to rounding in the
+    factorization, which may depend on the BLAS thread count.
 
     v0 is divided by the phase of its largest entry.  At a real z0, on
     the real rotated band (W^-1 H W, W = diag(i^m)) when the operator has
@@ -462,12 +463,13 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
         return x - (a * rn) // (b * unit)
 
     r, rn, ss = residual(v, z)
-    damped = False
+    best = ss, z, v
+    fell = rose = False
     for it in range(NEWTON_MAXIT):
         if not rn > 0:
             break
         if it and op.banded:
-            # re-factor J at the accepted (z, v); c stays conj(w0)
+            # re-factor J at the new (z, v); c stays conj(w0)
             w = np.array([complex(x / scale, y / scale) for x, y in v])
             b[diag + d] = -w
             solve = bordered_lstsq(band, up, kd,
@@ -478,22 +480,18 @@ def _refine_eigenpair(op, N, z0, v0, digits_v):
             break
         if rotated:
             step = step.real
-        for k in range(4):  # the step at 1, 1/2, 1/4 and 1/8 of its length
-            s = step * 0.5 ** k
-            v_new = [(shift(x, t.real, rn), y if rotated else
-                      shift(y, t.imag, rn)) for (x, y), t in zip(v, s)]
-            z_new = (shift(z[0], s[cols].real, rn),
-                     shift(z[1], s[cols].imag, rn))
-            r_new, rn_new, ss_new = residual(v_new, z_new)
-            if ss_new < ss or (k == 0 and not damped and ss_new <= 4 * ss):
-                break  # accepted, or a full step at the floor
-        if not ss_new < ss:
+        v = [(shift(x, t.real, rn), y if rotated else shift(y, t.imag, rn))
+             for (x, y), t in zip(v, step)]
+        z = (shift(z[0], step[cols].real, rn),
+             shift(z[1], step[cols].imag, rn))
+        r, rn, ss_new = residual(v, z)
+        if ss_new < best[0]:
+            best = ss_new, z, v
+        lower = ss_new < ss
+        if (fell and not lower) or (lower and 4 * ss_new > ss and not rose):
             break
-        damped = damped or k > 0
-        halved = 4 * ss_new <= ss
-        v, z, r, rn, ss = v_new, z_new, r_new, rn_new, ss_new
-        if not (halved or damped):
-            break
+        fell, rose, ss = fell or lower, rose or not lower, ss_new
+    _, z, v = best
     return _fx_mpc(*z, p), [_fx_mpc(x, y, p) for x, y in in_basis(v)]
 
 

@@ -94,10 +94,9 @@ ZOOMED_TO_1E9_RADII = (6.6207289954693225e-15, 2.3861240639285133e-13,
 
 
 def test_zoom_stops_inside_the_newton_basin(cubic, cubic_model, monkeypatch):
-    # stopping the zoom at 5 times the dip's slope, inside the basin of the
-    # damped Gauss-Newton, takes at most 7 censuses for the first three
-    # eigenvalues (36 with a 1e-9 zoom) and widens no radius by more than
-    # 1e-6 relative
+    # stopping the zoom at 5 times the dip's slope, inside the Gauss-Newton
+    # basin, takes at most 7 censuses for the first three eigenvalues (36
+    # with a 1e-9 zoom) and widens no radius by more than 1e-6 relative
     calls = []
     census = solver._census
 
@@ -214,17 +213,38 @@ def test_refine_eigenpair_cubic_verifies_on_the_rectangle(cubic):
 LAMBDA_12 = "47.12310557391329824062367823302007228362"
 
 
-def test_refine_damps_from_the_index_12_census_start(cubic):
-    # the census start of index 12 at N = 480 lies 2.2e-6 from lambda_12,
-    # outside the full-step basin: each full step raises ||F||_2 6-14 fold,
-    # and the undamped refiner stays at 3.3e-14.  Halved steps with the
-    # Jacobian re-factored at each accepted step end at 1.32e-30
+#: lambda_13 of the cubic to 42 digits.  Not a cited value: it is the
+#: center certified by bootstrap_certify(cubic, 17), rounded to nearest, and
+#: the big-float NII prototype agrees in every digit it printed (ROADMAP.md,
+#: "Reference values").
+LAMBDA_13 = "52.0814360526657254942124241675756078009139"
+
+
+def test_refine_converges_from_the_index_12_census_start(cubic):
+    # the census start of index 12 at N = 480 lies 2.2e-6 from lambda_12:
+    # the first full step raises ||F||_2 14 fold, and the full steps on the
+    # re-factored Jacobian then converge, 3.3e-14 -> 4.6e-13 -> 2.0e-25 ->
+    # 1.32e-30, and z ends 1.1e-38 from lambda_12
     z0 = 47.12310340690898
     z, v = _refine_eigenpair(cubic, 480, z0, right_vector(cubic, z0, 480,
                                                           DOUBLE), 49)
     assert verified_residual(cubic, z, v, bigfloat(49)).hi < 2e-30
     with mp.workdps(60):
         assert abs(z - mpmath.mpf(LAMBDA_12)) < 1e-36
+
+
+@pytest.mark.parametrize("z0", [52.08143923954884, 52.21899695117149],
+                         ids=["zoomed", "unzoomed"])
+def test_refine_converges_from_the_index_13_census_starts(cubic, z0):
+    # the zoomed census start of index 13 at N = 520 lies 3.2e-6 from
+    # lambda_13, and the first census dip 0.14 away.  Full steps converge
+    # from both to a verified residual of 8.05e-33; a search that shortens
+    # each step until ||F||_2 falls stalls at 2.7e-14 and 8.0e-11
+    z, v = _refine_eigenpair(cubic, 520, z0, right_vector(cubic, z0, 520,
+                                                          DOUBLE), 52)
+    assert verified_residual(cubic, z, v, bigfloat(52)).hi < 1e-32
+    with mp.workdps(60):
+        assert abs(z - mpmath.mpf(LAMBDA_13)) < 1e-37
 
 
 #: Counts the refiner's F evaluations and the dense QRs of one eigs run, in
@@ -255,7 +275,7 @@ def test_lattice_refiner_work_does_not_grow(tmp_path):
     # one OpenBLAS thread the refiner evaluates F 20 times, and the run
     # makes 14 dense QRs (7 sigma_min calls and the one J0 of each refine).
     # At two threads the dense factorizations round differently and one
-    # refine takes one more F evaluation, with or without the damping
+    # refine takes one more F evaluation
     src = os.path.dirname(os.path.dirname(specgate.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
