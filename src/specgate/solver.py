@@ -16,7 +16,11 @@ The certification flow for operators with real spectra (bootstrap order):
    step on the bordered Jacobian in doubles, re-factored by banded QR at
    each iterate, keeping the iterate of least ||F||_2; the residual's rows
    are the midpoints of the interval rows that the verifier sums, on the
-   fixed-point grid at the guard-digit precision;
+   fixed-point grid at the guard-digit precision.  Those digits grow with
+   n, so before the first index one request starts the operator's entry
+   store at the digits of index n_max: every box band of the run, at any
+   index and N, is shifted out of one evaluation of each entry
+   (:func:`~specgate.truncation._box_entries`);
 3. once the candidate's radius meets the target, take the census again at
    the certifying N from the previous center to the candidate.  Its ends
    are certified eigenvalues, where gamma dips; the gap_floor spacing
@@ -57,7 +61,8 @@ from .precision import (DOUBLE, PrecisionContext, bigfloat, exact_conj,
                         guard_digits)
 from .sigma import (_double_band, banded_sigma_batch, bordered_lstsq, gamma,
                     left_null_vector, right_vector, sigma_min)
-from .truncation import _band, _block_geometry, _rotate, rectangular
+from .truncation import (_band, _block_geometry, _box_entries, _rotate,
+                         rectangular)
 from .truncation import square as square_truncation
 from .verify import (CertificationError, Enclosure, _residual_rows,
                      certify_eigenvalue, enclosure_center, verified_residual)
@@ -251,6 +256,13 @@ def bootstrap_certify(op: OperatorSpec, model: Optional[LTPModel], n_max: int,
             f"model {model.id!r} has no eigenvalue asymptotics "
             "(lambda_asymptotic), which the real-spectrum bootstrap needs "
             "to size its dip census")
+    eps_last = _residual_target(model, n_max + 1, target)
+    if (op.entry_box is not None and "mp_residual_rows" not in op.hints
+            and eps_last > 0):
+        # digits_v grows with n: start the entry store at the run's finest
+        # scale, so that each box band is shifted out of it
+        _box_entries(op, min(schedule(1), cap), fixed_bits(
+            _verification_digits(n_max, ctx, eps_last)))
     enclosures: list[Enclosure] = []
     prev_center, prev_sup = 0.0, None
     for n in range(1, n_max + 1):
@@ -567,12 +579,30 @@ def _certify_complex_spectrum(op, model, n_max, ctx, N_schedule,
     return enclosures
 
 
+#: Relative margin of the double pre-screen of :func:`_check_separation`,
+#: some nine units of 2^-53: it covers the rounding of both centers and
+#: both radii to doubles (at most one unit each), and that of the gap and
+#: of the sums (at most three units each).
+SEPARATION_MARGIN = 1e-15
+
+
 def _check_separation(enclosures: Sequence[Enclosure]):
-    """Raise :class:`CertificationError` if two disks meet.  The exact
-    centers are compared at the enclosures' digits: disks far below the
-    double spacing of their centers may round to one double center."""
+    """Raise :class:`CertificationError` if two disks meet.
+
+    A pair is separated in doubles when their gap exceeds the sum of the
+    radii by a margin for the rounding of centers, radii and gap, plus
+    1e-300 for a radius that rounds to 0.0 or to a subnormal.  Every
+    other pair compares the exact centers at the enclosures' digits:
+    disks far below the double spacing of their centers may round to one
+    double center."""
+    disks = [(complex(e.center), float(e.radius)) for e in enclosures]
     for i, a in enumerate(enclosures):
-        for b in enclosures[i + 1:]:
+        ca, ra = disks[i]
+        for b, (cb, rb) in zip(enclosures[i + 1:], disks[i + 1:]):
+            gap = abs(ca - cb)
+            slack = SEPARATION_MARGIN * (abs(ca) + abs(cb) + ra + rb + gap)
+            if gap > ra + rb + slack + 1e-300:
+                continue
             if a.intersects(b.center, b.radius):
                 raise CertificationError(
                     f"enclosures {a.index_n} and {b.index_n} overlap")

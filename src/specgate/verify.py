@@ -240,11 +240,21 @@ class Enclosure:
                 mpmath.mpf(self.radius) + mpmath.mpf(slack)
 
     def _sig_digits(self) -> int:
-        # printed digits follow the certified radius: ceil(-log10 r) + 2
+        # from the center's leading digit (its larger part's) down to two
+        # places below the radius's: the print error then stays within 1%
+        # of the radius, which to_json adds to the printed one
         r = float(self.radius)
         if r <= 0:
             return self.precision_digits
-        return max(3, int(math.ceil(-math.log10(r))) + 2)
+        low = math.floor(math.log10(r))
+        top = max(abs(float(x)) for x in self._parts())
+        lead = math.floor(math.log10(top)) if top > 0 else low
+        return max(3, lead - low + 3)
+
+    def _parts(self) -> tuple:
+        # exact parts: mpmath.mpc() rounds to the global precision
+        return (self.center.real, self.center.imag) if self.is_complex \
+            else (self.center,)
 
     def _format_real(self, x) -> str:
         sig = self._sig_digits()
@@ -252,9 +262,7 @@ class Enclosure:
             return mpmath.nstr(mpmath.mpf(x), sig, strip_zeros=False)
 
     def to_json(self) -> dict:
-        # exact parts: mpmath.mpc() rounds to the global precision
-        parts = (self.center.real, self.center.imag) if self.is_complex \
-            else (self.center,)
+        parts = self._parts()
         printed = [self._format_real(x) for x in parts]
         center = dict(zip(("re", "im"), printed)) if self.is_complex \
             else printed[0]

@@ -1,5 +1,6 @@
 """Solver pipelines: localization, bootstrap, grids, condition numbers."""
 
+import dataclasses
 import json
 import math
 import os
@@ -336,7 +337,40 @@ def test_separation_compares_the_exact_centers():
     _check_separation([_disk(a, 1e-27, 1), _disk(b, 1e-27, 2)])
 
 
+@pytest.mark.parametrize("a, b, r", [
+    # doubles 1 and 1 + 2^-52 are 2.2e-16 apart, beyond 2 r = 1.6e-16;
+    # the exact centers are 1.5e-16 apart
+    ("1", "1.00000000000000015", "8e-17"),
+    # the radii round to 0.0, the centers to 0.0 and 5e-324
+    ("0", mpmath.mpf(2) ** -1074, mpmath.mpf(2) ** -1075),
+], ids=["near-doubles", "underflow"])
+def test_separation_prescreen_leaves_near_pairs_to_the_exact_test(a, b, r):
+    # in doubles each pair lies apart by more than its radii; exactly, the
+    # disks meet, so only the exact test finds the overlap
+    with mp.workdps(40):
+        a, b, r = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(r)
+    assert abs(float(a) - float(b)) > 2 * float(r)
+    with pytest.raises(CertificationError, match="overlap"):
+        _check_separation([_disk(a, r, 1), _disk(b, r, 2)])
+
+
 # -- bootstrap --------------------------------------------------------------
+
+def test_bootstrap_evaluates_each_entry_once():
+    # the entry store starts at index 3's digits, the finest of the run:
+    # the box bands at 27, 28 and 29 digits are all shifted out of one
+    # evaluation of the 1394 entries of the N = 200 block
+    ref, calls = hermite_cubic_operator(), []
+
+    def counting(i, j, lib):
+        calls.append((i, j))
+        return ref.entry_box(i, j, lib)
+
+    op = dataclasses.replace(ref, entry_box=counting)
+    encs = bootstrap_certify(op, cubic_ltp_model(), 3, DOUBLE)
+    assert [e.precision_digits for e in encs] == [27, 28, 29]
+    assert len(calls) == len(set(calls)) == 1394
+
 
 def test_bootstrap_harmonic_oracle(harmonic):
     encs = bootstrap_certify(harmonic, harmonic_ltp_model(), 4, DOUBLE,

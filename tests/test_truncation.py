@@ -1,5 +1,6 @@
 """Truncations: rectangular geometry, tail padding, square blocks, bands."""
 
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,10 @@ from specgate.operators import (harmonic_oscillator_operator,
                                 lattice_longrange_operator)
 from specgate.sigma import _mp_band
 from specgate.truncation import (TailError, _band, _block_geometry,
-                                 rectangular, square, tail_padding)
+                                 _box_entries, _build_band, rectangular,
+                                 square, tail_padding)
+
+from _util import band_plugin
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,60 @@ def test_fixed_band_is_two_grid_units_wide(cubic, digits):
             for i, (lo, hi) in col:
                 exact = (unit ** (j - i) * cubic.entry(i, j, ref)).real
                 assert hi - lo <= 2 and lo <= exact * 2 ** p <= hi, (i, j)
+
+
+def _integers_plugin():
+    # rational and square-root coefficients, one of them imaginary: each
+    # box is the floor and ceiling of its entry, as the cubic's are
+    return band_plugin({-2: "1/3", 0: "n", 1: "i*sqrt(n^2 + 1)"},
+                       domain="integers")
+
+
+@pytest.mark.parametrize("make", [hermite_cubic_operator,
+                                  harmonic_oscillator_operator,
+                                  _integers_plugin],
+                         ids=["cubic", "harmonic", "integers-plugin"])
+def test_store_bands_equal_the_direct_builds(make):
+    # the entry store starts at 40 digits at N = 60; the bands shifted out
+    # of it equal the direct builds at their own digits, rotated and
+    # complex, also at N = 90, which extends the store.  entry_box runs
+    # once per entry of the N = 90 block
+    ref, calls = make(), []
+
+    def counting(i, j, lib):
+        calls.append((i, j))
+        return ref.entry_box(i, j, lib)
+
+    op = dataclasses.replace(ref, entry_box=counting)
+    q = fixed_bits(40)
+    assert _box_entries(op, 60, q)[0] == q
+    for N, digits, rotated in itertools.product((60, 90), (27, 28, 33, 40),
+                                                (True, False)):
+        ctx = bigfloat(digits)
+        assert _band(op, N, ctx, rotated) == \
+            _build_band(ref, N, ctx, True, rotated), (N, digits, rotated)
+    q, entries = _box_entries(op, 90, fixed_bits(27))
+    assert q == fixed_bits(40)
+    assert len(calls) == len(set(calls)) == len(entries)
+    assert _band(op, 90, bigfloat(27), rotated=True) is not None
+
+
+def test_shifted_transcendental_bands_enclose_the_finer_ones():
+    # mpmath.iv encloses a sin or a cos more widely than its floor and
+    # ceiling, so a shifted band may differ from the direct build; each of
+    # its intervals, scaled back, holds the store's finer one
+    op = band_plugin({-1: "1/7", 0: "sin(n)", 1: "1/3 + i*cos(n)"})
+    q = fixed_bits(40)
+    fine = _band(op, 30, bigfloat(40))
+    assert _box_entries(op, 30, q)[0] == q
+    for digits in (27, 33):
+        k = q - fixed_bits(digits)
+        coarse = _band(op, 30, bigfloat(digits))
+        for fcol, ccol in zip(fine, coarse):
+            assert [i for i, _ in fcol] == [i for i, _ in ccol]
+            for (_, f), (_, c) in zip(fcol, ccol):
+                for m in (0, 2):
+                    assert c[m] << k <= f[m] <= f[m + 1] <= c[m + 1] << k
 
 
 def test_longrange_geometry_searches_its_padding_once(monkeypatch):

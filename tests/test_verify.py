@@ -257,11 +257,33 @@ def test_printed_disk_holds_the_certified_one():
 
 
 def test_enclosure_decimal_digit_rule():
-    enc = Enclosure("cubic", 1, 1.23456789, 1e-6, 1e-8, 2, 16, ("kappa-bound",))
-    out = enc.to_json()
-    # ceil(-log10 r) + 2 = 8 significant digits
-    digits = out["center"].replace(".", "").replace("-", "").lstrip("0")
-    assert len(digits) == 8
+    # from the center's leading digit down to 1e-8, two places below the
+    # radius's leading digit: 9 significant digits at 1.2, 10 at 47.1 and
+    # 7 at 0.012
+    for center, count in ((1.23456789, 9), (47.123456789, 10),
+                          (0.0123456789, 7)):
+        enc = Enclosure("cubic", 1, center, 1e-6, 1e-8, 2, 16,
+                        ("kappa-bound",))
+        out = enc.to_json()
+        digits = out["center"].replace(".", "").replace("-", "").lstrip("0")
+        assert len(digits) == count
+
+
+def test_printed_radius_stays_within_2_percent():
+    # the printed radius grows by the printed center's error, which the
+    # digit rule keeps within 1% of the radius: at index 12's magnitude
+    # (center 47.12, radius 1.29e-43) the rule of ceil(-log10 r) + 2 digits
+    # printed 1.595e-43, and lattice index 5 1.455e-13 for 1.392e-13
+    from specgate.solver import bootstrap_certify
+    with mp.workdps(60):
+        center = mpmath.mpf("47.123105573913298240623678233020072283621357")
+    encs = [Enclosure("cubic", 12, center, mpmath.mpf("1.2906340262e-43"),
+                      0.0, 13, 49)]
+    encs += bootstrap_certify(lattice_longrange_operator(), None, 5)[4:]
+    assert encs[1].is_complex
+    for enc in encs:
+        printed = mpmath.mpf(enc.to_json()["radius"])
+        assert enc.radius <= printed <= 1.02 * enc.radius
 
 
 def test_eigenvector_error_bound_monotone(cubic):
